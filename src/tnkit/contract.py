@@ -8,13 +8,14 @@ a cost-optimal order with a dynamic program over tensor subsets.
 """
 
 import itertools
+import math
 import re
 
 import numpy as np
 
 from .bond import REGULAR
 from .storage import DenseTensor
-from .unitensor import UniTensor
+from .unitensor import UniTensor, block_structure, zero_blocks
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_*'+\-]+")
 
@@ -137,34 +138,83 @@ def contract_pair(a, b):
 def _contract_pair_blocks(a, b, shared, a_pos, b_pos, a_free, b_free,
                           out_bonds, out_labels):
     dt = np.result_type(a.dtype, b.dtype)
-    scalar_out = len(out_bonds) == 0
-    if scalar_out:
-        total = np.zeros((), dtype=dt)
-        out = None
+    plan = a._struct.memo(("pair", b._struct, tuple(a_pos), tuple(b_pos)),
+                          _PairPlan, a._struct, b._struct, a_pos, b_pos,
+                          a_free, b_free, out_bonds)
+    a_blocks, b_blocks = a._blocks, b._blocks
+    a_mats = [a_blocks[i].view().transpose(plan.a_axes).reshape(shape)
+              for i, shape in plan.a_mats]
+    b_mats = [b_blocks[j].view().transpose(plan.b_axes).reshape(shape)
+              for j, shape in plan.b_mats]
+    if plan.out is None:
+        acc = [np.zeros((1, 1), dtype=dt)]
     else:
-        out = UniTensor(out_bonds, labels=out_labels, dtype=dt,
-                        rowrank=len(a_free))
-    # Index b's blocks by their sector signature on the contracted bonds.
-    b_by_key = {}
-    for j in range(b.nblocks):
-        qn = b.block_qn_indices(j)
-        b_by_key.setdefault(tuple(qn[p] for p in b_pos), []).append(j)
-    for i in range(a.nblocks):
-        a_qn = a.block_qn_indices(i)
-        key = tuple(a_qn[p] for p in a_pos)
-        for j in b_by_key.get(key, ()):
-            b_qn = b.block_qn_indices(j)
-            res = np.tensordot(a.get_block_(i).view(), b.get_block_(j).view(),
-                               axes=(a_pos, b_pos))
-            if scalar_out:
-                total += res
-            else:
-                out_qn = tuple([a_qn[p] for p in a_free]
-                               + [b_qn[p] for p in b_free])
-                out.get_block_(list(out_qn)).view()[...] += res
-    if scalar_out:
-        return UniTensor.scalar(total.item())
-    return out
+        out_blocks = zero_blocks(plan.out, dt)
+        acc = [blk.view().reshape(shape)
+               for blk, shape in zip(out_blocks, plan.out_mats)]
+    for ia, jb, k in plan.pairs:
+        acc[k] += np.dot(a_mats[ia], b_mats[jb])
+    if plan.out is None:
+        return UniTensor.scalar(acc[0].item())
+    return UniTensor._assemble(out_bonds, out_labels, len(a_free), "",
+                               out_blocks, plan.out)
+
+
+class _PairPlan:
+    """How to contract the blocks of two structures over given axes.
+
+    Every block pair is a matrix product, done the way ``np.tensordot``
+    does it: a's block is transposed to (free, contracted) and reshaped
+    into a matrix, b's to (contracted, free), and the product is added
+    into the matrix view of the output block.  The plan depends only on
+    the two structures and the axes, so it is computed once and reused by
+    every contraction of that shape, such as every matvec of a Lanczos
+    solve.  Pairs run in a's block order, then b's, which fixes the order
+    of the sums into each output block.
+
+    ``out`` is the output structure (None for a scalar result);
+    ``a_mats``/``b_mats`` list (block, matrix shape) for each block that
+    takes part; ``pairs`` holds (a matrix, b matrix, output block)
+    positions; ``out_mats`` gives each output block's matrix shape.
+    """
+
+    __slots__ = ("out", "a_axes", "b_axes", "a_mats", "b_mats", "pairs",
+                 "out_mats")
+
+    def __init__(self, sa, sb, a_pos, b_pos, a_free, b_free, out_bonds):
+        self.a_axes = tuple(a_free) + tuple(a_pos)
+        self.b_axes = tuple(b_pos) + tuple(b_free)
+        self.out = block_structure(out_bonds) if out_bonds else None
+        b_by_key = {}
+        for j, qn in enumerate(sb.qns):
+            b_by_key.setdefault(tuple(qn[p] for p in b_pos), []).append(j)
+        a_mat, b_mat = {}, {}   # block -> position in a_mats / b_mats
+        self.a_mats, self.b_mats, self.pairs = [], [], []
+        for i, a_qn in enumerate(sa.qns):
+            for j in b_by_key.get(tuple(a_qn[p] for p in a_pos), ()):
+                if i not in a_mat:
+                    a_mat[i] = len(self.a_mats)
+                    self.a_mats.append((i, _matrix_shape(sa.shapes[i], a_free,
+                                                         a_pos)))
+                if j not in b_mat:
+                    b_mat[j] = len(self.b_mats)
+                    self.b_mats.append((j, _matrix_shape(sb.shapes[j], b_pos,
+                                                         b_free)))
+                k = 0
+                if self.out is not None:
+                    b_qn = sb.qns[j]
+                    k = self.out.lookup[tuple([a_qn[p] for p in a_free]
+                                              + [b_qn[p] for p in b_free])]
+                self.pairs.append((a_mat[i], b_mat[j], k))
+        self.out_mats = None
+        if self.out is not None:
+            nrow = len(a_free)
+            self.out_mats = [(math.prod(sh[:nrow]), math.prod(sh[nrow:]))
+                             for sh in self.out.shapes]
+
+
+def _matrix_shape(shape, rows, cols):
+    return (math.prod(shape[p] for p in rows), math.prod(shape[p] for p in cols))
 
 
 # -- multi-tensor contraction ---------------------------------------------------

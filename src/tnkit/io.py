@@ -19,6 +19,7 @@ tuple (``null`` for dense tensors) and shape.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -30,6 +31,8 @@ from .unitensor import UniTensor
 
 MAGIC = b"TNXU\x00"
 VERSION = 1
+
+_HEADER_KEYS = ("name", "labels", "rowrank", "dtype", "bonds", "blocks")
 
 _DTYPES = {"float64": np.dtype(np.float64), "complex128": np.dtype(np.complex128),
            "int64": np.dtype(np.int64), "bool": np.dtype(np.bool_)}
@@ -79,29 +82,72 @@ def save_unitensor(ut, path):
 
 
 def load_unitensor(path):
+    """Read a tensor written by :func:`save_unitensor`.
+
+    A file that is not a well-formed container (bad magic or version,
+    cut short, a header that is not JSON or lacks keys, an unknown dtype,
+    blocks that do not match the bonds) raises ``ValueError`` naming the
+    file.
+    """
     with open(path, "rb") as f:
         magic = f.read(5)
         if magic != MAGIC:
             raise ValueError(f"{path}: not a tensor container (bad magic {magic!r})")
-        (version,) = struct.unpack("<I", f.read(4))
+        version = _read_uint32(f, path, "format version")
         if version != VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode())
-        dtype = _DTYPES[header["dtype"]]
-        bonds = [_bond_from_json(d) for d in header["bonds"]]
-        ut = UniTensor(bonds, labels=header["labels"], name=header["name"],
-                       dtype=dtype, rowrank=header["rowrank"])
-        for i, binfo in enumerate(header["blocks"]):
-            shape = tuple(binfo["shape"])
-            count = int(np.prod(shape, dtype=np.int64))
-            buf = f.read(count * dtype.itemsize)
+        hlen = _read_uint32(f, path, "header length")
+        raw = f.read(hlen)
+        if len(raw) != hlen:
+            raise ValueError(f"{path}: file ends inside the header "
+                             f"({len(raw)} of {hlen} bytes)")
+        try:
+            header = json.loads(raw.decode())
+        except ValueError as e:  # bad UTF-8 or bad JSON
+            raise ValueError(f"{path}: header is not valid JSON ({e})") from None
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: header is not a JSON object")
+        missing = [k for k in _HEADER_KEYS if k not in header]
+        if missing:
+            raise ValueError(f"{path}: header lacks keys {missing}")
+        dtype = header["dtype"]
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
+            raise ValueError(f"{path}: unsupported dtype {dtype!r} (expected "
+                             f"one of {', '.join(_DTYPES)})")
+        dtype = _DTYPES[dtype]
+        try:
+            bonds = [_bond_from_json(d) for d in header["bonds"]]
+            ut = UniTensor(bonds, labels=header["labels"], name=header["name"],
+                           dtype=dtype, rowrank=header["rowrank"])
+            entries = [(tuple(b["shape"]),
+                        None if b["qn"] is None else tuple(b["qn"]))
+                       for b in header["blocks"]]
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"{path}: bad header ({e!r})") from None
+        if len(entries) != ut.nblocks:
+            raise ValueError(f"{path}: header lists {len(entries)} blocks, "
+                             f"its bonds give {ut.nblocks}")
+        for i, (shape, qn) in enumerate(entries):
+            if shape != ut.get_blocks_()[i].shape:
+                raise ValueError(f"{path}: block {i} has shape {shape}, "
+                                 f"expected {ut.get_blocks_()[i].shape}")
+            if ut.is_sym and qn != ut.block_qn_indices(i):
+                raise ValueError(f"{path}: block {i} has Qn indices {qn}, "
+                                 f"expected {ut.block_qn_indices(i)}")
+            nbytes = math.prod(shape) * dtype.itemsize
+            buf = f.read(nbytes)
+            if len(buf) != nbytes:
+                raise ValueError(f"{path}: payload ends inside block {i} "
+                                 f"({len(buf)} of {nbytes} bytes)")
             arr = np.frombuffer(buf, dtype=dtype.newbyteorder("<")).astype(dtype)
-            block = DenseTensor(arr.reshape(shape))
-            if ut.is_sym:
-                expect = tuple(binfo["qn"])
-                if ut.block_qn_indices(i) != expect:
-                    raise ValueError(f"{path}: block {i} has Qn indices {expect}, "
-                                     f"expected {ut.block_qn_indices(i)}")
-            ut.put_block_(block, *( (i,) if ut.is_sym else () ))
+            ut.put_block_(DenseTensor(arr.reshape(shape)),
+                          *((i,) if ut.is_sym else ()))
         return ut
+
+
+def _read_uint32(f, path, what):
+    raw = f.read(4)
+    if len(raw) != 4:
+        raise ValueError(f"{path}: file ends inside the fixed header "
+                         f"(reading the {what})")
+    return struct.unpack("<I", raw)[0]

@@ -16,6 +16,8 @@ input up to a label permutation.  If an input label collides with an
 auxiliary name, a counter is appended.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -39,13 +41,25 @@ class ConvergenceError(RuntimeError):
 class _Sector:
     """One charge sector of the matricized tensor."""
 
-    __slots__ = ("charge", "rows", "cols", "mat")
+    __slots__ = ("charge", "rows", "cols", "row_at", "col_at", "mat")
 
     def __init__(self, charge):
         self.charge = charge
         self.rows = []            # (qn part, offset, size)
         self.cols = []
+        self.row_at = {}          # qn part -> its entry in rows / cols
+        self.col_at = {}
         self.mat = None
+
+
+def _place(parts, at, qn, size):
+    """The entry of ``qn`` in ``parts``, appended when first seen."""
+    entry = at.get(qn)
+    if entry is None:
+        off = parts[-1][1] + parts[-1][2] if parts else 0
+        entry = at[qn] = (qn, off, size)
+        parts.append(entry)
+    return entry
 
 
 class _Matricized:
@@ -93,9 +107,9 @@ def _matricize(ut, require_square=False):
         syms = ut.bonds[0].syms
         ident = identity_qnum(syms)
         groups = {}
-        order = []
-        placed = []  # (sector, row part, col part) per block
-        for i in range(ut.nblocks):
+        placed = []  # (sector, row entry, col entry) per block
+        blocks = ut.get_blocks_()
+        for i, blk in enumerate(blocks):
             qn = ut.block_qn_indices(i)
             charge = ident
             for b, k in zip(m.row_bonds, qn[:r]):
@@ -103,35 +117,21 @@ def _matricize(ut, require_square=False):
                 if b.btype == OUT:
                     q = reverse_qnums(q, syms)
                 charge = combine_qnums(charge, q, syms)
-            if charge not in groups:
-                groups[charge] = _Sector(charge)
-                order.append(charge)
-            placed.append((groups[charge], qn[:r], qn[r:]))
-        for sec, row_qn, col_qn in placed:
-            if not any(rq == row_qn for rq, _, _ in sec.rows):
-                size = int(np.prod([b.sectors[k][1]
-                                    for b, k in zip(m.row_bonds, row_qn)]))
-                off = sec.rows[-1][1] + sec.rows[-1][2] if sec.rows else 0
-                sec.rows.append((row_qn, off, size))
-            if not any(cq == col_qn for cq, _, _ in sec.cols):
-                size = int(np.prod([b.sectors[k][1]
-                                    for b, k in zip(m.col_bonds, col_qn)]))
-                off = sec.cols[-1][1] + sec.cols[-1][2] if sec.cols else 0
-                sec.cols.append((col_qn, off, size))
-        for charge in order:
-            sec = groups[charge]
+            sec = groups.get(charge)
+            if sec is None:
+                sec = groups[charge] = _Sector(charge)
+            shape = blk.shape
+            placed.append((
+                sec, _place(sec.rows, sec.row_at, qn[:r], math.prod(shape[:r])),
+                _place(sec.cols, sec.col_at, qn[r:], math.prod(shape[r:]))))
+        for sec in groups.values():
             rdim = sec.rows[-1][1] + sec.rows[-1][2]
             cdim = sec.cols[-1][1] + sec.cols[-1][2]
             sec.mat = np.zeros((rdim, cdim), dtype=ut.dtype)
-        row_pos = {}
-        col_pos = {}
-        for (sec, row_qn, col_qn), i in zip(placed, range(ut.nblocks)):
-            blk = ut.get_block_(i)
-            rq = next(x for x in sec.rows if x[0] == row_qn)
-            cq = next(x for x in sec.cols if x[0] == col_qn)
-            sec.mat[rq[1]:rq[1] + rq[2], cq[1]:cq[1] + cq[2]] = \
-                np.ascontiguousarray(blk.view()).reshape(rq[2], cq[2])
-        m.sectors = [groups[c] for c in order]
+        for (sec, (_, ro, rs), (_, co, cs)), blk in zip(placed, blocks):
+            sec.mat[ro:ro + rs, co:co + cs] = \
+                np.ascontiguousarray(blk.view()).reshape(rs, cs)
+        m.sectors = list(groups.values())
     if require_square:
         rtot = sum(s.rows[-1][1] + s.rows[-1][2] for s in m.sectors)
         ctot = sum(s.cols[-1][1] + s.cols[-1][2] for s in m.sectors)

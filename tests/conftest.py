@@ -98,6 +98,46 @@ def random_u1_tensor(rng, rank=3, max_sectors=3, max_deg=3, directions=None):
         return t
 
 
+# -- malformed tensor files ------------------------------------------------------
+
+MALFORMED_UTN = {
+    # kind: a fragment the loader's error message must contain
+    "unknown dtype": "unsupported dtype 'float32'",
+    "missing keys": "header lacks keys ['rowrank', 'blocks']",
+    "cut in fixed header": "file ends inside the fixed header",
+    "truncated payload": "payload ends inside block",
+}
+
+
+def write_malformed_utn(kind, path):
+    """Save a valid tensor at ``path``, then damage it as ``kind`` says."""
+    import json
+    import struct
+
+    from tnkit import save_unitensor
+
+    save_unitensor(UniTensor.ones([2, 3], labels=["a", "b"], name="T"), path)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[9:13])
+    header = json.loads(raw[13:13 + hlen])
+    payload = raw[13 + hlen:]
+    if kind == "unknown dtype":
+        header["dtype"] = "float32"
+    elif kind == "missing keys":
+        del header["rowrank"], header["blocks"]
+    elif kind == "cut in fixed header":
+        path.write_bytes(raw[:7])
+        return path
+    elif kind == "truncated payload":
+        path.write_bytes(raw[:-3])
+        return path
+    else:
+        raise ValueError(f"unknown damage {kind!r}")
+    text = json.dumps(header).encode()
+    path.write_bytes(raw[:9] + struct.pack("<I", len(text)) + text + payload)
+    return path
+
+
 # -- physics oracles ---------------------------------------------------------------
 
 _SP = np.array([[0.0, 1.0], [0.0, 0.0]])

@@ -5,7 +5,8 @@ import pytest
 
 from tnkit import UniTensor, load_unitensor, save_unitensor
 from tnkit.cli import main
-from tests.conftest import circuit_reference, free_fermion_ground_energy
+from tests.conftest import (MALFORMED_UTN, circuit_reference,
+                            free_fermion_ground_energy, write_malformed_utn)
 from tnkit.circuit import CircuitConfig
 
 
@@ -127,3 +128,16 @@ def test_bad_tensor_spec_is_usage_error(tmp_path, capsys):
     net = tmp_path / "m.net"
     net.write_text("M1: i\nTOUT: i\n")
     assert main(["contract", str(net), "--tensor", "M1"]) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_UTN))
+def test_contract_on_malformed_tensor_file_is_clean_error(tmp_path, capsys,
+                                                          kind):
+    bad = write_malformed_utn(kind, tmp_path / "bad.utn")
+    net = tmp_path / "m.net"
+    net.write_text("M1: i, j\nTOUT: i, j\n")
+    assert main(["contract", str(net), "--tensor", f"M1={bad}",
+                 "--out", str(tmp_path / "o.utn")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and MALFORMED_UTN[kind] in err
+    assert "Traceback" not in err

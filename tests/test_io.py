@@ -4,6 +4,7 @@ import pytest
 from tnkit import (Bond, Complex128, IN, Int64, OUT, Symmetry, UniTensor,
                    load_unitensor, save_unitensor, storage)
 from tnkit import random as trandom
+from tests.conftest import MALFORMED_UTN, write_malformed_utn
 
 
 def test_dense_round_trip(tmp_path):
@@ -77,3 +78,12 @@ def test_bad_version_rejected(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="version"):
         load_unitensor(p)
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_UTN))
+def test_malformed_file_raises_value_error_naming_it(tmp_path, kind):
+    p = write_malformed_utn(kind, tmp_path / "bad.utn")
+    with pytest.raises(ValueError) as info:
+        load_unitensor(p)
+    assert str(p) in str(info.value)
+    assert MALFORMED_UTN[kind] in str(info.value)
