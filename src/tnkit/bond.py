@@ -168,17 +168,20 @@ class Bond:
         self._offsets = None
         return self
 
+    def __copy__(self):
+        out = Bond.__new__(Bond)
+        out.btype = self.btype
+        out.dim = self.dim
+        out.sectors = self.sectors
+        out.syms = self.syms
+        out._offsets = self._offsets
+        return out
+
     def redirect(self):
         """A copy with IN and OUT swapped; REGULAR bonds are returned as-is."""
         if self.btype == REGULAR:
             return self
-        out = Bond.__new__(Bond)
-        out.btype = IN if self.btype == OUT else OUT
-        out.dim = self.dim
-        out.sectors = self.sectors
-        out.syms = self.syms
-        out._offsets = None
-        return out
+        return self.__copy__().redirect_()
 
     def redirect_(self):
         """In-place variant of :meth:`redirect`; returns self."""

@@ -129,8 +129,9 @@ def contract_pair(a, b):
                            axes=(a_pos, b_pos))
         if res.ndim == 0:
             return UniTensor.scalar(res.item())
+        block = DenseTensor._wrap(np.ascontiguousarray(res))
         return UniTensor._assemble(out_bonds, out_labels, len(a_free), "",
-                                   [DenseTensor(np.ascontiguousarray(res))], None)
+                                   [block], None)
     return _contract_pair_blocks(a, b, shared, a_pos, b_pos, a_free, b_free,
                                  out_bonds, out_labels)
 

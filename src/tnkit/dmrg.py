@@ -52,6 +52,11 @@ class DmrgConfig:
             raise ValueError(f"bond_dim must be >= 2, got {self.bond_dim}")
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
+        if not self.lanczos_tol > 0:
+            raise ValueError(f"lanczos_tol must be > 0, got {self.lanczos_tol}")
+        if self.lanczos_max_iter < 1:
+            raise ValueError(f"lanczos_max_iter must be >= 1, "
+                             f"got {self.lanczos_max_iter}")
 
 
 @dataclass

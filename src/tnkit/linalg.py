@@ -471,6 +471,9 @@ class LinOp:
         return out
 
 
+_BASIS_CHUNK = 64      # rows of the first Lanczos basis allocation
+
+
 def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None):
     """Lowest ``k`` eigenpairs of a Hermitian linear operator.
 
@@ -481,6 +484,10 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None):
     fresh random vector orthogonal to the basis.  Raises
     :class:`ConvergenceError` carrying the best estimate when ``max_iter``
     is exhausted.
+
+    The basis vectors are the contiguous rows of an array that starts at
+    64 rows and doubles when an iteration needs another row, so memory is
+    O(n x iterations used), not O(n x ``max_iter``).
 
     Returns ``(values, vectors)``: values ascending, vectors as columns.
     """
@@ -493,6 +500,10 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None):
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={n}")
     if max_iter is None:
         max_iter = min(10 * n, 10000)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     rng = np.random.default_rng(seed if seed is not None else 20240527)
 
     def random_start():
@@ -511,21 +522,23 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None):
     q = random_start() if nq == 0 else q
     q = q / np.linalg.norm(q)
 
-    Q = np.zeros((n, min(max_iter, n) + 1), dtype=op.dtype)
-    Q[:, 0] = q
+    # an iteration that does not stop writes row mdim < min(max_iter, n)
+    cap = min(max_iter, n)
+    V = np.empty((min(cap, _BASIS_CHUNK), n), dtype=op.dtype)
+    V[0] = q
     alphas, betas = [], []
     it = 0
     scale = 1.0
     while True:
-        w = op(Q[:, it])
-        alpha = np.vdot(Q[:, it], w).real
+        w = op(V[it])
+        alpha = np.vdot(V[it], w).real
         alphas.append(alpha)
         scale = max(scale, abs(alpha))
-        w = w - alpha * Q[:, it]
+        w = w - alpha * V[it]
         if it > 0:
-            w = w - betas[-1] * Q[:, it - 1]
+            w = w - betas[-1] * V[it - 1]
         # full reorthogonalization against every Lanczos vector so far
-        w = w - Q[:, :it + 1] @ (Q[:, :it + 1].conj().T @ w)
+        w = w - V[:it + 1].T @ (V[:it + 1].conj() @ w)
         beta = np.linalg.norm(w)
         mdim = it + 1
         if mdim >= k:
@@ -534,29 +547,32 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None):
                 select="i", select_range=(0, k - 1))
             resid = beta * np.abs(y[-1, :])
             if np.all(resid <= tol * np.maximum(1.0, np.abs(theta))) or mdim == n:
-                vecs = Q[:, :mdim] @ y
-                return theta, vecs
-        if mdim >= min(max_iter, n):
+                return theta, V[:mdim].T @ y
+        if mdim >= cap:
             theta, y = scipy.linalg.eigh_tridiagonal(
                 np.asarray(alphas), np.asarray(betas),
                 select="i", select_range=(0, min(k, mdim) - 1))
             raise ConvergenceError(
                 f"lanczos did not converge within {max_iter} iterations "
                 f"(best residual {float(np.max(beta * np.abs(y[-1, :]))):.3e})",
-                eigenvalues=theta, eigenvectors=Q[:, :mdim] @ y)
+                eigenvalues=theta, eigenvectors=V[:mdim].T @ y)
+        if mdim == len(V):
+            grown = np.empty((min(2 * mdim, cap), n), dtype=op.dtype)
+            grown[:mdim] = V
+            V = grown
         if beta <= 1e-13 * scale:
             # invariant subspace: restart with a fresh orthogonal vector
             w = random_start()
-            w = w - Q[:, :mdim] @ (Q[:, :mdim].conj().T @ w)
+            w = w - V[:mdim].T @ (V[:mdim].conj() @ w)
             nw = np.linalg.norm(w)
             if nw < 1e-12:
                 theta, y = scipy.linalg.eigh_tridiagonal(
                     np.asarray(alphas), np.asarray(betas),
                     select="i", select_range=(0, min(k, mdim) - 1))
-                return theta, Q[:, :mdim] @ y
+                return theta, V[:mdim].T @ y
             betas.append(0.0)
-            Q[:, mdim] = w / nw
+            V[mdim] = w / nw
         else:
             betas.append(float(beta))
-            Q[:, mdim] = w / beta
+            V[mdim] = w / beta
         it += 1

@@ -103,8 +103,8 @@ class DenseTensor:
         order = _flatten_axes(order, self.rank)
         if sorted(order) != list(range(self.rank)):
             raise ValueError(f"invalid permutation {order} for rank {self.rank}")
-        return DenseTensor.__new_from(self._storage,
-                                      tuple(self._perm[o] for o in order))
+        return DenseTensor._wrap(self._storage,
+                                 tuple(self._perm[o] for o in order))
 
     def permute_(self, *order):
         t = self.permute(*order)
@@ -118,7 +118,7 @@ class DenseTensor:
         reorders the elements into a fresh buffer.
         """
         if self.is_contiguous:
-            return DenseTensor.__new_from(self._storage, self._perm)
+            return DenseTensor._wrap(self._storage, self._perm)
         return DenseTensor(np.ascontiguousarray(self.view()))
 
     def contiguous_(self):
@@ -256,10 +256,15 @@ class DenseTensor:
     # -- internals ---------------------------------------------------------
 
     @staticmethod
-    def __new_from(storage, perm):
+    def _wrap(storage, perm=None):
+        """Handle on a C-contiguous array of a supported dtype, unchecked.
+
+        For arrays the library has just made itself; anything else goes
+        through the constructor.
+        """
         t = DenseTensor.__new__(DenseTensor)
         t._storage = storage
-        t._perm = perm
+        t._perm = tuple(range(storage.ndim)) if perm is None else perm
         return t
 
 

@@ -23,6 +23,7 @@ shares element storage with the original; use :meth:`UniTensor.clone` for
 an independent copy.
 """
 
+import copy
 from collections import OrderedDict
 
 import numpy as np
@@ -156,7 +157,8 @@ def zero_blocks(struct, dtype):
     if not struct.qns:
         raise ValueError("no valid blocks: no combination of these bonds' "
                          "sectors has zero flux")
-    return [DenseTensor(np.zeros(shape, dtype=dtype)) for shape in struct.shapes]
+    return [DenseTensor._wrap(np.zeros(shape, dtype=dtype))
+            for shape in struct.shapes]
 
 
 class UniTensor:
@@ -736,6 +738,7 @@ class UniTensor:
     def clone(self):
         """Deep copy: independent metadata and element storage."""
         out = self._meta_view()
+        out._bonds = [copy.copy(b) for b in self._bonds]
         out._blocks = [b.clone() for b in self._blocks]
         return out
 

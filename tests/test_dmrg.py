@@ -64,6 +64,10 @@ def test_config_validation():
         DmrgConfig(n_sites=4, bond_dim=1)
     with pytest.raises(ValueError):
         DmrgConfig(n_sites=4, bond_dim=8, sweeps=0)
+    for bad in ({"lanczos_tol": 0.0}, {"lanczos_tol": -1e-3},
+                {"lanczos_tol": float("nan")}, {"lanczos_max_iter": 0}):
+        with pytest.raises(ValueError):
+            DmrgConfig(n_sites=4, bond_dim=8, **bad)
 
 
 def test_dmrg_exact_regime_matches_dense_diagonalization():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -361,9 +363,87 @@ def test_lanczos_raises_on_iteration_budget():
     a = rng.standard_normal((60, 60))
     a = a + a.T
     op = LinOp(60, matvec=lambda v: a @ v)
-    with pytest.raises(ConvergenceError) as exc:
-        lanczos(op, k=1, tol=1e-15, max_iter=3)
-    assert exc.value.eigenvalues is not None
+    for k in (1, 2):
+        with pytest.raises(ConvergenceError) as exc:
+            lanczos(op, k=k, tol=1e-15, max_iter=3)
+        assert exc.value.eigenvalues.shape == (k,)
+        assert exc.value.eigenvectors.shape == (60, k)
+
+
+def test_lanczos_rejects_bad_budget_and_tolerance():
+    def never(v):
+        raise AssertionError("no matvec may run on invalid input")
+
+    op = LinOp(10, matvec=never)
+    for bad in ({"max_iter": 0}, {"max_iter": -5}, {"tol": 0.0},
+                {"tol": -1e-3}, {"tol": float("nan")}):
+        with pytest.raises(ValueError):
+            lanczos(op, k=1, **bad)
+
+
+def _counting_diag(d, record=None):
+    """Diagonal operator that counts (and optionally keeps) its inputs."""
+    def matvec(v):
+        matvec.calls += 1
+        if record is not None:
+            record.append(np.array(v))
+        return d * v
+
+    matvec.calls = 0
+    return LinOp(len(d), matvec=matvec), matvec
+
+
+def test_lanczos_memory_follows_iterations_not_budget():
+    n = 5000
+    d = np.linspace(1.0, 2.0, n)
+    d[0] = 0.0                    # isolated ground state: a few dozen steps
+    peaks = []
+    for max_iter in (100, 5000):
+        op, mv = _counting_diag(d)
+        tracemalloc.start()
+        try:
+            vals, _ = lanczos(op, k=1, max_iter=max_iter)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert mv.calls < linalg._BASIS_CHUNK
+        assert abs(vals[0]) < 1e-10
+    assert abs(peaks[0] - peaks[1]) <= linalg._BASIS_CHUNK * n * 8
+
+
+def test_lanczos_past_first_chunk_matches_eigh():
+    n = 200
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((n, n))
+    a = a + a.T
+    calls = []
+    op = LinOp(n, matvec=lambda v: calls.append(1) or a @ v)
+    vals, vecs = lanczos(op, k=3, tol=1e-12)
+    assert len(calls) > linalg._BASIS_CHUNK
+    ref_vals, ref_vecs = np.linalg.eigh(a)
+    assert np.allclose(vals, ref_vals[:3], atol=1e-10)
+    overlap = np.abs(ref_vecs[:, :3].T @ vecs)
+    assert np.allclose(overlap, np.eye(3), atol=1e-8)
+
+
+def test_lanczos_restart_on_chunk_boundary():
+    # v0 spans an invariant subspace of exactly one chunk's dimension, so
+    # the Krylov space breaks down when the first chunk is full and the
+    # restart vector is the first row of the grown basis.
+    m = linalg._BASIS_CHUNK
+    n = m + 36
+    rng = np.random.default_rng(11)
+    d = np.concatenate([rng.permutation(m), m + rng.permutation(n - m)])
+    d = d.astype(float) + 1.0
+    v0 = np.zeros(n)
+    v0[:m] = rng.uniform(0.5, 1.5, m)
+    seen = []
+    op, _ = _counting_diag(d, seen)
+    vals, vecs = lanczos(op, k=m + 1, v0=v0)
+    assert np.linalg.norm(seen[m - 1][m:]) == 0.0
+    assert np.linalg.norm(seen[m][:m]) < 1e-12
+    assert np.allclose(vals, np.arange(1.0, m + 2), atol=1e-10)
+    assert np.allclose(d[:, None] * vecs, vecs * vals, atol=1e-9)
 
 
 def test_lanczos_requires_hermitian_declaration():

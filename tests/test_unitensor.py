@@ -110,6 +110,15 @@ def test_relabel_shares_elements_but_not_metadata():
     assert t.at([0, 0]).value == 4.0
 
 
+def test_clone_owns_its_bonds(u1):
+    b = Bond(btype=IN, sectors=[(0, 1), (1, 1)], syms=[u1])
+    t = UniTensor([b, b.redirect()], labels=["a", "b"])
+    u = t.relabel(["x", "y"]).clone()
+    t.bonds[0].redirect_()
+    assert [bd.btype for bd in u.bonds] == [IN, OUT]
+    assert [u.block_qn_indices(i) for i in range(u.nblocks)] == [(0, 0), (1, 1)]
+
+
 # -- permute -----------------------------------------------------------------
 
 def test_permute_by_labels_and_positions():
