@@ -22,7 +22,8 @@ m = UniTensor.ones([2, 2, 4, 4]).relabel(["p1", "p2", "v3", "v4"]).set_name("M")
 res = contract([a1, m, a2])
 print("three-tensor result:", res.labels)
 
-# The order search is a subset dynamic program with a doubling cost cap.
+# The order search is one exact pass of a dynamic program over tensor
+# subsets, each split costed from bitmasks of its free labels.
 sets = {"M1": ["i", "j"], "M2": ["j", "k"], "M3": ["k", "l"]}
 dims = {"i": 2, "j": 20, "k": 20, "l": 2}
 tree = find_optimal_order(sets, dims)

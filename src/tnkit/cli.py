@@ -48,7 +48,8 @@ def _build_parser():
     c.add_argument("--optimal", action="store_true",
                    help="search for the cheapest contraction order")
     c.add_argument("--print-order", action="store_true",
-                   help="print the contraction order that was used")
+                   help="print the contraction order that was used and "
+                        "its predicted cost")
     c.add_argument("--out", default=None,
                    help="output tensor path (default: <netfile stem>_out.utn)")
 
@@ -101,6 +102,7 @@ def _cmd_contract(args):
     result = net.launch()
     if args.print_order:
         print(f"order: {net.get_order()}")
+        print(f"cost : {net.get_cost()}")
     out = args.out
     if out is None:
         stem = args.netfile[:-4] if args.netfile.endswith(".net") else args.netfile
@@ -157,10 +159,6 @@ def _cmd_netopt(args):
         label, d = item.split("=", 1)
         dims[label.strip()] = int(d)
     label_sets = {name: labels for name, labels in net._slots}
-    missing = sorted({l for ls in label_sets.values() for l in ls} - set(dims))
-    if missing:
-        print(f"--dims is missing labels {missing}", file=sys.stderr)
-        return USAGE_ERROR
     tree = find_optimal_order(label_sets, dims)
     print(f"order: {render_order(tree)}")
     print(f"cost : {contraction_cost(tree, label_sets, dims)}")

@@ -55,7 +55,8 @@ class DmrgConfig:
         if not self.lanczos_tol > 0:
             raise ValueError(f"lanczos_tol must be > 0, got {self.lanczos_tol}")
         if self.lanczos_max_iter < 1:
-            raise ValueError(f"lanczos_max_iter must be >= 1, "
+            raise ValueError(f"lanczos_max_iter must be >= 1 (each solve "
+                             f"finds one eigenpair), "
                              f"got {self.lanczos_max_iter}")
 
 

@@ -483,7 +483,7 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None):
     invariant subspace was found early) the iteration restarts with a
     fresh random vector orthogonal to the basis.  Raises
     :class:`ConvergenceError` carrying the best estimate when ``max_iter``
-    is exhausted.
+    is exhausted; ``max_iter`` below ``k`` is rejected up front.
 
     The basis vectors are the contiguous rows of an array that starts at
     64 rows and doubles when an iteration needs another row, so memory is
@@ -499,9 +499,11 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None):
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= dim, got k={k}, dim={n}")
     if max_iter is None:
-        max_iter = min(10 * n, 10000)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        max_iter = max(k, min(10 * n, 10000))
+    if max_iter < k:
+        # fewer iterations than wanted eigenpairs can never converge
+        raise ValueError(f"max_iter must be >= k, got max_iter={max_iter}, "
+                         f"k={k}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     rng = np.random.default_rng(seed if seed is not None else 20240527)

@@ -28,8 +28,8 @@ tensor sets.
 
 import re
 
-from .contract import (contract_pair, find_optimal_order, parse_order,
-                       render_order, tree_leaves)
+from .contract import (contract_pair, contraction_cost, find_optimal_order,
+                       parse_order, render_order, tree_leaves)
 from .bond import REGULAR
 
 _TOKEN = re.compile(r"^[A-Za-z0-9_*'+\-]+$")
@@ -201,10 +201,16 @@ class Network:
 
     def get_order(self):
         """The stored contraction order (appearance fold if none was set)."""
-        return render_order(self._order if self._order is not None
-                            else self._default_order())
+        return render_order(self._tree())
 
-    def _default_order(self):
+    def get_cost(self):
+        """Predicted cost of the stored order over the bound dimensions."""
+        return contraction_cost(self._tree(), dict(self._slots),
+                                self._check_consistency())
+
+    def _tree(self):
+        if self._order is not None:
+            return self._order
         tree = self._slots[0][0]
         for name, _ in self._slots[1:]:
             tree = (tree, name)
@@ -217,10 +223,7 @@ class Network:
         then column labels, rowrank = number of row labels); a network
         with empty TOUT returns a rank-0 tensor.
         """
-        unbound = [n for n, _ in self._slots if n not in self._bindings]
-        if unbound:
-            raise ValueError(f"tensors {unbound} have not been put")
-        self._check_consistency()
+        dims = self._check_consistency()
         relabeled = {}
         for name, slot_labels in self._slots:
             tensor, order = self._bindings[name]
@@ -229,22 +232,20 @@ class Network:
                 news[tensor.labels.index(tlabel)] = alabel
             relabeled[name] = tensor.relabel(news).set_name(name)
         if self._optimal:
-            dims = {}
-            for name, slot_labels in self._slots:
-                t = self._bindings[name][0]
-                for a, d in zip(slot_labels, t.shape):
-                    dims[a] = d
-            self._order = find_optimal_order(
-                {name: labels for name, labels in self._slots}, dims)
-        tree = self._order if self._order is not None else self._default_order()
-        out = _execute(tree, relabeled)
+            self._order = find_optimal_order(dict(self._slots), dims)
+        out = _execute(self._tree(), relabeled)
         tout = self._tout_row + self._tout_col
         if tout:
             out = out.permute(tout).set_rowrank(len(self._tout_row))
         return out
 
     def _check_consistency(self):
-        """Dimensions, directions and sectors must agree across slots."""
+        """Every slot must be bound, and dimensions, directions and
+        sectors must agree across slots.  Returns each blueprint label's
+        dimension."""
+        unbound = [n for n, _ in self._slots if n not in self._bindings]
+        if unbound:
+            raise ValueError(f"tensors {unbound} have not been put")
         seen = {}  # abstract label -> (slot name, bond)
         for name, slot_labels in self._slots:
             tensor, order = self._bindings[name]
@@ -271,6 +272,7 @@ class Network:
                     raise ValueError(
                         f"index {alabel!r}: quantum-number sectors differ "
                         f"between slots {oname!r} and {name!r}")
+        return {alabel: bond.dim for alabel, (_, bond) in seen.items()}
 
     # -- comparison and display --------------------------------------------------
 

@@ -43,6 +43,65 @@ def loop_contract(a, a_labels, b, b_labels):
     return out, out_labels
 
 
+# -- order-search oracle -----------------------------------------------------
+
+def cap_doubling_order(label_sets, dims):
+    """The subset DP as first written: free labels kept as frozensets, every
+    pair cost recomputed from them, and the whole O(3^n) pass rerun under a
+    cost cap that doubles until a complete tree fits.  Same cost model and
+    ``(cost, rendered)`` tie-break as ``find_optimal_order``."""
+    names = list(label_sets)
+    n = len(names)
+    if n == 1:
+        return names[0]
+    label_lists = [list(label_sets[nm]) for nm in names]
+    free = [None] * (1 << n)
+    for mask in range(1, 1 << n):
+        counts = {}
+        for i in range(n):
+            if mask >> i & 1:
+                for l in label_lists[i]:
+                    counts[l] = counts.get(l, 0) + 1
+        free[mask] = frozenset(l for l, c in counts.items() if c == 1)
+
+    def pair_cost(m1, m2):
+        cost = 1
+        for l in free[m1] | free[m2]:
+            cost *= dims[l]
+        return cost
+
+    full = (1 << n) - 1
+    masks = sorted(range(1, 1 << n), key=lambda m: m.bit_count())
+    masks = [m for m in masks if m.bit_count() >= 2]
+    cap = max(1, min(pair_cost(1 << i, 1 << j)
+                     for i in range(n) for j in range(i + 1, n)))
+    while True:
+        best = {1 << i: (0, names[i], names[i]) for i in range(n)}
+        for mask in masks:
+            sub = (mask - 1) & mask
+            while sub:
+                rest = mask ^ sub
+                s1, s2 = (sub, rest) if sub < rest else (rest, sub)
+                sub = (sub - 1) & mask
+                if s1 not in best or s2 not in best:
+                    continue
+                c1, t1, r1 = best[s1]
+                c2, t2, r2 = best[s2]
+                cost = c1 + c2 + pair_cost(s1, s2)
+                if cost > cap:
+                    continue
+                if r1 <= r2:
+                    tree, rendered = (t1, t2), f"({r1},{r2})"
+                else:
+                    tree, rendered = (t2, t1), f"({r2},{r1})"
+                cur = best.get(mask)
+                if cur is None or (cost, rendered) < (cur[0], cur[2]):
+                    best[mask] = (cost, tree, rendered)
+        if full in best:
+            return best[full][1]
+        cap *= 2
+
+
 # -- symmetric-tensor helpers ---------------------------------------------------
 
 def to_dense(ut):

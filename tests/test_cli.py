@@ -82,8 +82,8 @@ def test_contract_subcommand(tmp_path, capsys):
                "--tensor", f"M2={tmp_path}/b.utn:x,y",
                "--optimal", "--print-order", "--out", str(out)])
     assert rc == 0
-    text = capsys.readouterr().out
-    assert "order: (M1,M2)" in text
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["order: (M1,M2)", "cost : 8"]
     r = load_unitensor(out)
     assert r.labels == ["i", "k"]
     assert np.allclose(r.get_block_().view(), 2.0)
@@ -101,6 +101,7 @@ def test_contract_default_output_path(tmp_path, capsys, monkeypatch):
     assert rc == 0
     out = capsys.readouterr().out
     assert "scalar result: 2.0" in out
+    assert "cost" not in out and "order" not in out
     assert (tmp_path / "dot_out.utn").exists()
 
 

@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tnkit import (Bond, IN, OUT, Symmetry, UniTensor, brute_force_order,
                    contract, contract_pair, contraction_cost,
                    find_optimal_order, parse_order, render_order, storage)
 from tnkit import random as trandom
-from tests.conftest import loop_contract, random_u1_tensor, to_dense
+from tests.conftest import (cap_doubling_order, loop_contract, random_u1_tensor,
+                            to_dense)
 
 
 # -- pairwise ---------------------------------------------------------------
@@ -219,6 +223,9 @@ def test_chain_cost_and_tie_break():
 def test_two_tensors_only_tree():
     tree = find_optimal_order({"A": ["i", "j"], "B": ["j"]}, {"i": 2, "j": 3})
     assert render_order(tree) == "(A,B)"
+    tree = find_optimal_order({"A": ["i", "j"], "B": ["j"]},
+                              {"i": np.int64(2), "j": 3})
+    assert render_order(tree) == "(A,B)"
 
 
 def test_outer_product_can_win_in_connected_network():
@@ -254,6 +261,71 @@ def test_dp_matches_brute_force_on_random_networks(rng):
         ref = brute_force_order(sets, dims)
         assert (contraction_cost(opt, sets, dims)
                 == contraction_cost(ref, sets, dims)), (sets, dims)
+
+
+@st.composite
+def _networks(draw):
+    """Up to 9 tensors over labels held by one to three owners.  An owner
+    drawn twice repeats the label within one tensor; three distinct owners
+    make a hyperedge.  Dimensions 1-3 make many ties; 50 lets an outer
+    product win."""
+    n = draw(st.integers(2, 9))
+    sets = {f"T{i}": [] for i in range(n)}
+    dims = {}
+    for k in range(draw(st.integers(1, 2 * n))):
+        for owner in draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                   max_size=3)):
+            sets[f"T{owner}"].append(f"l{k}")
+        dims[f"l{k}"] = draw(st.sampled_from([1, 2, 2, 3, 3, 50]))
+    return sets, dims
+
+
+@settings(max_examples=150, deadline=None)
+@given(_networks())
+def test_search_equals_cap_doubling_dp(network):
+    sets, dims = network
+    assert (render_order(find_optimal_order(sets, dims))
+            == render_order(cap_doubling_order(sets, dims)))
+
+
+_PEPS = {
+    "b0": ["b0-b5", "b0-b1", "b0-t0", "b0-t0*"],
+    "b1": ["b0-b1", "b1-b2", "b1-t0", "b1-t0*"],
+    "b2": ["b1-b2", "b2-b3", "b2-t0", "b2-t0*"],
+    "b3": ["b2-b3", "b3-b4", "b3-t1", "b3-t1*"],
+    "b4": ["b3-b4", "b4-b5", "b4-t1", "b4-t1*"],
+    "b5": ["b4-b5", "b0-b5", "b5-t1", "b5-t1*"],
+    "t0": ["op-t0", "t0-t1", "b0-t0", "b1-t0", "b2-t0"],
+    "t0*": ["op-t0*", "t0*-t1*", "b0-t0*", "b1-t0*", "b2-t0*"],
+    "t1": ["op-t1", "t0-t1", "b3-t1", "b4-t1", "b5-t1"],
+    "t1*": ["op-t1*", "t0*-t1*", "b3-t1*", "b4-t1*", "b5-t1*"],
+    "op": ["op-t0", "op-t0*", "op-t1", "op-t1*"],
+}
+
+
+def test_pinned_orders_of_peps_and_ring():
+    # boundary-boundary bonds 64, operator bonds 2, the rest 6
+    dims = {l: 64 if l.count("b") == 2 else 2 if l.startswith("op") else 6
+            for ls in _PEPS.values() for l in ls}
+    assert (render_order(find_optimal_order(_PEPS, dims))
+            == "((((((b0,b1),t0),t0*),b2),((((b3,b4),t1),t1*),b5)),op)")
+    ring = {f"T{i}": [f"r{i}", f"r{(i + 1) % 12}", f"o{i}"] for i in range(12)}
+    dims = {**{f"r{i}": 8 for i in range(12)}, **{f"o{i}": 2 for i in range(12)}}
+    tree = find_optimal_order(ring, dims)
+    assert (render_order(tree) == "((((T0,T1),T11),((T10,T9),T8)),"
+                                  "(((T2,T3),T4),((T5,T6),T7)))")
+    assert contraction_cost(tree, ring, dims) == 352256
+
+
+@pytest.mark.parametrize("dims, message", [
+    ({"i": 2}, "missing labels ['j'] in dims"),
+    ({"i": 2, "j": 0}, "positive ints, got {'j': 0}"),
+    ({"i": 2, "j": 2.0}, "positive ints, got {'j': 2.0}"),
+    ({"i": True, "j": 3}, "positive ints, got {'i': True}"),
+])
+def test_search_rejects_bad_dims(dims, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        find_optimal_order({"A": ["i", "j"], "B": ["j"]}, dims)
 
 
 def test_order_independence_of_results(rng):

@@ -65,9 +65,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DmrgConfig(n_sites=4, bond_dim=8, sweeps=0)
     for bad in ({"lanczos_tol": 0.0}, {"lanczos_tol": -1e-3},
-                {"lanczos_tol": float("nan")}, {"lanczos_max_iter": 0}):
+                {"lanczos_tol": float("nan")}, {"lanczos_max_iter": 0},
+                {"lanczos_max_iter": -3}):
         with pytest.raises(ValueError):
             DmrgConfig(n_sites=4, bond_dim=8, **bad)
+    # each solve wants one eigenpair, so a budget of one iteration is valid
+    DmrgConfig(n_sites=4, bond_dim=8, lanczos_max_iter=1)
 
 
 def test_dmrg_exact_regime_matches_dense_diagonalization():

@@ -379,6 +379,10 @@ def test_lanczos_rejects_bad_budget_and_tolerance():
                 {"tol": -1e-3}, {"tol": float("nan")}):
         with pytest.raises(ValueError):
             lanczos(op, k=1, **bad)
+    # fewer iterations than eigenpairs can never converge
+    for k, max_iter in ((3, 2), (2, 1), (10, 9)):
+        with pytest.raises(ValueError, match="max_iter must be >= k"):
+            lanczos(op, k=k, max_iter=max_iter)
 
 
 def _counting_diag(d, record=None):

@@ -240,6 +240,20 @@ def test_optimal_order_recomputed_each_launch():
     assert net.get_order() == "((M2,M3),M1)"
 
 
+def test_optimal_order_uses_the_bound_label_order():
+    # M3's tensor holds (l, k) as axes (a, b); the binding maps them back
+    net = Network(THREE_MATRIX_NET).set_order(optimal=True)
+    net.put_tensor("M1", UniTensor.ones([2, 2], labels=["a", "b"]))
+    net.put_tensor("M2", UniTensor.ones([2, 2], labels=["a", "b"]))
+    with pytest.raises(ValueError, match="have not been put"):
+        net.get_cost()
+    net.put_tensor("M3", UniTensor.ones([5, 2], labels=["a", "b"]), ["b", "a"])
+    out = net.launch()
+    assert out.shape == (2, 5)
+    assert net.get_order() == "((M1,M2),M3)"
+    assert net.get_cost() == 2 * 2 * 2 + 2 * 2 * 5
+
+
 def test_ctm_network_scalar():
     net = Network(CTM_NET)
     for nm in ("c0", "c1", "c2", "c3"):
