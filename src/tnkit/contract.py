@@ -14,7 +14,7 @@ import re
 import numpy as np
 
 from .bond import REGULAR
-from .storage import DenseTensor
+from .storage import contract_axes
 from .unitensor import UniTensor, block_structure, zero_blocks
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_*'+\-]+")
@@ -102,8 +102,10 @@ def contract_pair(a, b):
     """Contract two tensors over all labels they share.
 
     The output carries a's free labels (in a's order) followed by b's; with
-    no shared labels this is the outer product.  A fully contracted result
-    is returned as a rank-0 tensor (read it with ``.item()``).
+    no shared labels this is the outer product.  A dense output keeps the
+    memory order of its matrix product and may be lazily permuted (see
+    :func:`storage.contract_axes`).  A fully contracted result is returned
+    as a rank-0 tensor (read it with ``.item()``).
     """
     if not isinstance(a, UniTensor) or not isinstance(b, UniTensor):
         raise TypeError("contract expects UniTensors")
@@ -125,11 +127,9 @@ def contract_pair(a, b):
     out_bonds = [a.bonds[i] for i in a_free] + [b.bonds[i] for i in b_free]
 
     if not a.is_sym:
-        res = np.tensordot(a.get_block_().view(), b.get_block_().view(),
-                           axes=(a_pos, b_pos))
-        if res.ndim == 0:
-            return UniTensor.scalar(res.item())
-        block = DenseTensor._wrap(np.ascontiguousarray(res))
+        block = contract_axes(a.get_block_(), b.get_block_(), a_pos, b_pos)
+        if block.rank == 0:
+            return UniTensor.scalar(block.item())
         return UniTensor._assemble(out_bonds, out_labels, len(a_free), "",
                                    [block], None)
     return _contract_pair_blocks(a, b, shared, a_pos, b_pos, a_free, b_free,

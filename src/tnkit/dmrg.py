@@ -195,7 +195,10 @@ def _right_canonicalize(mps):
 
 # -- environments ------------------------------------------------------------------
 
-ENV_LABELS = ["b", "w", "k"]  # bra virtual, MPO internal, ket virtual
+# bra virtual, MPO internal, ket virtual.  Grown environments are stored in
+# this order, copied once, because every matvec of the two-site problem
+# reads them and would otherwise meet them in a contraction's output order.
+ENV_LABELS = ["b", "w", "k"]
 
 
 def _boundary_env(mps, mpo, side):
@@ -228,7 +231,8 @@ def _grow_left(env, a, w_t):
     t = contract_pair(env, a.relabel(["k", "p", "kn"]))
     t = contract_pair(t, w_t.relabel(["w", "wn", "pb", "p"]))
     t = contract_pair(t, abar.relabel(["b", "pb", "bn"]))
-    return t.relabel(["kn", "wn", "bn"], ["k", "w", "b"]).permute(ENV_LABELS)
+    t = t.relabel(["kn", "wn", "bn"], ["k", "w", "b"]).permute(ENV_LABELS)
+    return t.contiguous_()
 
 
 def _grow_right(env, a, w_t):
@@ -236,7 +240,8 @@ def _grow_right(env, a, w_t):
     t = contract_pair(env, a.relabel(["kn", "p", "k"]))
     t = contract_pair(t, w_t.relabel(["wn", "w", "pb", "p"]))
     t = contract_pair(t, abar.relabel(["bn", "pb", "b"]))
-    return t.relabel(["kn", "wn", "bn"], ["k", "w", "b"]).permute(ENV_LABELS)
+    t = t.relabel(["kn", "wn", "bn"], ["k", "w", "b"]).permute(ENV_LABELS)
+    return t.contiguous_()
 
 
 # -- effective two-site problem --------------------------------------------------------

@@ -7,8 +7,15 @@ called (and implicitly inside ``reshape`` when needed).  All handles are
 references: metadata-changing methods return a new handle that shares the
 element buffer with the original.
 
+:func:`contract_axes` contracts two tensors as one matrix product.  It
+reads an operand in place, with no copy, when the contracted axes lead or
+trail its storage order.  Its result keeps the storage order of that
+product and may therefore come back lazily permuted.
+
 Supported dtypes are float64, complex128, int64 and bool.
 """
+
+import math
 
 import numpy as np
 
@@ -266,6 +273,72 @@ class DenseTensor:
         t._storage = storage
         t._perm = tuple(range(storage.ndim)) if perm is None else perm
         return t
+
+
+def contract_axes(a, b, a_axes, b_axes):
+    """Sum ``a`` and ``b`` over the paired logical axes as one matrix product.
+
+    Each operand becomes a matrix over (free, contracted) elements.  When
+    its contracted axes lead or trail its storage order, that matrix is a
+    reshape of the buffer, possibly transposed, which BLAS reads without a
+    copy.  Otherwise the operand is transposed into a fresh buffer, as
+    ``np.tensordot`` does.  Both matrices must run over the contracted
+    elements in one order: the storage order of the larger operand if it
+    can be read in place, else that of the smaller one if it can, else the
+    order in which the axes are listed.
+
+    The result keeps the storage order of the product, (a's free axes, b's
+    free axes), each as its matrix holds them, under a lazy permutation to
+    the logical order: a's free axes, then b's, each in logical order.  A
+    full contraction gives a rank-0 tensor.
+    """
+    big, small = (a, a_axes), (b, b_axes)
+    if a.size < b.size:
+        big, small = small, big
+    for t, axes in (big, small):
+        if _at_an_end(t, axes):
+            order = sorted(range(len(axes)), key=lambda i: t._perm[axes[i]])
+            break
+    else:
+        order = range(len(a_axes))
+    mat_a, free_a = _matrix(a, a_axes, order, k_first=False)
+    mat_b, free_b = _matrix(b, b_axes, order, k_first=True)
+    dims = ([a._storage.shape[s] for s in free_a]
+            + [b._storage.shape[s] for s in free_b])
+    out = (mat_a @ mat_b).reshape(dims)
+    perm = ([free_a.index(a._perm[k]) for k in range(a.rank) if k not in a_axes]
+            + [len(free_a) + free_b.index(b._perm[k])
+               for k in range(b.rank) if k not in b_axes])
+    return DenseTensor._wrap(out, tuple(perm))
+
+
+def _at_an_end(t, axes):
+    """Whether the logical ``axes`` of t lead or trail its storage order."""
+    stored = sorted(t._perm[k] for k in axes)
+    return stored in (list(range(len(axes))),
+                      list(range(t.rank - len(axes), t.rank)))
+
+
+def _matrix(t, axes, order, k_first):
+    """t as a (K, F) matrix if ``k_first``, else (F, K), its contracted
+    elements running over ``axes`` in ``order``; also its free storage
+    axes in the order the matrix holds them."""
+    contracted = [t._perm[axes[i]] for i in order]
+    k = math.prod(t._storage.shape[s] for s in contracted)
+    free = [s for s in range(t.rank) if s not in contracted]
+    in_place = list(range(t.rank))
+    if contracted + free == in_place:
+        m = t._storage.reshape(k, -1)
+        return (m if k_first else m.T), free
+    if free + contracted == in_place:
+        m = t._storage.reshape(-1, k)
+        return (m.T if k_first else m), free
+    free = [t._perm[i] for i in range(t.rank) if i not in axes]
+    if k_first:
+        m = np.ascontiguousarray(t._storage.transpose(contracted + free))
+        return m.reshape(k, -1), free
+    m = np.ascontiguousarray(t._storage.transpose(free + contracted))
+    return m.reshape(-1, k), free
 
 
 def _flatten_axes(order, rank):

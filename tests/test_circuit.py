@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from tnkit import UniTensor, circuit, storage
+from tnkit.contract import contract_pair
 from tnkit.circuit import (CircuitConfig, GATE_LABELS, build_trotter_gate,
                            simulate_circuit)
 from tnkit.physics import pauli, spin_half
@@ -98,6 +100,102 @@ def test_norm_is_preserved():
         for b in range(1, 4, 2):
             state = _apply_gate(state, gates[b], b)
         assert abs(state.norm() - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("n, pattern", [
+    (2, "du"),        # one bond: the odd layer is empty
+    (3, "dud"),       # one bond per layer
+    (4, "uddu"),      # two even bonds, one odd
+    (7, "duuddud"),   # three bonds per layer, one site left out of each
+])
+def test_layer_rotation_matches_reference_at_edge_sizes(n, pattern):
+    cfg = CircuitConfig(n_sites=n, j=0.9, hx=0.6, hz=1.3, dt=0.08, steps=9,
+                        pattern=pattern)
+    res = simulate_circuit(cfg)
+    assert res.sz.shape == res.norm.shape == (10,)
+    assert np.max(np.abs(res.sz - circuit_reference(cfg))) <= 1e-12
+    assert np.max(np.abs(res.norm - 1.0)) <= 1e-12
+
+
+def test_norm_series_on_acceptance_circuit():
+    cfg = CircuitConfig(n_sites=11, j=1.0, hx=1.0, hz=3.0, dt=0.1, steps=40,
+                        pattern="uuddddddduu")
+    res = simulate_circuit(cfg)
+    assert res.norm.shape == (41,)
+    assert np.max(np.abs(res.norm - 1.0)) <= 1e-12
+
+
+def test_reading_the_norm_leaves_sz_bit_identical(monkeypatch):
+    """sz comes from the same two half-sums as the norm, unchanged by it."""
+    cfg = CircuitConfig(n_sites=7, steps=12, pattern="uududdu")
+    states = []
+    read = circuit._central_sz
+
+    def recording(state, n):
+        states.append(state.clone())
+        return read(state, n)
+
+    monkeypatch.setattr(circuit, "_central_sz", recording)
+    res = simulate_circuit(cfg)
+    site = (cfg.n_sites + 1) // 2 - 1
+    sz_only = []
+    for state in states:
+        block = state.get_block_()
+        axis = block._perm[state.labels.index(f"q{site}")]
+        v = block._storage.reshape(2 ** axis, 2, -1)
+        sz_only.append(float(np.sum(np.abs(v[:, 0, :]) ** 2)
+                             - np.sum(np.abs(v[:, 1, :]) ** 2)))
+    assert res.sz.tolist() == sz_only
+    # the storage-order read agrees with a read in logical qubit order
+    labels = [f"q{i}" for i in range(cfg.n_sites)]
+    logical = [read(s.permute(labels).contiguous_(), cfg.n_sites)[0]
+               for s in states]
+    assert np.max(np.abs(res.sz - logical)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7])
+def test_every_gate_finds_its_qubits_at_the_front_of_memory(monkeypatch, n):
+    """The per-layer rotation lets each gate read the state in place."""
+    fronts = []
+
+    def spying(state, gate):
+        block = state.get_block_()
+        fronts.append(sorted(block._perm[state.labels.index(l)]
+                             for l in gate.labels[:2]))
+        return contract_pair(state, gate)
+
+    monkeypatch.setattr(circuit, "contract_pair", spying)
+    simulate_circuit(CircuitConfig(n_sites=n, steps=3))
+    assert len(fronts) == 3 * (n - 1)
+    assert all(f == [0, 1] for f in fronts)
+
+
+def test_central_sz_reads_any_storage_order():
+    n = 5
+    rng = np.random.default_rng(11)
+    psi = rng.standard_normal([2] * n) + 1j * rng.standard_normal([2] * n)
+    psi /= np.linalg.norm(psi)
+    labels = [f"q{i}" for i in range(n)]
+    half = np.abs(psi[:, :, 0]) ** 2, np.abs(psi[:, :, 1]) ** 2  # site 3
+    want_sz = float(np.sum(half[0]) - np.sum(half[1]))
+    for seed in range(6):
+        order = list(np.random.default_rng(seed).permutation(labels))
+        state = UniTensor(storage.from_numpy(psi), labels=labels,
+                          rowrank=0).permute(order)
+        stored = UniTensor(storage.from_numpy(
+            np.ascontiguousarray(psi.transpose([labels.index(l)
+                                                for l in order]))),
+            labels=order, rowrank=0).permute(labels)
+        for t in (state, stored):
+            sz, norm = circuit._central_sz(t, n)
+            assert abs(sz - want_sz) <= 1e-14 and abs(norm - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("field", ["j", "hx", "hz", "dt"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_parameters_rejected(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        CircuitConfig(n_sites=4, steps=2, **{field: value})
 
 
 def test_config_validation():

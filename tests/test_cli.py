@@ -125,6 +125,15 @@ def test_usage_errors():
     assert main(["qsim", "--n", "3", "--pattern", "uu"]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--dt", "--hx"])
+def test_qsim_non_finite_parameter_is_clean_error(capsys, flag):
+    assert main(["qsim", "--n", "4", flag, "nan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "must be finite" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_bad_tensor_spec_is_usage_error(tmp_path, capsys):
     net = tmp_path / "m.net"
     net.write_text("M1: i\nTOUT: i\n")

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,116 @@ def test_full_contraction_returns_scalar():
     s = contract(a, b)
     assert s.rank == 0
     assert s.item() == 6.0
+
+
+# -- dense pairs as one matrix product ------------------------------------------
+#
+# Operands are built in a drawn storage order, then permuted lazily to a drawn
+# logical order, so their contracted axes sit at the front, the back, the
+# middle or scattered in memory, in either operand and in unrelated orders.
+
+_PLACEMENTS = ("prefix", "suffix", "middle", "scattered")
+
+
+@st.composite
+def _stored_labels(draw, shared, free):
+    shared = list(draw(st.permutations(shared)))
+    free = list(draw(st.permutations(free)))
+    placement = draw(st.sampled_from(_PLACEMENTS))
+    if placement == "prefix":
+        return shared + free
+    if placement == "suffix":
+        return free + shared
+    if placement == "middle":
+        cut = draw(st.integers(min_value=0, max_value=len(free)))
+        return free[:cut] + shared + free[cut:]
+    return list(draw(st.permutations(shared + free)))
+
+
+@st.composite
+def _dense_pairs(draw):
+    n_shared = draw(st.integers(min_value=0, max_value=5))
+    n_a = draw(st.integers(min_value=max(1 - n_shared, 0),
+                           max_value=5 - n_shared))
+    n_b = draw(st.integers(min_value=max(1 - n_shared, 0),
+                           max_value=5 - n_shared))
+    shared = [f"s{i}" for i in range(n_shared)]
+    a_free = [f"a{i}" for i in range(n_a)]
+    b_free = [f"b{i}" for i in range(n_b)]
+    dims = {l: draw(st.integers(min_value=1, max_value=3))
+            for l in shared + a_free + b_free}
+    dtype = draw(st.sampled_from([np.float64, np.complex128, np.int64]))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    tensors = []
+    for free in (a_free, b_free):
+        stored = draw(_stored_labels(shared, free))
+        shape = [dims[l] for l in stored]
+        if dtype == np.int64:
+            arr = rng.integers(-5, 6, shape)
+        else:
+            arr = rng.standard_normal(shape)
+            if dtype == np.complex128:
+                arr = arr + 1j * rng.standard_normal(shape)
+        t = UniTensor(storage.from_numpy(arr), labels=stored)
+        tensors.append(t.permute(list(draw(st.permutations(stored)))))
+    return tensors
+
+
+def _einsum_pair(a, b):
+    letters = {l: chr(ord("a") + i)
+               for i, l in enumerate(dict.fromkeys(a.labels + b.labels))}
+    out = [l for l in a.labels if l not in b.labels] + \
+          [l for l in b.labels if l not in a.labels]
+    spec = (f"{''.join(letters[l] for l in a.labels)},"
+            f"{''.join(letters[l] for l in b.labels)}->"
+            f"{''.join(letters[l] for l in out)}")
+    return np.einsum(spec, a.get_block_().view(), b.get_block_().view()), out
+
+
+@given(_dense_pairs())
+@settings(max_examples=300, deadline=None)
+def test_dense_pair_matches_einsum_in_any_storage_order(pair):
+    a, b = pair
+    a_before, b_before = a.get_block_().numpy(), b.get_block_().numpy()
+    got = contract_pair(a, b)
+    want, want_labels = _einsum_pair(a, b)
+    assert got.labels == want_labels
+    if want_labels:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got.get_block_().view() - want)) <= 1e-12
+    else:
+        assert abs(got.item() - want[()]) <= 1e-12
+    # the operands are read, never reordered in place
+    assert np.array_equal(a.get_block_().numpy(), a_before)
+    assert np.array_equal(b.get_block_().numpy(), b_before)
+
+
+def test_contraction_at_a_storage_end_allocates_only_the_output():
+    labels = [f"q{i}" for i in range(16)]
+    rng = np.random.default_rng(3)
+    arr = (rng.standard_normal([2] * 16)
+           + 1j * rng.standard_normal([2] * 16))
+    state = UniTensor(storage.from_numpy(arr), labels=labels, rowrank=0)
+    state = state.permute(labels[5:] + labels[:5])   # lazy: q0, q1 lead memory
+    gate = UniTensor(storage.from_numpy(rng.standard_normal([2] * 4) + 0j),
+                     labels=["q0", "q1", "n0", "n1"])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = contract_pair(state, gate)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    out_bytes = out.get_block_().storage().nbytes
+    assert out_bytes == 2 ** 16 * 16
+    assert peak <= out_bytes + 64 * 1024
+    assert out.labels == labels[5:] + labels[2:5] + ["n0", "n1"]
+    assert not out.get_block_().is_contiguous   # stored as q2..q15, n0, n1
+    want = np.einsum("ab...,abcd->...cd", arr, gate.get_block_().view())
+    got = out.permute(labels[2:] + ["n0", "n1"]).get_block_().view()
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_direction_rules(u1):
