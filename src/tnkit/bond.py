@@ -44,6 +44,10 @@ class Bond:
     syms : sequence of Symmetry, optional
         The symmetry group(s) the quantum numbers belong to.  Required
         together with ``sectors``.
+
+    A bond is an immutable value: setting an attribute raises
+    ``AttributeError``, and :meth:`redirect` and :meth:`combine` return new
+    bonds.  Tensors may therefore share bond objects freely.
     """
 
     __slots__ = ("btype", "dim", "sectors", "syms", "_offsets")
@@ -72,19 +76,30 @@ class Bond:
                     raise ValueError(f"duplicate quantum number {qn} in bond")
                 seen.add(qn)
                 norm.append((qn, deg))
-            self.sectors = tuple(norm)
-            self.syms = syms
-            self.dim = sum(d for _, d in norm)
+            sectors = tuple(norm)
+            dim = sum(d for _, d in norm)
         else:
             if dim is None or int(dim) < 1:
                 raise ValueError(f"bond dimension must be >= 1, got {dim}")
             if syms:
                 raise ValueError("a symmetry list requires sectors")
-            self.sectors = ()
-            self.syms = ()
-            self.dim = int(dim)
-        self.btype = btype
-        self._offsets = None
+            sectors, syms, dim = (), (), int(dim)
+        for name, value in (("btype", btype), ("dim", dim), ("sectors", sectors),
+                            ("syms", syms), ("_offsets", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Bond is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Bond is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which alone sets
+        # attributes
+        if self.sectors:
+            return Bond, (None, self.btype, self.sectors, self.syms)
+        return Bond, (self.dim, self.btype)
 
     @property
     def has_qnums(self):
@@ -109,7 +124,7 @@ class Bond:
             for _, d in self.sectors:
                 offs.append(acc)
                 acc += d
-            self._offsets = tuple(offs)
+            object.__setattr__(self, "_offsets", tuple(offs))
         return self._offsets
 
     def locate(self, index):
@@ -158,36 +173,14 @@ class Bond:
         return Bond(btype=self.btype, sectors=[(q, grouped[q]) for q in order],
                     syms=self.syms)
 
-    def combine_(self, other):
-        """In-place variant of :meth:`combine`; returns self."""
-        merged = self.combine(other)
-        self.btype = merged.btype
-        self.dim = merged.dim
-        self.sectors = merged.sectors
-        self.syms = merged.syms
-        self._offsets = None
-        return self
-
-    def __copy__(self):
-        out = Bond.__new__(Bond)
-        out.btype = self.btype
-        out.dim = self.dim
-        out.sectors = self.sectors
-        out.syms = self.syms
-        out._offsets = self._offsets
-        return out
-
     def redirect(self):
-        """A copy with IN and OUT swapped; REGULAR bonds are returned as-is."""
+        """The bond with IN and OUT swapped; a REGULAR bond is itself."""
         if self.btype == REGULAR:
             return self
-        return self.__copy__().redirect_()
-
-    def redirect_(self):
-        """In-place variant of :meth:`redirect`; returns self."""
-        if self.btype != REGULAR:
-            self.btype = IN if self.btype == OUT else OUT
-        return self
+        btype = IN if self.btype == OUT else OUT
+        if self.sectors:
+            return Bond(btype=btype, sectors=self.sectors, syms=self.syms)
+        return Bond(self.dim, btype)
 
     def __eq__(self, other):
         if not isinstance(other, Bond):

@@ -125,7 +125,8 @@ def _cmd_dmrg(args):
     if args.bench:
         dt = time.time() - t0
         print(f"bench: {dt:.3f}s total, {dt / cfg.sweeps:.3f}s per sweep")
-    payload = {"sweeps": res.sweep_energies, "energy": res.energy}
+    payload = {"sweeps": res.sweep_energies, "energy": res.energy,
+               "max_bond": res.sweep_max_bond, "matvecs": res.sweep_matvecs}
     print(json.dumps(payload))
     if args.json:
         with open(args.json, "w") as f:

@@ -8,10 +8,11 @@ The Hamiltonian is the nearest-neighbor flip-flop chain
 encoded as a matrix product operator with internal dimension 4.  The
 state is a matrix product state, optimized pairwise: the effective
 Hamiltonian of two neighboring sites is the contraction of the left and
-right environments with two MPO tensors, its ground state is found with
-the Lanczos solver acting through a reusable contraction blueprint, and
-the optimized pair is split back with a truncated SVD capped at the
-configured bond dimension.
+right environments with the two MPO tensors, fused once per pair into one
+two-site MPO tensor.  Its ground state is found with the Lanczos solver,
+each step of which applies the operator as three products (left
+environment, fused MPO, right environment), and the optimized pair is
+split back with a truncated SVD capped at the configured bond dimension.
 
 Total magnetization is conserved; with ``symmetric=True`` all tensors
 carry U(1) charges (twice the local Sz, so +1/-1 per site) and the run is
@@ -19,14 +20,14 @@ restricted to the zero-magnetization sector, starting from an alternating
 up/down product state.  The dense variant starts from a seeded random MPS.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bond import Bond, IN, OUT
-from .contract import contract, contract_pair
+from .contract import contract_pair
 from .linalg import ConvergenceError, LinOp, lanczos, svd, svd_truncate
-from .network import Network
 from .storage import DenseTensor
 from .symmetry import Symmetry
 from .unitensor import UniTensor
@@ -65,6 +66,8 @@ class DmrgResult:
     energy: float
     mps: list
     sweep_energies: list = field(default_factory=list)
+    sweep_max_bond: list = field(default_factory=list)  # largest MPS bond
+    sweep_matvecs: list = field(default_factory=list)   # Lanczos matvecs
 
 
 # -- MPO -----------------------------------------------------------------------
@@ -246,16 +249,6 @@ def _grow_right(env, a, w_t):
 
 # -- effective two-site problem --------------------------------------------------------
 
-_EFF_NET = [
-    "L:   b, w, vl",
-    "W1:  w, w2, q1, p1",
-    "W2:  w2, w3, q2, p2",
-    "psi: vl, p1, p2, vr",
-    "R:   b2, w3, vr",
-    "TOUT: b, q1, q2, b2",
-    "ORDER: ((((L,psi),W1),W2),R)",
-]
-
 PSI_LABELS = ["vl", "p1", "p2", "vr"]
 
 
@@ -277,24 +270,66 @@ def _unpack(vec, template):
 
 
 class _EffectiveHamiltonian:
-    """Applies env-MPO-MPO-env to a two-site tensor via a blueprint."""
+    """Applies L·W1·W2·R to a two-site tensor (vl, p1, p2, vr).
+
+    Leg layouts: L is (b, w, vl), W1 is (w, w2, q1, p1), W2 is (w2, w3,
+    q2, p2) and R is (b2, w3, vr); the result (b, q1, q2, b2) is read as
+    (vl, p1, p2, vr).  Once per solve the two MPO tensors are fused into
+    W12 = W1·W2, (w, q1, p1, w3, q2, p2).  A matvec is then three
+    contractions of the Lanczos vector: with L, with W12 and with R.
+
+    Dense tensors keep three raw arrays: ``l2``, L as a (b·w, vl) matrix;
+    ``w12m``, W12 as a contiguous (q1·q2·w3, w·p1·p2) matrix; and ``r2t``,
+    the transposed view of R's (b2, w3·vr) buffer.  A matvec is
+
+        t = l2 @ v.reshape(vl, -1)             # (b, w, p1, p2, vr)
+        t = w12m @ t.reshape(b, w·p1·p2, vr)   # (b, q1, q2, w3, vr)
+        out = t.reshape(b·q1·q2, w3·vr) @ r2t
+
+    where the middle product is batched over b and reads t in place; it
+    builds no tensor and copies no operand.  Block-sparse tensors run the
+    same three contractions through ``contract_pair``, whose block plans
+    are made on the first matvec and reused by the rest of the solve.
+    ``matvecs`` counts the applications.
+    """
 
     def __init__(self, left, w1, w2, right, template):
-        self.net = Network(_EFF_NET)
-        self.net.put_tensor("L", left, ENV_LABELS)
-        self.net.put_tensor("W1", w1, MPO_LABELS)
-        self.net.put_tensor("W2", w2, MPO_LABELS)
-        self.net.put_tensor("R", right, ENV_LABELS)
+        left = left.permute(ENV_LABELS).relabel(["b", "w", "vl"])
+        right = right.permute(ENV_LABELS).relabel(["b2", "w3", "vr"])
+        w12 = contract_pair(w1.relabel(["w", "w2", "q1", "p1"]),
+                            w2.relabel(["w2", "w3", "q2", "p2"]))
         self.template = template
         self.dim = sum(b.size for b in template.get_blocks_())
+        self.matvecs = 0
+        if template.is_sym:
+            self.left, self.w12, self.right = left, w12, right
+            return
+        b, w, vl = left.shape
+        self.batch = b
+        self.l2 = np.ascontiguousarray(left.get_block_().view()).reshape(b * w, vl)
+        w12 = w12.permute(["q1", "q2", "w3", "w", "p1", "p2"])
+        self.w12m = np.ascontiguousarray(w12.get_block_().view())\
+                      .reshape(math.prod(w12.shape[:3]), -1)
+        self.r2t = np.ascontiguousarray(right.get_block_().view())\
+                     .reshape(right.shape[0], -1).T
 
-    def apply(self, psi):
-        self.net.put_tensor("psi", psi, PSI_LABELS)
-        out = self.net.launch()
-        return out.relabel(PSI_LABELS)
+    def _apply_dense(self, vec):
+        t = self.l2 @ vec.reshape(self.l2.shape[1], -1)
+        t = self.w12m @ t.reshape(self.batch, self.w12m.shape[1], -1)
+        return (t.reshape(-1, self.r2t.shape[0]) @ self.r2t).reshape(-1)
+
+    def _apply_blocks(self, vec):
+        t = contract_pair(self.left, _unpack(vec, self.template))
+        t = contract_pair(t, self.w12)
+        return _pack(contract_pair(t, self.right))
 
     def matvec(self, vec):
-        return _pack(self.apply(_unpack(vec, self.template)))
+        self.matvecs += 1
+        # dispatch here: a bound method kept on self would be a reference
+        # cycle, and each solve's arrays would outlive it until a collection
+        if self.template.is_sym:
+            return self._apply_blocks(vec)
+        return self._apply_dense(vec)
 
     def linop(self):
         return LinOp(self.dim, matvec=self.matvec,
@@ -307,12 +342,14 @@ def _merge_pair(a1, a2):
 
 
 def dmrg_ground_state(cfg):
-    """Run two-site DMRG and return energy, MPS and per-sweep energies.
+    """Run two-site DMRG and return energy, MPS and per-sweep records.
 
     One sweep is a full right-then-left pass over all neighboring pairs;
     the recorded sweep energy is the effective ground energy of the last
     pair update.  Energies are variational and non-increasing from sweep
-    to sweep up to the Lanczos tolerance and truncation noise.
+    to sweep up to the Lanczos tolerance and truncation noise.  Each sweep
+    also records the largest MPS bond dimension after it and the number of
+    effective-Hamiltonian applications its Lanczos solves made.
     """
     n = cfg.n_sites
     mpo = build_xx_mpo(n, symmetric=cfg.symmetric)
@@ -339,26 +376,28 @@ def dmrg_ground_state(cfg):
             raise ConvergenceError(
                 f"sweep {sweep}, sites ({j},{j + 1}): {e}",
                 eigenvalues=e.eigenvalues, eigenvectors=e.eigenvectors) from e
+        res.sweep_matvecs[-1] += heff.matvecs
         psi = _unpack(vecs[:, 0], psi0).set_rowrank_(2)
         return float(vals[0]), psi
 
-    energy = None
-    sweep_energies = []
+    res = DmrgResult(energy=None, mps=mps)
     for sweep in range(cfg.sweeps):
+        res.sweep_matvecs.append(0)
         for j in range(n - 1):          # left to right
-            energy, psi = solve(j, sweep)
+            res.energy, psi = solve(j, sweep)
             s, u, vd = svd_truncate(psi, keepdim=cfg.bond_dim)
             mps[j] = u.relabel(list(MPS_LABELS)).set_name(f"A{j}")
             mps[j + 1] = contract_pair(s, vd).relabel(list(MPS_LABELS))\
                                              .set_name(f"A{j+1}")
             left_env[j + 1] = _grow_left(left_env[j], mps[j], mpo[j])
         for j in range(n - 2, -1, -1):  # right to left
-            energy, psi = solve(j, sweep)
+            res.energy, psi = solve(j, sweep)
             s, u, vd = svd_truncate(psi, keepdim=cfg.bond_dim)
             mps[j + 1] = vd.relabel(list(MPS_LABELS)).set_name(f"A{j+1}")
             mps[j] = contract_pair(u, s).relabel(list(MPS_LABELS))\
                                         .set_name(f"A{j}")
             right_env[j + 1] = _grow_right(right_env[j + 2], mps[j + 1],
                                            mpo[j + 1])
-        sweep_energies.append(energy)
-    return DmrgResult(energy=energy, mps=mps, sweep_energies=sweep_energies)
+        res.sweep_energies.append(res.energy)
+        res.sweep_max_bond.append(max(a.shape[2] for a in mps))
+    return res

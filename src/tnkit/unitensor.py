@@ -23,7 +23,6 @@ shares element storage with the original; use :meth:`UniTensor.clone` for
 an independent copy.
 """
 
-import copy
 from collections import OrderedDict
 
 import numpy as np
@@ -106,9 +105,7 @@ class BlockStructure:
 def block_structure(bonds):
     """The shared :class:`BlockStructure` of a list of quantum-number bonds.
 
-    Cached on the bonds' content, ``(btype, sectors, syms)`` per bond, so a
-    bond changed in place afterwards (``redirect_``, ``combine_``) cannot
-    reach a stale entry.
+    Cached on the bonds' content, ``(btype, sectors, syms)`` per bond.
     """
     key = tuple((b.btype, b.sectors, b.syms) for b in bonds)
     struct = _structures.get(key)
@@ -736,9 +733,11 @@ class UniTensor:
     # -- copies -------------------------------------------------------------------
 
     def clone(self):
-        """Deep copy: independent metadata and element storage."""
+        """Deep copy: independent metadata and element storage.
+
+        Bonds are immutable values, so the copy shares them.
+        """
         out = self._meta_view()
-        out._bonds = [copy.copy(b) for b in self._bonds]
         out._blocks = [b.clone() for b in self._blocks]
         return out
 

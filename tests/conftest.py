@@ -4,7 +4,10 @@ The oracles here deliberately avoid the library's own code paths: dense
 Hamiltonians come from explicit Kronecker sums, contraction references
 from naive index loops, circuit references from sparse full-space gate
 matrices, and ground-state references from free-fermion single-particle
-spectra or exact diagonalization.
+spectra or exact diagonalization.  Two oracles keep a superseded path of
+the library as the reference for its replacement: the cost-capped order
+search, and the effective Hamiltonian contracted through a ``Network``
+blueprint.
 """
 
 import itertools
@@ -12,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tnkit import Bond, IN, OUT, Symmetry, UniTensor
+from tnkit import Bond, IN, OUT, Network, Symmetry, UniTensor
 from tnkit import random as trandom
 
 
@@ -100,6 +103,33 @@ def cap_doubling_order(label_sets, dims):
         if full in best:
             return best[full][1]
         cap *= 2
+
+
+# -- effective-Hamiltonian oracle ----------------------------------------------
+
+EFF_NET = [
+    "L:   b, w, vl",
+    "W1:  w, w2, q1, p1",
+    "W2:  w2, w3, q2, p2",
+    "psi: vl, p1, p2, vr",
+    "R:   b2, w3, vr",
+    "TOUT: b, q1, q2, b2",
+    "ORDER: ((((L,psi),W1),W2),R)",
+]
+
+
+def blueprint_heff_apply(left, w1, w2, right, psi):
+    """The two-site effective Hamiltonian as first written: one Network
+    blueprint over L (b, w, k), the two MPO tensors (wl, wr, po, pi), the
+    pair tensor (vl, p1, p2, vr) and R (b, w, k), contracted one tensor at
+    a time with no fused MPO.  Returns the (vl, p1, p2, vr) result."""
+    net = Network(EFF_NET)
+    net.put_tensor("L", left, ["b", "w", "k"])
+    net.put_tensor("W1", w1, ["wl", "wr", "po", "pi"])
+    net.put_tensor("W2", w2, ["wl", "wr", "po", "pi"])
+    net.put_tensor("R", right, ["b", "w", "k"])
+    net.put_tensor("psi", psi, ["vl", "p1", "p2", "vr"])
+    return net.launch().relabel(["vl", "p1", "p2", "vr"])
 
 
 # -- symmetric-tensor helpers ---------------------------------------------------

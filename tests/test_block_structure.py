@@ -125,7 +125,7 @@ def test_metadata_ops_on_one_tensor_leave_the_other_alone():
 def test_redirected_bond_does_not_reach_a_stale_structure():
     bonds = _u1_bonds()
     original = UniTensor(bonds)
-    bonds[2].redirect_()          # in place: now IN with the same sectors
+    bonds[2] = bonds[2].redirect()    # now IN with the same sectors
     flipped = UniTensor(bonds)
     assert [flipped.block_qn_indices(i) for i in range(flipped.nblocks)] \
         == zero_flux_combos(bonds)

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from tnkit import Bond, IN, OUT, REGULAR, Symmetry
@@ -52,8 +55,8 @@ def test_plain_combine_multiplies_dimensions():
     merged = Bond(2).combine([Bond(2), Bond(2)])
     assert merged.dim == 8
     b = Bond(10)
-    b.combine_(Bond(2))
-    assert b.dim == 20
+    assert b.combine(Bond(2)).dim == 20
+    assert b.dim == 10
 
 
 def test_sym_combine_groups_matching_charges(u1):
@@ -123,8 +126,30 @@ def test_redirect(u1):
     plain = Bond(4)
     assert plain.redirect().btype == REGULAR
     b2 = Bond(3, IN)
-    b2.redirect_()
-    assert b2.btype == OUT
+    assert b2.redirect().btype == OUT
+    assert b2.btype == IN
+
+
+def test_bond_is_immutable(u1):
+    b = Bond(btype=IN, sectors=[(2, 3), (4, 5)], syms=[u1])
+    h = hash(b)
+    for name, value in (("btype", OUT), ("dim", 9), ("sectors", ()),
+                        ("_offsets", (0,))):
+        with pytest.raises(AttributeError):
+            setattr(b, name, value)
+    with pytest.raises(AttributeError):
+        del b.btype
+    assert b.btype == IN and b.dim == 8 and hash(b) == h
+    assert b.sector_offsets() == (0, 3)     # the lazy cache still fills
+
+
+@pytest.mark.parametrize("make", [copy.copy, copy.deepcopy,
+                                  lambda b: pickle.loads(pickle.dumps(b))])
+def test_bond_copies_and_pickles_by_value(u1, make):
+    for b in (Bond(4), Bond(3, OUT),
+              Bond(btype=IN, sectors=[(2, 3), (4, 5)], syms=[u1])):
+        c = make(b)
+        assert c == b and hash(c) == hash(b)
 
 
 def test_locate_maps_flat_index_to_sector(u1):

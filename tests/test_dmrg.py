@@ -1,14 +1,18 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from tnkit import UniTensor, contract_pair
+from tnkit import DenseTensor, UniTensor, contract_pair
+from tnkit import dmrg as dmrg_module
 from tnkit.dmrg import (DmrgConfig, MPO_BOND_DIM, PHYS_DIM, build_xx_mpo,
                         dmrg_ground_state)
-from tnkit.dmrg import _EffectiveHamiltonian, _boundary_env, _grow_right, \
-    _merge_pair, _neel_symmetric_mps, _pack, _random_dense_mps, \
-    _right_canonicalize
-from tests.conftest import (free_fermion_ground_energy, to_dense,
-                            xx_dense_hamiltonian)
+from tnkit.dmrg import PSI_LABELS, _EffectiveHamiltonian, _boundary_env, \
+    _grow_left, _grow_right, _merge_pair, _neel_symmetric_mps, _pack, \
+    _random_dense_mps, _right_canonicalize, _unpack
+from tests.conftest import (blueprint_heff_apply, free_fermion_ground_energy,
+                            to_dense, xx_dense_hamiltonian)
 
 
 def _mpo_chain_to_matrix(mpo):
@@ -158,3 +162,119 @@ def test_effective_hamiltonian_matches_dense_matrix():
     from tnkit.linalg import LinOp, lanczos
     vals, _ = lanczos(heff.linop(), k=1, v0=_pack(psi0), tol=1e-12)
     assert abs(vals[0] - ref) <= 1e-10 * max(1.0, abs(ref))
+
+
+def _environments(mps, mpo):
+    """Left and right environments of every pair position of a chain."""
+    n = len(mps)
+    left, right = [None] * (n + 1), [None] * (n + 1)
+    left[0] = _boundary_env(mps, mpo, "left")
+    right[n] = _boundary_env(mps, mpo, "right")
+    for j in range(n - 1):
+        left[j + 1] = _grow_left(left[j], mps[j], mpo[j])
+    for j in range(n - 1, 0, -1):
+        right[j] = _grow_right(right[j + 1], mps[j], mpo[j])
+    return left, right
+
+
+def _assert_matvec_matches_blueprint(mps, mpo, vectors, as_tensor):
+    """At every pair position, the matvec of each vector equals the
+    blueprint contraction of the same two-site tensor to 1e-12 of its
+    norm.  Returns the pair tensors' shapes."""
+    left, right = _environments(mps, mpo)
+    shapes = []
+    for j in range(len(mps) - 1):
+        psi0 = _merge_pair(mps[j], mps[j + 1])
+        ops = (left[j], mpo[j], mpo[j + 1], right[j + 2])
+        heff = _EffectiveHamiltonian(*ops, psi0)
+        for vec in vectors(heff.dim):
+            got = heff.matvec(vec)
+            ref = _pack(blueprint_heff_apply(*ops, as_tensor(vec, psi0)))
+            assert got.shape == ref.shape == (heff.dim,)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        shapes.append(psi0.shape)
+    return shapes
+
+
+def _dense_pair(vec, template):
+    return UniTensor(DenseTensor(vec.reshape(template.shape)),
+                     labels=list(PSI_LABELS))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_dense_matvec_matches_blueprint_at_every_pair(dtype):
+    n = 10
+    mpo = build_xx_mpo(n)
+    mps = _right_canonicalize(_random_dense_mps(n, 7, seed=21))
+    rng = np.random.default_rng(5)
+
+    def vectors(dim):
+        for _ in range(2):
+            v = rng.standard_normal(dim)
+            if dtype is np.complex128:
+                v = v + 1j * rng.standard_normal(dim)
+            yield v
+
+    shapes = _assert_matvec_matches_blueprint(mps, mpo, vectors, _dense_pair)
+    # dimension-1 environment and MPO bonds at both ends, and vl != vr
+    assert shapes[0][0] == 1 and shapes[-1][3] == 1
+    assert any(s[0] != s[3] for s in shapes)
+    assert max(max(s) for s in shapes) == 7
+
+
+def test_symmetric_matvec_matches_blueprint_after_a_sweep():
+    n = 10
+    res = dmrg_ground_state(DmrgConfig(n_sites=n, bond_dim=7, sweeps=1,
+                                       symmetric=True))
+    mpo = build_xx_mpo(n, symmetric=True)
+    rng = np.random.default_rng(6)
+
+    def vectors(dim):
+        yield rng.standard_normal(dim)
+
+    shapes = _assert_matvec_matches_blueprint(res.mps, mpo, vectors, _unpack)
+    assert max(max(s) for s in shapes) > 2
+
+
+def test_sweeps_record_max_bond_and_matvecs(monkeypatch):
+    calls = []     # operator applications of each Lanczos solve
+    lanczos = dmrg_module.lanczos
+
+    def counting_lanczos(op, **kwargs):
+        inner = op.matvec
+        calls.append(0)
+
+        def matvec(v):
+            calls[-1] += 1
+            return inner(v)
+
+        op.matvec = matvec
+        return lanczos(op, **kwargs)
+
+    monkeypatch.setattr(dmrg_module, "lanczos", counting_lanczos)
+    n, sweeps = 8, 3
+    res = dmrg_ground_state(DmrgConfig(n_sites=n, bond_dim=16, sweeps=sweeps))
+    assert res.sweep_max_bond == [16] * sweeps
+    solves = 2 * (n - 1)
+    assert len(calls) == solves * sweeps
+    assert res.sweep_matvecs == [sum(calls[i * solves:(i + 1) * solves])
+                                 for i in range(sweeps)]
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_effective_hamiltonian_is_freed_by_reference_counting(symmetric):
+    n = 6
+    mpo = build_xx_mpo(n, symmetric=symmetric)
+    mps = (_neel_symmetric_mps(n) if symmetric
+           else _right_canonicalize(_random_dense_mps(n, 8, seed=2)))
+    left, right = _environments(mps, mpo)
+    heff = _EffectiveHamiltonian(left[2], mpo[2], mpo[3], right[4],
+                                 _merge_pair(mps[2], mps[3]))
+    heff.linop()(np.ones(heff.dim))
+    ref = weakref.ref(heff)
+    gc.disable()
+    try:
+        del heff
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -176,7 +176,7 @@ def test_svd_after_lazy_permute(u1):
 
 def test_symmetric_arithmetic_aligns_by_labels(u1):
     b = Bond(btype=IN, sectors=[(1, 1), (-1, 2)], syms=[u1])
-    t = UniTensor([b, b, b.redirect().combine_(b.redirect())],
+    t = UniTensor([b, b, b.redirect().combine(b.redirect())],
                   labels=["p", "q", "r"])
     trandom.normal_(t, seed=11)
     shuffled = t.permute(["r", "p", "q"])

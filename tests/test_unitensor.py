@@ -110,13 +110,17 @@ def test_relabel_shares_elements_but_not_metadata():
     assert t.at([0, 0]).value == 4.0
 
 
-def test_clone_owns_its_bonds(u1):
+def test_bonds_shared_by_views_cannot_be_changed(u1):
     b = Bond(btype=IN, sectors=[(0, 1), (1, 1)], syms=[u1])
     t = UniTensor([b, b.redirect()], labels=["a", "b"])
-    u = t.relabel(["x", "y"]).clone()
-    t.bonds[0].redirect_()
-    assert [bd.btype for bd in u.bonds] == [IN, OUT]
-    assert [u.block_qn_indices(i) for i in range(u.nblocks)] == [(0, 0), (1, 1)]
+    v = t.relabel(["p", "q"])
+    u = v.clone()
+    with pytest.raises(AttributeError):
+        t.bonds[1].btype = IN
+    for w in (t, v, u):
+        assert [bd.btype for bd in w.bonds] == [IN, OUT]
+        assert [w.block_qn_indices(i) for i in range(w.nblocks)] \
+            == [(0, 0), (1, 1)]
 
 
 # -- permute -----------------------------------------------------------------
