@@ -4,7 +4,10 @@
 bonds contract only against the opposite direction, and quantum-number
 bonds must agree sector by sector.  Multi-tensor calls either follow an
 explicit parenthesized order string such as ``"((A,B),C)"`` or search for
-a cost-optimal order with a dynamic program over tensor subsets.
+a cost-optimal order with a dynamic program over tensor subsets.  Every
+bond of a list is checked (:func:`check_bonds`) before the first pair is
+contracted, and :func:`execute_tree` runs the tree; ``Network`` blueprints
+go through the same two functions.
 """
 
 import itertools
@@ -18,6 +21,7 @@ from .storage import contract_axes
 from .unitensor import UniTensor, block_structure, zero_blocks
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_*'+\-]+")
+MAX_ORDER_DEPTH = 500
 
 
 # -- contraction trees -------------------------------------------------------
@@ -31,26 +35,32 @@ def render_order(tree):
 
 
 def parse_order(text):
-    """Parse ``name | "(" order "," order ")"`` into a tree."""
+    """Parse ``name | "(" order "," order ")"`` into a tree.
+
+    Nesting deeper than ``MAX_ORDER_DEPTH`` is rejected, so that every
+    recursive walk over the tree stays within Python's recursion limit.
+    """
     pos = 0
 
     def error(msg):
         raise ValueError(f"malformed order string {text!r} at {pos}: {msg}")
 
-    def parse():
+    def parse(depth):
         nonlocal pos
         while pos < len(text) and text[pos].isspace():
             pos += 1
         if pos >= len(text):
             error("unexpected end")
         if text[pos] == "(":
+            if depth == MAX_ORDER_DEPTH:
+                error(f"nested deeper than {MAX_ORDER_DEPTH}")
             pos += 1
-            left = parse()
+            left = parse(depth + 1)
             skip_ws()
             if pos >= len(text) or text[pos] != ",":
                 error("expected ','")
             pos += 1
-            right = parse()
+            right = parse(depth + 1)
             skip_ws()
             if pos >= len(text) or text[pos] != ")":
                 error("expected ')'")
@@ -67,7 +77,7 @@ def parse_order(text):
         while pos < len(text) and text[pos].isspace():
             pos += 1
 
-    tree = parse()
+    tree = parse(0)
     skip_ws()
     if pos != len(text):
         error("trailing characters")
@@ -78,6 +88,16 @@ def tree_leaves(tree):
     if isinstance(tree, str):
         return [tree]
     return tree_leaves(tree[0]) + tree_leaves(tree[1])
+
+
+def order_tree(order, names):
+    """The tree of ``order`` (a string or a tree), checked to name every
+    one of ``names`` exactly once."""
+    tree = parse_order(order) if isinstance(order, str) else order
+    if sorted(tree_leaves(tree)) != sorted(names):
+        raise ValueError(f"order {render_order(tree)!r} must reference "
+                         f"every tensor {list(names)} exactly once")
+    return tree
 
 
 # -- pairwise contraction -----------------------------------------------------
@@ -229,7 +249,8 @@ def contract(first, *rest, order=None, optimal=True):
     (the default) a minimal-cost order is computed for every call, and with
     ``optimal=False`` the tensors are folded left to right.  Three or more
     tensors with ``order`` or ``optimal`` require all names to be set and
-    distinct.  A label may appear on at most two tensors.
+    distinct.  A label may appear on at most two tensors.  Every shared
+    bond is checked before any pair is contracted.
     """
     if isinstance(first, UniTensor):
         tensors = [first, *rest]
@@ -243,7 +264,7 @@ def contract(first, *rest, order=None, optimal=True):
         raise TypeError("contract expects UniTensors")
     if len(tensors) == 1:
         return tensors[0].clone()
-    _reject_hyperedges(tensors)
+    dims = check_bonds(tensors)
     if len(tensors) == 2:
         return contract_pair(tensors[0], tensors[1])
     if order is None and not optimal:
@@ -259,44 +280,56 @@ def contract(first, *rest, order=None, optimal=True):
         raise ValueError(f"tensor names must be distinct, got {names}")
     by_name = dict(zip(names, tensors))
     if order is not None:
-        tree = parse_order(order) if isinstance(order, str) else order
-        leaves = tree_leaves(tree)
-        if sorted(leaves) != sorted(names):
-            raise ValueError(f"order {render_order(tree)!r} does not cover "
-                             f"exactly the tensors {names}")
+        tree = order_tree(order, names)
     else:
-        dims = _label_dims(tensors)
         tree = find_optimal_order({n: t.labels for n, t in by_name.items()}, dims)
     return execute_tree(tree, by_name)
 
 
 def execute_tree(tree, by_name):
+    """Contract the named tensors pair by pair along ``tree``."""
     if isinstance(tree, str):
         return by_name[tree]
     return contract_pair(execute_tree(tree[0], by_name),
                          execute_tree(tree[1], by_name))
 
 
-def _reject_hyperedges(tensors):
-    counts = {}
-    for t in tensors:
-        for l in t.labels:
-            counts[l] = counts.get(l, 0) + 1
-    bad = [l for l, c in counts.items() if c > 2]
-    if bad:
-        raise ValueError(f"labels {bad} appear on more than two tensors; "
-                         f"hyper-edge contraction is not supported")
+def check_bonds(tensors):
+    """Check the bonds of a tensor list before any contraction, in one walk.
 
-
-def _label_dims(tensors):
-    dims = {}
-    for t in tensors:
+    A label on two tensors must pass the pairwise bond rule (equal
+    dimension, opposite directions, equal symmetries and sectors); the
+    error names both tensors, by name or else by position.  A label on
+    three or more tensors is a hyper-edge and is rejected, and so is a
+    list that mixes block-sparse and dense tensors.  Returns each label's
+    dimension.
+    """
+    if len({t.is_sym for t in tensors}) > 1:
+        raise ValueError("cannot contract block-sparse tensors with dense "
+                         "ones; use convert_from first")
+    seen = {}  # label -> (tensor position, bond, count)
+    for i, t in enumerate(tensors):
         for l, b in zip(t.labels, t.bonds):
-            if l in dims and dims[l] != b.dim:
-                raise ValueError(f"label {l!r} has inconsistent dimensions "
-                                 f"({dims[l]} vs {b.dim})")
-            dims[l] = b.dim
-    return dims
+            if l not in seen:
+                seen[l] = (i, b, 1)
+                continue
+            j, first, count = seen[l]
+            if count == 2:
+                raise ValueError(f"label {l!r} appears on more than two "
+                                 f"tensors; hyper-edge contraction is not "
+                                 f"supported")
+            try:
+                _check_pair_bond(l, first, b)
+            except ValueError as e:
+                raise ValueError(f"tensors {_tensor_ref(tensors, j)} and "
+                                 f"{_tensor_ref(tensors, i)}: {e}") from None
+            seen[l] = (j, first, 2)
+    return {l: b.dim for l, (_, b, _) in seen.items()}
+
+
+def _tensor_ref(tensors, i):
+    name = tensors[i].name
+    return repr(name) if name else f"#{i}"
 
 
 # -- optimal order search ----------------------------------------------------------

@@ -259,14 +259,16 @@ def _pack(psi):
 
 
 def _unpack(vec, template):
-    out = template.clone()
-    off = 0
-    for b in out.get_blocks_():
-        n = b.size
-        b.contiguous_()
-        b.view()[...] = vec[off:off + n].reshape(b.shape)
-        off += n
-    return out
+    """A tensor shaped like ``template`` whose blocks are views of ``vec``
+    (made contiguous) and so take its dtype."""
+    vec = np.ascontiguousarray(vec)
+    blocks, off = [], 0
+    for b in template.get_blocks_():
+        blocks.append(DenseTensor(vec[off:off + b.size].reshape(b.shape)))
+        off += b.size
+    return UniTensor._assemble(template.bonds, template.labels,
+                               template.rowrank, template.name, blocks,
+                               template._struct)
 
 
 class _EffectiveHamiltonian:

@@ -20,6 +20,7 @@ tuple (``null`` for dense tensors) and shape.
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .bond import Bond, BondType
 from .storage import DenseTensor
 from .symmetry import symmetry_from_str
-from .unitensor import UniTensor
+from .unitensor import UniTensor, block_structure
 
 MAGIC = b"TNXU\x00"
 VERSION = 1
@@ -117,18 +118,20 @@ def load_unitensor(path):
         dtype = _DTYPES[dtype]
         try:
             bonds = [_bond_from_json(d) for d in header["bonds"]]
+            _check_payload_size(f, path, bonds, dtype.itemsize)
             ut = UniTensor(bonds, labels=header["labels"], name=header["name"],
                            dtype=dtype, rowrank=header["rowrank"])
             entries = [(tuple(b["shape"]),
                         None if b["qn"] is None else tuple(b["qn"]))
                        for b in header["blocks"]]
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ValueError(f"{path}: bad header ({e!r})") from None
         if len(entries) != ut.nblocks:
             raise ValueError(f"{path}: header lists {len(entries)} blocks, "
                              f"its bonds give {ut.nblocks}")
         for i, (shape, qn) in enumerate(entries):
-            if shape != ut.get_blocks_()[i].shape:
+            if (shape != ut.get_blocks_()[i].shape
+                    or not all(type(d) is int for d in shape)):
                 raise ValueError(f"{path}: block {i} has shape {shape}, "
                                  f"expected {ut.get_blocks_()[i].shape}")
             if ut.is_sym and qn != ut.block_qn_indices(i):
@@ -143,6 +146,22 @@ def load_unitensor(path):
             ut.put_block_(DenseTensor(arr.reshape(shape)),
                           *((i,) if ut.is_sym else ()))
         return ut
+
+
+def _check_payload_size(f, path, bonds, itemsize):
+    """Raise, before anything is allocated, if the rest of the file is
+    shorter than the payload the bonds imply: the zero-flux blocks of
+    charged bonds, or the full product of plain bonds' dimensions."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if bonds and all(b.has_qnums and b.syms == bonds[0].syms for b in bonds):
+        sizes = [math.prod(s) for s in block_structure(bonds).shapes]
+    else:
+        sizes = [math.prod(b.dim for b in bonds)]
+    for i, size in enumerate(sizes):
+        if size * itemsize > left:
+            raise ValueError(f"{path}: payload ends inside block {i} "
+                             f"({left} of {size * itemsize} bytes)")
+        left -= size * itemsize
 
 
 def _read_uint32(f, path, what):

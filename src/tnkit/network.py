@@ -23,14 +23,16 @@ are folded left to right in order of appearance.
 Bind concrete tensors with :meth:`Network.put_tensor` and run
 :meth:`Network.launch`; the blueprint's labels are independent of the
 labels on the bound tensors, so one blueprint is reusable across many
-tensor sets.
+tensor sets.  A launch relabels the bound tensors to their slots' labels
+and hands them to the machinery of :func:`contract.contract`: every bond
+is checked by :func:`contract.check_bonds` before the first pair is
+contracted, and :func:`contract.execute_tree` runs the order.
 """
 
 import re
 
-from .contract import (contract_pair, contraction_cost, find_optimal_order,
-                       parse_order, render_order, tree_leaves)
-from .bond import REGULAR
+from .contract import (check_bonds, contraction_cost, execute_tree,
+                       find_optimal_order, order_tree, render_order)
 
 _TOKEN = re.compile(r"^[A-Za-z0-9_*'+\-]+$")
 
@@ -111,13 +113,7 @@ class Network:
             raise ValueError(
                 f"TOUT labels {sorted(tout_labels)} must be exactly the "
                 f"free labels {sorted(free)}")
-        order = None
-        if order_text:
-            order = parse_order(order_text)
-            if sorted(tree_leaves(order)) != sorted(names):
-                raise ValueError(
-                    f"ORDER {order_text!r} must reference every tensor "
-                    f"{names} exactly once")
+        order = order_tree(order_text, names) if order_text else None
         self._slots = slots
         self._tout_row = row
         self._tout_col = col
@@ -190,12 +186,8 @@ class Network:
         if optimal and contract_order is not None:
             raise ValueError("pass either optimal=True or an explicit order")
         if contract_order is not None:
-            tree = parse_order(contract_order)
-            names = [n for n, _ in self._slots]
-            if sorted(tree_leaves(tree)) != sorted(names):
-                raise ValueError(f"order {contract_order!r} must reference "
-                                 f"every tensor {names} exactly once")
-            self._order = tree
+            self._order = order_tree(contract_order,
+                                     [n for n, _ in self._slots])
         self._optimal = bool(optimal)
         return self
 
@@ -206,7 +198,7 @@ class Network:
     def get_cost(self):
         """Predicted cost of the stored order over the bound dimensions."""
         return contraction_cost(self._tree(), dict(self._slots),
-                                self._check_consistency())
+                                check_bonds(self._relabeled()))
 
     def _tree(self):
         if self._order is not None:
@@ -223,56 +215,30 @@ class Network:
         then column labels, rowrank = number of row labels); a network
         with empty TOUT returns a rank-0 tensor.
         """
-        dims = self._check_consistency()
-        relabeled = {}
-        for name, slot_labels in self._slots:
-            tensor, order = self._bindings[name]
-            news = list(tensor.labels)
-            for tlabel, alabel in zip(order, slot_labels):
-                news[tensor.labels.index(tlabel)] = alabel
-            relabeled[name] = tensor.relabel(news).set_name(name)
+        tensors = self._relabeled()
+        dims = check_bonds(tensors)
         if self._optimal:
             self._order = find_optimal_order(dict(self._slots), dims)
-        out = _execute(self._tree(), relabeled)
+        out = execute_tree(self._tree(), {t.name: t for t in tensors})
         tout = self._tout_row + self._tout_col
         if tout:
             out = out.permute(tout).set_rowrank(len(self._tout_row))
         return out
 
-    def _check_consistency(self):
-        """Every slot must be bound, and dimensions, directions and
-        sectors must agree across slots.  Returns each blueprint label's
-        dimension."""
+    def _relabeled(self):
+        """Each bound tensor relabeled to its slot's labels and named
+        after the slot; every slot must be bound."""
         unbound = [n for n, _ in self._slots if n not in self._bindings]
         if unbound:
             raise ValueError(f"tensors {unbound} have not been put")
-        seen = {}  # abstract label -> (slot name, bond)
+        out = []
         for name, slot_labels in self._slots:
             tensor, order = self._bindings[name]
+            news = list(tensor.labels)
             for tlabel, alabel in zip(order, slot_labels):
-                bond = tensor.bond(tlabel)
-                if alabel not in seen:
-                    seen[alabel] = (name, bond)
-                    continue
-                oname, obond = seen[alabel]
-                if bond.dim != obond.dim:
-                    raise ValueError(
-                        f"index {alabel!r}: dimension {obond.dim} on slot "
-                        f"{oname!r} vs {bond.dim} on slot {name!r}")
-                if (bond.btype == REGULAR) != (obond.btype == REGULAR):
-                    raise ValueError(
-                        f"index {alabel!r}: REGULAR bond on one of slots "
-                        f"{oname!r}/{name!r} but directed on the other")
-                if bond.btype != REGULAR and bond.btype == obond.btype:
-                    raise ValueError(
-                        f"index {alabel!r}: slots {oname!r} and {name!r} "
-                        f"both have {bond.btype} bonds; directions must "
-                        f"be opposite")
-                if bond.has_qnums and bond.sectors != obond.sectors:
-                    raise ValueError(
-                        f"index {alabel!r}: quantum-number sectors differ "
-                        f"between slots {oname!r} and {name!r}")
-        return {alabel: bond.dim for alabel, (_, bond) in seen.items()}
+                news[tensor.labels.index(tlabel)] = alabel
+            out.append(tensor.relabel(news).set_name(name))
+        return out
 
     # -- comparison and display --------------------------------------------------
 
@@ -298,12 +264,6 @@ class Network:
     def __repr__(self):
         return (f"<Network slots={[n for n, _ in self._slots]} "
                 f"tout={self._tout_row}+{self._tout_col}>")
-
-
-def _execute(tree, tensors):
-    if isinstance(tree, str):
-        return tensors[tree]
-    return contract_pair(_execute(tree[0], tensors), _execute(tree[1], tensors))
 
 
 def _parse_tout(text):

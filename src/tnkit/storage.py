@@ -44,7 +44,36 @@ def dtype_name(dtype):
     return _DTYPE_NAMES[np.dtype(dtype)]
 
 
-class DenseTensor:
+def _operator(op, symbol):
+    def method(self, other):
+        return self._binary(other, op, symbol)
+    return method
+
+
+def _swapped(op):
+    return lambda a, b: op(b, a)
+
+
+class Arithmetic:
+    """The binary arithmetic operators, written once for both tensor types.
+
+    Each calls ``self._binary(other, op, symbol)`` with a numpy ufunc (its
+    operands swapped for the reflected form) and the operator's symbol.
+    """
+
+    __slots__ = ()
+
+    __add__ = _operator(np.add, "+")
+    __radd__ = _operator(_swapped(np.add), "+")
+    __sub__ = _operator(np.subtract, "-")
+    __rsub__ = _operator(_swapped(np.subtract), "-")
+    __mul__ = _operator(np.multiply, "*")
+    __rmul__ = _operator(_swapped(np.multiply), "*")
+    __truediv__ = _operator(np.true_divide, "/")
+    __rtruediv__ = _operator(_swapped(np.true_divide), "/")
+
+
+class DenseTensor(Arithmetic):
     """A multi-dimensional array with lazy permutation.
 
     Internally holds ``_storage`` (a C-contiguous numpy array whose axis
@@ -189,7 +218,7 @@ class DenseTensor:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _binary(self, other, op):
+    def _binary(self, other, op, _symbol):
         if isinstance(other, DenseTensor):
             if self.shape != other.shape:
                 raise ValueError(f"elementwise op on mismatched shapes "
@@ -198,30 +227,6 @@ class DenseTensor:
         if isinstance(other, (int, float, complex, bool, np.generic)):
             return DenseTensor(np.asarray(op(self.view(), other)))
         return NotImplemented
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __radd__(self, other):
-        return self._binary(other, lambda a, b: np.add(b, a))
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: np.subtract(b, a))
-
-    def __mul__(self, other):
-        return self._binary(other, np.multiply)
-
-    def __rmul__(self, other):
-        return self._binary(other, lambda a, b: np.multiply(b, a))
-
-    def __truediv__(self, other):
-        return self._binary(other, np.true_divide)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, lambda a, b: np.true_divide(b, a))
 
     def __neg__(self):
         return DenseTensor(-self.view())

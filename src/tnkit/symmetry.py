@@ -93,7 +93,7 @@ def symmetry_from_str(tag):
     """Inverse of ``str(sym)``; accepts "U1", "Z2", "Z3", ..."""
     if tag == "U1":
         return Symmetry.u1()
-    if tag.startswith("Z") and tag[1:].isdigit():
+    if isinstance(tag, str) and tag.startswith("Z") and tag[1:].isdigit():
         return Symmetry.zn(int(tag[1:]))
     raise ValueError(f"unknown symmetry tag: {tag!r}")
 

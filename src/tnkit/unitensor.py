@@ -29,7 +29,7 @@ import numpy as np
 
 from . import storage
 from .bond import Bond, BondType, IN, OUT, REGULAR
-from .storage import DenseTensor, Float64, check_dtype, dtype_name
+from .storage import Arithmetic, DenseTensor, Float64, check_dtype, dtype_name
 from .symmetry import combine_qnums, identity_qnum, reverse_qnums
 
 # Distinct bond tuples whose structure is kept; the least recently used is
@@ -158,7 +158,7 @@ def zero_blocks(struct, dtype):
             for shape in struct.shapes]
 
 
-class UniTensor:
+class UniTensor(Arithmetic):
     """A named tensor with labeled bonds and dense or block-sparse payload.
 
     Create a zero-initialized tensor from bonds::
@@ -695,30 +695,6 @@ class UniTensor:
             out._blocks = [DenseTensor(op(self._blocks[0].view(),
                                           other._blocks[0].view()))]
         return out
-
-    def __add__(self, other):
-        return self._binary(other, np.add, "+")
-
-    def __radd__(self, other):
-        return self._binary(other, lambda a, b: np.add(b, a), "+")
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract, "-")
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: np.subtract(b, a), "-")
-
-    def __mul__(self, other):
-        return self._binary(other, np.multiply, "*")
-
-    def __rmul__(self, other):
-        return self._binary(other, lambda a, b: np.multiply(b, a), "*")
-
-    def __truediv__(self, other):
-        return self._binary(other, np.true_divide, "/")
-
-    def __rtruediv__(self, other):
-        return self._binary(other, lambda a, b: np.true_divide(b, a), "/")
 
     def __neg__(self):
         return self._binary(-1, np.multiply, "*")

@@ -195,6 +195,9 @@ MALFORMED_UTN = {
     "missing keys": "header lacks keys ['rowrank', 'blocks']",
     "cut in fixed header": "file ends inside the fixed header",
     "truncated payload": "payload ends inside block",
+    "integer-valued float shape": "block 0 has shape (2.0, 3.0), expected (2, 3)",
+    "bonds beyond the payload": "payload ends inside block 0 (48 of "
+                                "24000000000000 bytes)",
 }
 
 
@@ -214,6 +217,10 @@ def write_malformed_utn(kind, path):
         header["dtype"] = "float32"
     elif kind == "missing keys":
         del header["rowrank"], header["blocks"]
+    elif kind == "integer-valued float shape":
+        header["blocks"][0]["shape"] = [2.0, 3.0]
+    elif kind == "bonds beyond the payload":
+        header["bonds"][0]["dim"] = 10 ** 12
     elif kind == "cut in fixed header":
         path.write_bytes(raw[:7])
         return path

@@ -154,3 +154,12 @@ def test_contract_on_malformed_tensor_file_is_clean_error(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error:") and MALFORMED_UTN[kind] in err
     assert "Traceback" not in err
+
+
+def test_deeply_nested_order_is_clean_error(tmp_path, capsys):
+    net = tmp_path / "deep.net"
+    net.write_text("M1: i\nM2: i\nTOUT:\nORDER: " + "(" * 5000 + "\n")
+    assert main(["contract", str(net)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested deeper than" in err
+    assert "Traceback" not in err

@@ -1,3 +1,4 @@
+import importlib
 import re
 import tracemalloc
 
@@ -11,6 +12,9 @@ from tnkit import (Bond, IN, OUT, Symmetry, UniTensor, brute_force_order,
 from tnkit import random as trandom
 from tests.conftest import (cap_doubling_order, loop_contract, random_u1_tensor,
                             to_dense)
+
+# the module, which the package's ``contract`` function shadows
+contract_module = importlib.import_module("tnkit.contract")
 
 
 # -- pairwise ---------------------------------------------------------------
@@ -304,6 +308,61 @@ def test_hyperedge_rejected():
         contract([a, b, c], optimal=False)
 
 
+def _chain_with_clashing_k():
+    """A(i,j), B(j,k), C(k,l) with directed bonds; both k bonds are OUT."""
+    a = UniTensor([Bond(2, IN), Bond(3, OUT)], labels=["i", "j"], name="A")
+    b = UniTensor([Bond(3, IN), Bond(4, OUT)], labels=["j", "k"], name="B")
+    c = UniTensor([Bond(4, OUT), Bond(2, IN)], labels=["k", "l"], name="C")
+    return [a, b, c]
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """The (name, name) of every pair contracted through the contract module."""
+    calls = []
+
+    def spy(a, b):
+        calls.append((a.name, b.name))
+        return contract_pair(a, b)
+
+    monkeypatch.setattr(contract_module, "contract_pair", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kwargs", [{"order": "((A,B),C)"},
+                                    {"optimal": False}, {}],
+                         ids=["order", "fold", "search"])
+def test_every_bond_is_checked_before_the_first_pair(pair_calls, kwargs):
+    with pytest.raises(ValueError, match="direction") as info:
+        contract(_chain_with_clashing_k(), **kwargs)
+    assert pair_calls == []
+    assert all(s in str(info.value) for s in ("'k'", "'B'", "'C'"))
+
+
+def test_mixed_dense_and_block_sparse_list_rejected_before_any_pair(
+        pair_calls, sym_rank3):
+    s1 = sym_rank3.set_name("S1")
+    a, b, c = s1.bonds
+    s2 = UniTensor([c.redirect(), a.redirect(), b.redirect()],
+                   labels=["c", "d", "e"], name="S2")
+    dense = UniTensor.ones([2], labels=["w"], name="D")
+    with pytest.raises(ValueError, match="convert_from"):
+        contract([s1, s2, dense], order="((S1,S2),D)")
+    assert pair_calls == []
+    contract([s1, s2])
+    assert pair_calls == [("S1", "S2")]
+
+
+def test_check_bonds_returns_dims_and_names_unnamed_tensors_by_position():
+    a, b, c = _chain_with_clashing_k()
+    assert contract_module.check_bonds([a, b]) == {"i": 2, "j": 3, "k": 4}
+    b.set_name(""), c.set_name("")
+    with pytest.raises(ValueError, match="tensors #1 and #2: label 'k'"):
+        contract_module.check_bonds([a, b, c])
+    with pytest.raises(ValueError, match="label 'j' appears on more than two"):
+        contract_module.check_bonds([a, b, a.relabel(["x", "j"])])
+
+
 def test_order_string_round_trip():
     for text in ["((M1,M2),M3)", "(M2,(M1,M3))", "(((a,b),(c,d)),e)", "T"]:
         assert render_order(parse_order(text)) == text
@@ -313,6 +372,16 @@ def test_order_string_round_trip():
         parse_order("(M1;M2)")
     with pytest.raises(ValueError):
         parse_order("(M1,M2) x")
+
+
+def test_deep_order_nesting_is_a_value_error():
+    deep = "(" * contract_module.MAX_ORDER_DEPTH + "A" \
+        + ",B)" * contract_module.MAX_ORDER_DEPTH
+    assert len(contract_module.tree_leaves(parse_order(deep))) == \
+        contract_module.MAX_ORDER_DEPTH + 1
+    for text in ("(" + deep + ",C)", "(" * 5000, "(" * 5000 + "A"):
+        with pytest.raises(ValueError, match="nested deeper than"):
+            parse_order(text)
 
 
 def test_order_must_cover_names():

@@ -236,6 +236,22 @@ def test_symmetric_matvec_matches_blueprint_after_a_sweep():
     assert max(max(s) for s in shapes) > 2
 
 
+def test_symmetric_matvec_keeps_the_imaginary_part():
+    n = 6
+    mpo = build_xx_mpo(n, symmetric=True)
+    mps = _neel_symmetric_mps(n)
+    left, right = _environments(mps, mpo)
+    psi0 = _merge_pair(mps[0], mps[1])
+    heff = _EffectiveHamiltonian(left[0], mpo[0], mpo[1], right[2], psi0)
+    assert heff.dim == 2
+    assert np.array_equal(heff.matvec(np.ones(2)), [0.5, 0.5])
+    assert np.array_equal(heff.matvec(1j * np.ones(2)), [0.5j, 0.5j])
+    vec = np.arange(2.0) + 1j
+    psi = _unpack(vec, psi0)
+    assert psi.dtype == np.complex128 and np.array_equal(_pack(psi), vec)
+    assert all(np.shares_memory(b.view(), vec) for b in psi.get_blocks_())
+
+
 def test_sweeps_record_max_bond_and_matvecs(monkeypatch):
     calls = []     # operator applications of each Lanczos solve
     lanczos = dmrg_module.lanczos

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,29 @@ def test_launch_checks_directions_and_sectors(u1):
     net2.put_tensor("M2", other, ["x", "y"])  # opposite dirs, wrong sectors
     with pytest.raises(ValueError, match="sector"):
         net2.launch()
+
+
+def test_launch_checks_symmetries_before_any_pair(monkeypatch, u1):
+    # equal sector lists under U(1) and Z2: the symmetries must match too
+    calls = []
+    contract_module = importlib.import_module("tnkit.contract")
+    real = contract_module.contract_pair
+    monkeypatch.setattr(contract_module, "contract_pair",
+                        lambda a, b: calls.append(1) or real(a, b))
+
+    def tensor(sym):
+        b = Bond(btype=IN, sectors=[(0, 1), (1, 1)], syms=[sym])
+        return UniTensor([b, b.redirect()], labels=["x", "y"])
+
+    net = Network(THREE_MATRIX_NET)
+    net.put_tensor("M1", tensor(u1))
+    net.put_tensor("M2", tensor(u1))
+    net.put_tensor("M3", tensor(Symmetry.zn(2)))
+    with pytest.raises(ValueError, match="'M2' and 'M3': label 'k'"):
+        net.launch()
+    with pytest.raises(ValueError, match="'M2' and 'M3': label 'k'"):
+        net.get_cost()
+    assert calls == []
 
 
 def test_tout_order_is_verbatim():
