@@ -2,12 +2,15 @@
 
 ``contract`` sums over every index label shared by its operands.  Directed
 bonds contract only against the opposite direction, and quantum-number
-bonds must agree sector by sector.  Multi-tensor calls either follow an
-explicit parenthesized order string such as ``"((A,B),C)"`` or search for
-a cost-optimal order with a dynamic program over tensor subsets.  Every
-bond of a list is checked (:func:`check_bonds`) before the first pair is
-contracted, and :func:`execute_tree` runs the tree; ``Network`` blueprints
-go through the same two functions.
+bonds must agree sector by sector.  A block-sparse pair is contracted as
+one matrix product per charge group of the contracted legs, through a
+plan computed once per pair of block structures (:class:`_PairPlan`).
+Multi-tensor calls either follow an explicit parenthesized order string
+such as ``"((A,B),C)"`` or search for a cost-optimal order with a dynamic
+program over tensor subsets.  Every bond of a list is checked
+(:func:`check_bonds`) before the first pair is contracted, and
+:func:`execute_tree` runs the tree; ``Network`` blueprints go through the
+same two functions.
 """
 
 import itertools
@@ -17,8 +20,8 @@ import re
 import numpy as np
 
 from .bond import REGULAR
-from .storage import contract_axes
-from .unitensor import UniTensor, block_structure, zero_blocks
+from .storage import DenseTensor, contract_axes
+from .unitensor import UniTensor, block_structure
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_*'+\-]+")
 MAX_ORDER_DEPTH = 500
@@ -26,29 +29,44 @@ MAX_ORDER_DEPTH = 500
 
 # -- contraction trees -------------------------------------------------------
 #
-# A tree is either a leaf (tensor name, str) or a pair (left, right).
+# A tree is either a leaf (tensor name, str) or a pair (left, right).  Trees
+# without an ORDER line can be as deep as they have leaves, so every walk
+# below keeps an explicit stack instead of recursing.
+
+_QUOTE = 20    # characters quoted on each side of a parse error
+
 
 def render_order(tree):
-    if isinstance(tree, str):
-        return tree
-    return f"({render_order(tree[0])},{render_order(tree[1])})"
+    parts, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):      # a leaf, or ')' and ',' pushed below
+            parts.append(node)
+        else:
+            parts.append("(")
+            stack += [")", node[1], ",", node[0]]
+    return "".join(parts)
 
 
 def parse_order(text):
     """Parse ``name | "(" order "," order ")"`` into a tree.
 
-    Nesting deeper than ``MAX_ORDER_DEPTH`` is rejected, so that every
-    recursive walk over the tree stays within Python's recursion limit.
+    Nesting deeper than ``MAX_ORDER_DEPTH`` is rejected, so that the
+    parser's own recursion stays within Python's limit.  An error gives
+    the failing position and quotes the text around it.
     """
     pos = 0
 
     def error(msg):
-        raise ValueError(f"malformed order string {text!r} at {pos}: {msg}")
+        lo, hi = max(0, pos - _QUOTE), pos + _QUOTE
+        near = (("..." if lo else "") + text[lo:hi]
+                + ("..." if hi < len(text) else ""))
+        raise ValueError(f"malformed order string at {pos}: {msg} "
+                         f"(near {near!r})")
 
     def parse(depth):
         nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
+        skip_ws()
         if pos >= len(text):
             error("unexpected end")
         if text[pos] == "(":
@@ -85,9 +103,30 @@ def parse_order(text):
 
 
 def tree_leaves(tree):
-    if isinstance(tree, str):
-        return [tree]
-    return tree_leaves(tree[0]) + tree_leaves(tree[1])
+    leaves, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            leaves.append(node)
+        else:
+            stack += [node[1], node[0]]
+    return leaves
+
+
+def fold_tree(tree, leaf, join):
+    """Evaluate ``tree`` bottom up: ``leaf(name)`` at each leaf and
+    ``join(left, right)`` at each pair, the left subtree first."""
+    done, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        if node is None:               # both halves of a pair are done
+            right = done.pop()
+            done[-1] = join(done[-1], right)
+        elif isinstance(node, str):
+            done.append(leaf(node))
+        else:
+            stack += [None, node[1], node[0]]
+    return done[0]
 
 
 def order_tree(order, names):
@@ -124,118 +163,174 @@ def contract_pair(a, b):
     The output carries a's free labels (in a's order) followed by b's; with
     no shared labels this is the outer product.  A dense output keeps the
     memory order of its matrix product and may be lazily permuted (see
-    :func:`storage.contract_axes`).  A fully contracted result is returned
-    as a rank-0 tensor (read it with ``.item()``).
+    :func:`storage.contract_axes`).  A block-sparse pair is one matrix
+    product per charge group (see :class:`_PairPlan`), and its output
+    blocks are views into one buffer.  A fully contracted result is
+    returned as a rank-0 tensor (read it with ``.item()``).
     """
     if not isinstance(a, UniTensor) or not isinstance(b, UniTensor):
         raise TypeError("contract expects UniTensors")
     if a.is_sym != b.is_sym:
         raise ValueError("cannot contract a block-sparse tensor with a dense "
                          "one; use convert_from first")
-    a_labels, b_labels = a.labels, b.labels
-    shared = [l for l in a_labels if l in b_labels]
-    a_pos = [a_labels.index(l) for l in shared]
-    b_pos = [b_labels.index(l) for l in shared]
-    for l, pa, pb in zip(shared, a_pos, b_pos):
-        _check_pair_bond(l, a.bonds[pa], b.bonds[pb])
-    a_free = [i for i in range(a.rank) if a_labels[i] not in shared]
-    b_free = [i for i in range(b.rank) if b_labels[i] not in shared]
-    out_labels = [a_labels[i] for i in a_free] + [b_labels[i] for i in b_free]
-    if len(set(out_labels)) != len(out_labels):
-        raise ValueError(f"duplicate free labels in contraction result: "
-                         f"{out_labels}")
-    out_bonds = [a.bonds[i] for i in a_free] + [b.bonds[i] for i in b_free]
-
+    a_pos, b_pos, a_free, b_free, out_labels = _pair_axes(a.labels, b.labels)
+    for pa, pb in zip(a_pos, b_pos):
+        _check_pair_bond(a.labels[pa], a.bonds[pa], b.bonds[pb])
     if not a.is_sym:
         block = contract_axes(a.get_block_(), b.get_block_(), a_pos, b_pos)
         if block.rank == 0:
             return UniTensor.scalar(block.item())
+        out_bonds = [a.bonds[i] for i in a_free] + [b.bonds[i] for i in b_free]
         return UniTensor._assemble(out_bonds, out_labels, len(a_free), "",
                                    [block], None)
-    return _contract_pair_blocks(a, b, shared, a_pos, b_pos, a_free, b_free,
-                                 out_bonds, out_labels)
+    plan, _ = pair_plan((a.labels, a.bonds, a._struct),
+                        (b.labels, b.bonds, b._struct))
+    flat = plan.apply(plan.gather_a(flat_blocks(a)),
+                      plan.gather_b(flat_blocks(b)),
+                      np.result_type(a.dtype, b.dtype))
+    if plan.out is None:
+        return UniTensor.scalar(flat[0].item())
+    blocks = [DenseTensor._wrap(flat[lo:hi].reshape(shape))
+              for lo, hi, shape in plan.out_blocks]
+    return UniTensor._assemble(plan.out_bonds, out_labels, len(a_free), "",
+                               blocks, plan.out)
 
 
-def _contract_pair_blocks(a, b, shared, a_pos, b_pos, a_free, b_free,
-                          out_bonds, out_labels):
-    dt = np.result_type(a.dtype, b.dtype)
-    plan = a._struct.memo(("pair", b._struct, tuple(a_pos), tuple(b_pos)),
-                          _PairPlan, a._struct, b._struct, a_pos, b_pos,
-                          a_free, b_free, out_bonds)
-    a_blocks, b_blocks = a._blocks, b._blocks
-    a_mats = [a_blocks[i].view().transpose(plan.a_axes).reshape(shape)
-              for i, shape in plan.a_mats]
-    b_mats = [b_blocks[j].view().transpose(plan.b_axes).reshape(shape)
-              for j, shape in plan.b_mats]
-    if plan.out is None:
-        acc = [np.zeros((1, 1), dtype=dt)]
-    else:
-        out_blocks = zero_blocks(plan.out, dt)
-        acc = [blk.view().reshape(shape)
-               for blk, shape in zip(out_blocks, plan.out_mats)]
-    for ia, jb, k in plan.pairs:
-        acc[k] += np.dot(a_mats[ia], b_mats[jb])
-    if plan.out is None:
-        return UniTensor.scalar(acc[0].item())
-    return UniTensor._assemble(out_bonds, out_labels, len(a_free), "",
-                               out_blocks, plan.out)
+def _pair_axes(a_labels, b_labels):
+    """Positions of the shared labels in a and in b, a's and b's free
+    positions, and the output labels (a's free ones, then b's)."""
+    a_pos = [i for i, l in enumerate(a_labels) if l in b_labels]
+    b_pos = [b_labels.index(a_labels[i]) for i in a_pos]
+    a_free = [i for i in range(len(a_labels)) if i not in a_pos]
+    b_free = [i for i in range(len(b_labels)) if i not in b_pos]
+    out_labels = [a_labels[i] for i in a_free] + [b_labels[i] for i in b_free]
+    if len(set(out_labels)) != len(out_labels):
+        raise ValueError(f"duplicate free labels in contraction result: "
+                         f"{out_labels}")
+    return a_pos, b_pos, a_free, b_free, out_labels
+
+
+def pair_plan(a, b):
+    """The block plan of two block-sparse operands, and the output labels.
+
+    Each operand is a ``(labels, bonds, structure)`` triple, so that a
+    plan's output, ``(out_labels, plan.out_bonds, plan.out)``, can be the
+    operand of the next plan with no tensor built in between; the U(1)
+    DMRG matvec chains its three plans this way.  Bonds are not checked.
+    """
+    (a_labels, a_bonds, sa), (b_labels, b_bonds, sb) = a, b
+    a_pos, b_pos, a_free, b_free, out_labels = _pair_axes(a_labels, b_labels)
+    out_bonds = [a_bonds[i] for i in a_free] + [b_bonds[i] for i in b_free]
+    plan = sa.memo(("pair", sb, tuple(a_pos), tuple(b_pos)), _PairPlan,
+                   sa, sb, a_pos, b_pos, a_free, b_free, out_bonds)
+    return plan, out_labels
+
+
+def flat_blocks(t):
+    """A block-sparse tensor's elements as one vector: each block
+    C-contiguous in logical axis order, blocks in block order.  This is
+    the buffer layout a :class:`_PairPlan` reads and writes."""
+    return np.concatenate([blk.view() for blk in t._blocks], axis=None)
 
 
 class _PairPlan:
-    """How to contract the blocks of two structures over given axes.
+    """How to contract the blocks of two structures over given axes, as
+    one matrix product per charge group.
 
-    Every block pair is a matrix product, done the way ``np.tensordot``
-    does it: a's block is transposed to (free, contracted) and reshaped
-    into a matrix, b's to (contracted, free), and the product is added
-    into the matrix view of the output block.  The plan depends only on
-    the two structures and the axes, so it is computed once and reused by
-    every contraction of that shape, such as every matvec of a Lanczos
-    solve.  Pairs run in a's block order, then b's, which fixes the order
-    of the sums into each output block.
+    Operands and output are flat buffers in the layout of
+    :func:`flat_blocks`.  a's blocks are grouped into rows by their free
+    Qn tuple, and each row is keyed by the set of contracted Qn tuples it
+    meets; b's blocks form columns the same way.  Both operands have zero
+    flux, so the contracted tuples a row meets are exactly those of one
+    total charge: a row and a column meet the same set or disjoint ones.
+    Rows and columns with equal keys make one dense (rows x K) @ (K x
+    cols) product, whose entries are whole output blocks and whose sum
+    over K is exactly the sum over their block pairs.  Each output block
+    lies in one group only, so the product is assigned, not accumulated;
+    output blocks no group reaches stay zero.
 
-    ``out`` is the output structure (None for a scalar result);
-    ``a_mats``/``b_mats`` list (block, matrix shape) for each block that
-    takes part; ``pairs`` holds (a matrix, b matrix, output block)
-    positions; ``out_mats`` gives each output block's matrix shape.
+    ``groups`` holds per group three index arrays into the flat buffers:
+    a's (free, contracted) matrix, b's (contracted, free) matrix and the
+    output's (rows, cols) matrix.  The plan depends only on the two
+    structures and the axes, so it is computed once and reused by every
+    contraction of that shape.  ``out`` is the output structure and
+    ``out_bonds`` its bonds (None and [] for a scalar result), ``size``
+    the output's element count, and ``out_blocks`` each output block's
+    (start, stop, shape) in the output buffer.
     """
 
-    __slots__ = ("out", "a_axes", "b_axes", "a_mats", "b_mats", "pairs",
-                 "out_mats")
+    __slots__ = ("out", "out_bonds", "size", "out_blocks", "groups")
 
     def __init__(self, sa, sb, a_pos, b_pos, a_free, b_free, out_bonds):
-        self.a_axes = tuple(a_free) + tuple(a_pos)
-        self.b_axes = tuple(b_pos) + tuple(b_free)
+        self.out_bonds = out_bonds
         self.out = block_structure(out_bonds) if out_bonds else None
-        b_by_key = {}
-        for j, qn in enumerate(sb.qns):
-            b_by_key.setdefault(tuple(qn[p] for p in b_pos), []).append(j)
-        a_mat, b_mat = {}, {}   # block -> position in a_mats / b_mats
-        self.a_mats, self.b_mats, self.pairs = [], [], []
-        for i, a_qn in enumerate(sa.qns):
-            for j in b_by_key.get(tuple(a_qn[p] for p in a_pos), ()):
-                if i not in a_mat:
-                    a_mat[i] = len(self.a_mats)
-                    self.a_mats.append((i, _matrix_shape(sa.shapes[i], a_free,
-                                                         a_pos)))
-                if j not in b_mat:
-                    b_mat[j] = len(self.b_mats)
-                    self.b_mats.append((j, _matrix_shape(sb.shapes[j], b_pos,
-                                                         b_free)))
-                k = 0
-                if self.out is not None:
-                    b_qn = sb.qns[j]
-                    k = self.out.lookup[tuple([a_qn[p] for p in a_free]
-                                              + [b_qn[p] for p in b_free])]
-                self.pairs.append((a_mat[i], b_mat[j], k))
-        self.out_mats = None
-        if self.out is not None:
-            nrow = len(a_free)
-            self.out_mats = [(math.prod(sh[:nrow]), math.prod(sh[nrow:]))
-                             for sh in self.out.shapes]
+        if self.out is not None and not self.out.qns:
+            raise ValueError("no valid blocks: no output block of this "
+                             "contraction has zero flux")
+        out_shapes = self.out.shapes if self.out is not None else [()]
+        out_off = _offsets(out_shapes)
+        self.size = out_off[-1]
+        self.out_blocks = [(lo, hi, shape) for lo, hi, shape
+                           in zip(out_off, out_off[1:], out_shapes)]
+        col_groups = _line_groups(sb, b_free, b_pos)
+        self.groups = []
+        for key, rows in _line_groups(sa, a_free, a_pos).items():
+            cols = col_groups.get(key)
+            if cols is None:
+                continue
+            ks = sorted(key)
+            a_idx = np.block([[blocks[c] for c in ks] for _, blocks, _ in rows])
+            b_idx = np.block([[blocks[c].T for _, blocks, _ in cols]
+                              for c in ks])
+            out_idx = np.block([[self._out_matrix(r + s, out_off, nr, nc)
+                                 for s, _, nc in cols] for r, _, nr in rows])
+            self.groups.append((a_idx, b_idx, out_idx))
+
+    def _out_matrix(self, qn, out_off, nrow, ncol):
+        k = self.out.lookup[qn] if self.out is not None else 0
+        return np.arange(out_off[k], out_off[k + 1]).reshape(nrow, ncol)
+
+    def gather_a(self, flat):
+        """a's group matrices, read from its flat buffer."""
+        return [flat[a_idx] for a_idx, _, _ in self.groups]
+
+    def gather_b(self, flat):
+        """b's group matrices, read from its flat buffer."""
+        return [flat[b_idx] for _, b_idx, _ in self.groups]
+
+    def apply(self, a_mats, b_mats, dtype):
+        """The flat output buffer, from both operands' group matrices."""
+        out = np.zeros(self.size, dtype=dtype)
+        for (_, _, out_idx), am, bm in zip(self.groups, a_mats, b_mats):
+            out[out_idx] = am @ bm
+        return out
 
 
-def _matrix_shape(shape, rows, cols):
-    return (math.prod(shape[p] for p in rows), math.prod(shape[p] for p in cols))
+def _offsets(shapes):
+    """Start of each block in a flat buffer, and its total size last."""
+    return [0, *itertools.accumulate(math.prod(sh) for sh in shapes)]
+
+
+def _line_groups(struct, free, summed):
+    """One operand's blocks as the lines of a matrix, grouped by key.
+
+    A line is a free Qn tuple with the blocks it meets, as ``(free tuple,
+    {contracted tuple: index matrix}, free element count)``; each index
+    matrix holds a block's flat-buffer positions as a (free, contracted)
+    matrix.  A line's key is the set of contracted tuples it meets.
+    """
+    off = _offsets(struct.shapes)
+    lines = {}
+    for i, (qn, shape) in enumerate(zip(struct.qns, struct.shapes)):
+        f = tuple(qn[p] for p in free)
+        nf = math.prod(shape[p] for p in free)
+        idx = np.arange(off[i], off[i + 1]).reshape(shape)\
+                .transpose(free + summed).reshape(nf, -1)
+        lines.setdefault(f, (f, {}, nf))[1][tuple(qn[p] for p in summed)] = idx
+    groups = {}
+    for line in lines.values():
+        groups.setdefault(frozenset(line[1]), []).append(line)
+    return groups
 
 
 # -- multi-tensor contraction ---------------------------------------------------
@@ -288,10 +383,7 @@ def contract(first, *rest, order=None, optimal=True):
 
 def execute_tree(tree, by_name):
     """Contract the named tensors pair by pair along ``tree``."""
-    if isinstance(tree, str):
-        return by_name[tree]
-    return contract_pair(execute_tree(tree[0], by_name),
-                         execute_tree(tree[1], by_name))
+    return fold_tree(tree, by_name.__getitem__, contract_pair)
 
 
 def check_bonds(tensors):
@@ -337,11 +429,8 @@ def _tensor_ref(tensors, i):
 def contraction_cost(tree, label_sets, dims):
     """Total scalar-multiplication cost of executing ``tree``."""
 
-    def rec(node):
-        if isinstance(node, str):
-            return 0, dict.fromkeys(label_sets[node])
-        c1, f1 = rec(node[0])
-        c2, f2 = rec(node[1])
+    def join(left, right):
+        (c1, f1), (c2, f2) = left, right
         union = {**f1, **f2}
         step = 1
         for l in union:
@@ -349,7 +438,8 @@ def contraction_cost(tree, label_sets, dims):
         free = {l: None for l in union if (l in f1) != (l in f2)}
         return c1 + c2 + step, free
 
-    return rec(tree)[0]
+    return fold_tree(tree, lambda name: (0, dict.fromkeys(label_sets[name])),
+                     join)[0]
 
 
 def find_optimal_order(label_sets, dims):

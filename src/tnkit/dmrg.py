@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bond import Bond, IN, OUT
-from .contract import contract_pair
+from .contract import contract_pair, flat_blocks, pair_plan
 from .linalg import ConvergenceError, LinOp, lanczos, svd, svd_truncate
 from .storage import DenseTensor
 from .symmetry import Symmetry
@@ -252,12 +252,6 @@ def _grow_right(env, a, w_t):
 PSI_LABELS = ["vl", "p1", "p2", "vr"]
 
 
-def _pack(psi):
-    """Flatten a two-site tensor's blocks (in block order) into a vector."""
-    return np.concatenate(
-        [np.ascontiguousarray(b.view()).reshape(-1) for b in psi.get_blocks_()])
-
-
 def _unpack(vec, template):
     """A tensor shaped like ``template`` whose blocks are views of ``vec``
     (made contiguous) and so take its dtype."""
@@ -289,10 +283,19 @@ class _EffectiveHamiltonian:
         out = t.reshape(b·q1·q2, w3·vr) @ r2t
 
     where the middle product is batched over b and reads t in place; it
-    builds no tensor and copies no operand.  Block-sparse tensors run the
-    same three contractions through ``contract_pair``, whose block plans
-    are made on the first matvec and reused by the rest of the solve.
-    ``matvecs`` counts the applications.
+    builds no tensor and copies no operand.  Block-sparse tensors take the
+    three block plans of the same contractions once per solve, chaining
+    each plan's output structure into the next (see
+    :func:`contract.pair_plan`), and gather the group matrices of L, W12
+    and R once.  The vector is the flat buffer of the pair tensor's
+    blocks, so a matvec is three plan applications on it:
+
+        t = p1.apply(l_mats, p1.gather_b(v), dt)    # (b, w, p1, p2, vr)
+        t = p2.apply(p2.gather_a(t), w_mats, dt)    # (b, vr, q1, w3, q2)
+        out = p3.apply(p3.gather_a(t), r_mats, dt)  # (b, q1, q2, b2)
+
+    with no tensor built and no block copied one by one.  ``matvecs``
+    counts the applications.
     """
 
     def __init__(self, left, w1, w2, right, template):
@@ -304,7 +307,14 @@ class _EffectiveHamiltonian:
         self.dim = sum(b.size for b in template.get_blocks_())
         self.matvecs = 0
         if template.is_sym:
-            self.left, self.w12, self.right = left, w12, right
+            p1, labels = pair_plan(_legs(left), _legs(template))
+            p2, labels = pair_plan((labels, p1.out_bonds, p1.out), _legs(w12))
+            p3, _ = pair_plan((labels, p2.out_bonds, p2.out), _legs(right))
+            self.plans = (p1, p2, p3)
+            self.l_mats = p1.gather_a(flat_blocks(left))
+            self.w_mats = p2.gather_b(flat_blocks(w12))
+            self.r_mats = p3.gather_b(flat_blocks(right))
+            self.dtype = np.result_type(left.dtype, w12.dtype, right.dtype)
             return
         b, w, vl = left.shape
         self.batch = b
@@ -320,22 +330,28 @@ class _EffectiveHamiltonian:
         t = self.w12m @ t.reshape(self.batch, self.w12m.shape[1], -1)
         return (t.reshape(-1, self.r2t.shape[0]) @ self.r2t).reshape(-1)
 
-    def _apply_blocks(self, vec):
-        t = contract_pair(self.left, _unpack(vec, self.template))
-        t = contract_pair(t, self.w12)
-        return _pack(contract_pair(t, self.right))
+    def _apply_sectors(self, vec):
+        p1, p2, p3 = self.plans
+        dt = np.result_type(vec.dtype, self.dtype)
+        t = p1.apply(self.l_mats, p1.gather_b(vec), dt)
+        t = p2.apply(p2.gather_a(t), self.w_mats, dt)
+        return p3.apply(p3.gather_a(t), self.r_mats, dt)
 
     def matvec(self, vec):
         self.matvecs += 1
         # dispatch here: a bound method kept on self would be a reference
         # cycle, and each solve's arrays would outlive it until a collection
         if self.template.is_sym:
-            return self._apply_blocks(vec)
+            return self._apply_sectors(vec)
         return self._apply_dense(vec)
 
     def linop(self):
         return LinOp(self.dim, matvec=self.matvec,
                      dtype=self.template.dtype, hermitian=True)
+
+
+def _legs(t):
+    return t.labels, t.bonds, t._struct
 
 
 def _merge_pair(a1, a2):
@@ -371,7 +387,7 @@ def dmrg_ground_state(cfg):
         heff = _EffectiveHamiltonian(left_env[j], mpo[j], mpo[j + 1],
                                      right_env[j + 2], psi0)
         try:
-            vals, vecs = lanczos(heff.linop(), k=1, v0=_pack(psi0),
+            vals, vecs = lanczos(heff.linop(), k=1, v0=flat_blocks(psi0),
                                  tol=cfg.lanczos_tol,
                                  max_iter=cfg.lanczos_max_iter)
         except ConvergenceError as e:

@@ -14,8 +14,8 @@ merging charges one bond at a time, and shared by every tensor and handle
 over those bonds, following the block bookkeeping of Singh, Pfeifer &
 Vidal, PRB 83, 115125 (2011).  Structures derived from it (permuted or
 transposed) and the contraction plans computed from it are memoized on
-it, so repeated contractions over the same bonds, such as the matvecs of
-one Lanczos solve, reuse their block-pair plan.
+it, so repeated contractions over the same bonds, such as those of every
+DMRG sweep, reuse their plan.
 
 Handles follow reference semantics: metadata-only operations (``relabel``,
 ``permute``, ``set_rowrank``, ``transpose``) return a new handle that

@@ -163,3 +163,32 @@ def test_deeply_nested_order_is_clean_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nested deeper than" in err
     assert "Traceback" not in err
+
+
+def test_contract_deep_appearance_order(tmp_path, capsys):
+    n = 1200
+    net = tmp_path / "chain.net"
+    net.write_text("\n".join([f"T{i}: l{i}, l{i + 1}" for i in range(n)]
+                             + [f"TOUT: l0 ; l{n}"]) + "\n")
+    save_unitensor(UniTensor.ones([1, 1], labels=["a", "b"]),
+                   tmp_path / "one.utn")
+    bindings = [a for i in range(n)
+                for a in ("--tensor", f"T{i}={tmp_path}/one.utn")]
+    rc = main(["contract", str(net), *bindings, "--print-order"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("order: " + "(" * (n - 1) + "T0,T1)")
+    assert lines[1] == f"cost : {n - 1}"
+
+
+def test_long_order_error_quotes_a_window(tmp_path, capsys):
+    # a 5,000-character ORDER whose outermost ',' is a ';'
+    head = "(" * 400 + "A" * 3000 + ",A)" * 399
+    order = head + ";" + "B" * (4999 - len(head) - 1) + ")"
+    assert len(order) == 5000
+    net = tmp_path / "long.net"
+    net.write_text(f"A: i\nTOUT: i\nORDER: {order}\n")
+    assert main(["contract", str(net)]) == 1
+    err = capsys.readouterr().err
+    assert len(err) < 200
+    assert f"at {len(head)}: expected ','" in err

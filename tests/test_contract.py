@@ -10,6 +10,8 @@ from tnkit import (Bond, IN, OUT, Symmetry, UniTensor, brute_force_order,
                    contract, contract_pair, contraction_cost,
                    find_optimal_order, parse_order, render_order, storage)
 from tnkit import random as trandom
+from tnkit import unitensor
+from tnkit.symmetry import combine_qnums, identity_qnum, reverse_qnums
 from tests.conftest import (cap_doubling_order, loop_contract, random_u1_tensor,
                             to_dense)
 
@@ -240,6 +242,181 @@ def test_symmetric_output_flux_is_zero(rng):
         for bond, q in zip(out.bonds, out.block_qnums(i)):
             flux += q[0] if bond.btype == IN else -q[0]
         assert flux == 0
+
+
+# -- block-sparse pairs against the block-pair loop --------------------------------
+#
+# The library contracts a block-sparse pair as one matrix product per charge
+# group; the oracle is the loop it replaced, one product per block pair.
+
+def _pair_loop(a, b):
+    """{output Qn tuple: sum of its block-pair products} of a and b."""
+    shared = [l for l in a.labels if l in b.labels]
+    a_pos = [a.labels.index(l) for l in shared]
+    b_pos = [b.labels.index(l) for l in shared]
+    a_free = [i for i in range(a.rank) if i not in a_pos]
+    b_free = [i for i in range(b.rank) if i not in b_pos]
+    out = {}
+    for i, ablk in enumerate(a.get_blocks_()):
+        qa = a.block_qn_indices(i)
+        for j, bblk in enumerate(b.get_blocks_()):
+            qb = b.block_qn_indices(j)
+            if [qa[p] for p in a_pos] != [qb[p] for p in b_pos]:
+                continue
+            key = tuple(qa[p] for p in a_free) + tuple(qb[p] for p in b_free)
+            prod = np.tensordot(ablk.view(), bblk.view(), (a_pos, b_pos))
+            out[key] = out[key] + prod if key in out else prod
+    return out
+
+
+def _assert_matches_pair_loop(a, b):
+    """contract_pair(a, b) equals the block-pair loop to 1e-12 of its norm
+    (absolute below norm 1), block for block."""
+    want = _pair_loop(a, b)
+    out_bonds = [bd for t, u in ((a, b), (b, a))
+                 for l, bd in zip(t.labels, t.bonds) if l not in u.labels]
+    if out_bonds and not unitensor.block_structure(out_bonds).qns:
+        assert not want
+        with pytest.raises(ValueError, match="no valid blocks"):
+            contract_pair(a, b)
+        return
+    got = contract_pair(a, b)
+    if got.rank == 0:
+        ref = want[()]
+        assert abs(got.item() - ref) <= 1e-12 * max(1.0, abs(ref))
+        return
+    assert got.dtype == np.result_type(a.dtype, b.dtype)
+    err = norm = 0.0
+    for i, blk in enumerate(got.get_blocks_()):
+        ref = want.pop(got.block_qn_indices(i), np.zeros(blk.shape))
+        err += np.linalg.norm(blk.view() - ref) ** 2
+        norm += np.linalg.norm(ref) ** 2
+    assert not want       # every block pair lands on an output block
+    assert np.sqrt(err) <= 1e-12 * max(1.0, np.sqrt(norm))
+
+
+def _fill(t, rng):
+    for blk in t.get_blocks_():
+        v = blk.view()
+        v[...] = rng.standard_normal(v.shape)
+        if v.dtype == np.complex128:
+            v += 1j * rng.standard_normal(v.shape)
+    return t
+
+
+_PLAN_SYMS = {"U1": [Symmetry.u1()],
+              "U1xZ2": [Symmetry.u1(), Symmetry.zn(2)]}
+
+
+def _flux_charge(bond, q):
+    return q if bond.btype == IN else reverse_qnums(q, bond.syms)
+
+
+def _draw_bond(draw, syms):
+    charge = st.tuples(*[st.integers(-2, 2) if s.n == 0
+                         else st.integers(0, s.n - 1) for s in syms])
+    charges = draw(st.lists(charge, min_size=1, max_size=3, unique=True))
+    return Bond(btype=draw(st.sampled_from([IN, OUT])),
+                sectors=[(q, draw(st.integers(1, 3))) for q in charges],
+                syms=syms)
+
+
+def _draw_closing_bond(draw, bonds, syms):
+    """A bond whose sectors cancel one to three of the fluxes ``bonds``
+    reach, so that the tensor over both has zero-flux blocks."""
+    reach = {identity_qnum(syms)}
+    for b in bonds:
+        reach = {combine_qnums(f, _flux_charge(b, q), syms)
+                 for f in reach for q, _ in b.sectors}
+    fluxes = draw(st.lists(st.sampled_from(sorted(reach)), min_size=1,
+                           max_size=3, unique=True))
+    btype = draw(st.sampled_from([IN, OUT]))
+    return Bond(btype=btype, syms=syms, sectors=[
+        (reverse_qnums(f, syms) if btype == IN else f, draw(st.integers(1, 3)))
+        for f in fluxes])
+
+
+@st.composite
+def _block_pairs(draw):
+    """Random zero-flux U(1) or U(1)xZ2 operands: an outer product, a
+    partial or a full contraction; real or complex; lazily permuted."""
+    syms = _PLAN_SYMS[draw(st.sampled_from(sorted(_PLAN_SYMS)))]
+    kind = draw(st.sampled_from(["outer", "partial", "full"]))
+    n_a = draw(st.integers(2 if kind == "partial" else 1, 4))
+    a_bonds = [_draw_bond(draw, syms) for _ in range(n_a - 1)]
+    a_bonds = draw(st.permutations(
+        a_bonds + [_draw_closing_bond(draw, a_bonds, syms)]))
+    a_labels = [f"a{i}" for i in range(n_a)]
+    n_shared = (0 if kind == "outer" else n_a if kind == "full"
+                else draw(st.integers(1, n_a - 1)))
+    shared = draw(st.permutations(range(n_a)))[:n_shared]
+    b_bonds = [a_bonds[p].redirect() for p in shared]
+    b_labels = [a_labels[p] for p in shared]
+    if kind != "full":
+        extra = [_draw_bond(draw, syms) for _ in range(draw(st.integers(0, 2)))]
+        b_bonds += extra + [_draw_closing_bond(draw, b_bonds + extra, syms)]
+        b_labels += [f"b{i}" for i in range(len(extra) + 1)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    pair = []
+    for bonds, labels in ((a_bonds, a_labels), (b_bonds, b_labels)):
+        dtype = draw(st.sampled_from([storage.Float64, storage.Complex128]))
+        t = _fill(UniTensor(bonds, labels=labels, dtype=dtype), rng)
+        pair.append(t.permute(list(draw(st.permutations(labels)))))
+    return pair
+
+
+def _u1_bond(btype, sectors):
+    return Bond(btype=btype, sectors=sectors, syms=[Symmetry.u1()])
+
+
+def _named_pair(case):
+    """A pair for each case the random pairs must not miss."""
+    rng = np.random.default_rng(7)
+    i = _u1_bond(IN, [(0, 1), (1, 2)])
+    k = _u1_bond(OUT, [(0, 2), (1, 1), (-1, 2)])
+    j = _u1_bond(OUT, [(0, 2), (1, 3)])
+    a = _fill(UniTensor([i, k, j.redirect()], labels=["i", "k", "j"]), rng)
+    if case == "outer product":
+        b = _fill(UniTensor([k.redirect(), k], labels=["x", "y"]), rng)
+    elif case == "scalar":
+        b = a.permute(["j", "i", "k"]).conj().transpose()
+    elif case == "complex x real":
+        b = _fill(UniTensor([k.redirect(), j], labels=["k", "m"],
+                            dtype=storage.Complex128), rng)
+    elif case == "lazily permuted":
+        a = a.permute(["j", "k", "i"])
+        b = _fill(UniTensor([j, i.redirect(), k.redirect()],
+                            labels=["j", "n", "k"]), rng).permute(["k", "n", "j"])
+    else:
+        # a's rows (i, j) of charge 1 meet k = 1, which no column of b
+        # meets: b's only free charge is 0
+        b = _fill(UniTensor([k.redirect(), _u1_bond(OUT, [(0, 3)])],
+                            labels=["k", "m"]), rng)
+    return [a, b]
+
+
+_NAMED_PAIRS = ["outer product", "scalar", "complex x real", "lazily permuted",
+                "row group without a column group"]
+
+
+@given(_block_pairs())
+@settings(max_examples=200, deadline=None)
+def test_block_sparse_pair_matches_the_block_pair_loop(pair):
+    _assert_matches_pair_loop(*pair)
+
+
+@pytest.mark.parametrize("case", _NAMED_PAIRS)
+def test_block_sparse_pair_loop_cases(case):
+    a, b = _named_pair(case)
+    if case == "lazily permuted":
+        assert not any(blk.is_contiguous for t in (a, b)
+                       for blk in t.get_blocks_() if blk.size > 1)
+    if case == "row group without a column group":
+        plan, _ = contract_module.pair_plan((a.labels, a.bonds, a._struct),
+                                            (b.labels, b.bonds, b._struct))
+        row_charges = {a.block_qn_indices(i)[1] for i in range(a.nblocks)}
+        assert len(row_charges) == 2 and len(plan.groups) == 1
+    _assert_matches_pair_loop(a, b)
 
 
 def test_duplicate_free_labels_rejected():

@@ -6,10 +6,11 @@ import pytest
 
 from tnkit import DenseTensor, UniTensor, contract_pair
 from tnkit import dmrg as dmrg_module
+from tnkit.contract import flat_blocks
 from tnkit.dmrg import (DmrgConfig, MPO_BOND_DIM, PHYS_DIM, build_xx_mpo,
                         dmrg_ground_state)
 from tnkit.dmrg import PSI_LABELS, _EffectiveHamiltonian, _boundary_env, \
-    _grow_left, _grow_right, _merge_pair, _neel_symmetric_mps, _pack, \
+    _grow_left, _grow_right, _merge_pair, _neel_symmetric_mps, \
     _random_dense_mps, _right_canonicalize, _unpack
 from tests.conftest import (blueprint_heff_apply, free_fermion_ground_energy,
                             to_dense, xx_dense_hamiltonian)
@@ -160,7 +161,7 @@ def test_effective_hamiltonian_matches_dense_matrix():
         mat[:, i] = heff.matvec(e)
     ref = np.linalg.eigvalsh(mat)[0]
     from tnkit.linalg import LinOp, lanczos
-    vals, _ = lanczos(heff.linop(), k=1, v0=_pack(psi0), tol=1e-12)
+    vals, _ = lanczos(heff.linop(), k=1, v0=flat_blocks(psi0), tol=1e-12)
     assert abs(vals[0] - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
@@ -189,7 +190,7 @@ def _assert_matvec_matches_blueprint(mps, mpo, vectors, as_tensor):
         heff = _EffectiveHamiltonian(*ops, psi0)
         for vec in vectors(heff.dim):
             got = heff.matvec(vec)
-            ref = _pack(blueprint_heff_apply(*ops, as_tensor(vec, psi0)))
+            ref = flat_blocks(blueprint_heff_apply(*ops, as_tensor(vec, psi0)))
             assert got.shape == ref.shape == (heff.dim,)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         shapes.append(psi0.shape)
@@ -222,18 +223,28 @@ def test_dense_matvec_matches_blueprint_at_every_pair(dtype):
     assert max(max(s) for s in shapes) == 7
 
 
-def test_symmetric_matvec_matches_blueprint_after_a_sweep():
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("bond_dim, sweeps", [(7, 1), (8, 2)])
+def test_symmetric_matvec_matches_blueprint_after_a_sweep(bond_dim, sweeps,
+                                                          dtype):
     n = 10
-    res = dmrg_ground_state(DmrgConfig(n_sites=n, bond_dim=7, sweeps=1,
-                                       symmetric=True))
+    res = dmrg_ground_state(DmrgConfig(n_sites=n, bond_dim=bond_dim,
+                                       sweeps=sweeps, symmetric=True))
     mpo = build_xx_mpo(n, symmetric=True)
     rng = np.random.default_rng(6)
 
     def vectors(dim):
-        yield rng.standard_normal(dim)
+        v = rng.standard_normal(dim)
+        if dtype is np.complex128:
+            v = v + 1j * rng.standard_normal(dim)
+        yield v
 
     shapes = _assert_matvec_matches_blueprint(res.mps, mpo, vectors, _unpack)
     assert max(max(s) for s in shapes) > 2
+    if sweeps == 2:
+        # saturated: every bond at the largest dimension it can have
+        assert [a.shape[2] for a in res.mps] == \
+            [min(2 ** (j + 1), 2 ** (n - j - 1), bond_dim) for j in range(n)]
 
 
 def test_symmetric_matvec_keeps_the_imaginary_part():
@@ -248,7 +259,7 @@ def test_symmetric_matvec_keeps_the_imaginary_part():
     assert np.array_equal(heff.matvec(1j * np.ones(2)), [0.5j, 0.5j])
     vec = np.arange(2.0) + 1j
     psi = _unpack(vec, psi0)
-    assert psi.dtype == np.complex128 and np.array_equal(_pack(psi), vec)
+    assert psi.dtype == np.complex128 and np.array_equal(flat_blocks(psi), vec)
     assert all(np.shares_memory(b.view(), vec) for b in psi.get_blocks_())
 
 

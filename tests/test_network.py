@@ -356,3 +356,23 @@ def test_blueprint_labels_independent_of_tensor_labels(rng):
     assert np.allclose(out.get_block_().view(), oracle.get_block_().view())
     # user tensors keep their labels
     assert a.labels == ["weird", "names"]
+
+
+def _chain_blueprint(n):
+    """n slots T0..T{n-1} in a chain over labels l0..l{n}, no ORDER line."""
+    slots = [f"T{i}: l{i}, l{i + 1}" for i in range(n)]
+    return slots + [f"TOUT: l0 ; l{n}"]
+
+
+def test_deep_appearance_order_launches_without_recursion():
+    # the appearance fold of 1,200 slots is a left-nested tree that deep
+    n = 1200
+    net = Network(_chain_blueprint(n))
+    for i in range(n):
+        net.put_tensor(f"T{i}", UniTensor.ones([1, 1], labels=["a", "b"]))
+    out = net.launch()
+    assert out.labels == ["l0", f"l{n}"] and out.item() == 1.0
+    order = net.get_order()
+    assert order.startswith("(" * (n - 1) + "T0,T1)")
+    assert order.endswith(f",T{n - 1})")
+    assert net.get_cost() == n - 1
