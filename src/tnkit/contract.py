@@ -4,7 +4,8 @@
 bonds contract only against the opposite direction, and quantum-number
 bonds must agree sector by sector.  A block-sparse pair is contracted as
 one matrix product per charge group of the contracted legs, through a
-plan computed once per pair of block structures (:class:`_PairPlan`).
+plan computed once per pair of block structures (:class:`_PairPlan`) that
+reads and writes the tensors' flat buffers directly.
 Multi-tensor calls either follow an explicit parenthesized order string
 such as ``"((A,B),C)"`` or search for a cost-optimal order with a dynamic
 program over tensor subsets.  Every bond of a list is checked
@@ -14,7 +15,6 @@ same two functions.
 """
 
 import itertools
-import math
 import re
 
 import numpy as np
@@ -164,9 +164,10 @@ def contract_pair(a, b):
     no shared labels this is the outer product.  A dense output keeps the
     memory order of its matrix product and may be lazily permuted (see
     :func:`storage.contract_axes`).  A block-sparse pair is one matrix
-    product per charge group (see :class:`_PairPlan`), and its output
-    blocks are views into one buffer.  A fully contracted result is
-    returned as a rank-0 tensor (read it with ``.item()``).
+    product per charge group (see :class:`_PairPlan`), written into the
+    output's buffer; a lazily permuted operand is gathered once first.  A
+    fully contracted result is returned as a rank-0 tensor (read it with
+    ``.item()``).
     """
     if not isinstance(a, UniTensor) or not isinstance(b, UniTensor):
         raise TypeError("contract expects UniTensors")
@@ -182,18 +183,15 @@ def contract_pair(a, b):
             return UniTensor.scalar(block.item())
         out_bonds = [a.bonds[i] for i in a_free] + [b.bonds[i] for i in b_free]
         return UniTensor._assemble(out_bonds, out_labels, len(a_free), "",
-                                   [block], None)
+                                   block, None)
     plan, _ = pair_plan((a.labels, a.bonds, a._struct),
                         (b.labels, b.bonds, b._struct))
-    flat = plan.apply(plan.gather_a(flat_blocks(a)),
-                      plan.gather_b(flat_blocks(b)),
+    flat = plan.apply(plan.gather_a(a._flat()), plan.gather_b(b._flat()),
                       np.result_type(a.dtype, b.dtype))
     if plan.out is None:
         return UniTensor.scalar(flat[0].item())
-    blocks = [DenseTensor._wrap(flat[lo:hi].reshape(shape))
-              for lo, hi, shape in plan.out_blocks]
     return UniTensor._assemble(plan.out_bonds, out_labels, len(a_free), "",
-                               blocks, plan.out)
+                               DenseTensor._wrap(flat), plan.out)
 
 
 def _pair_axes(a_labels, b_labels):
@@ -226,21 +224,15 @@ def pair_plan(a, b):
     return plan, out_labels
 
 
-def flat_blocks(t):
-    """A block-sparse tensor's elements as one vector: each block
-    C-contiguous in logical axis order, blocks in block order.  This is
-    the buffer layout a :class:`_PairPlan` reads and writes."""
-    return np.concatenate([blk.view() for blk in t._blocks], axis=None)
-
-
 class _PairPlan:
     """How to contract the blocks of two structures over given axes, as
     one matrix product per charge group.
 
-    Operands and output are flat buffers in the layout of
-    :func:`flat_blocks`.  a's blocks are grouped into rows by their free
-    Qn tuple, and each row is keyed by the set of contracted Qn tuples it
-    meets; b's blocks form columns the same way.  Both operands have zero
+    Operands and output are flat buffers in the layout of a contiguous
+    tensor (``UniTensor._flat``).  a's blocks are grouped into rows by
+    their free Qn tuple, and each row is keyed by the set of contracted Qn
+    tuples it meets; b's blocks form columns the same way (see
+    :meth:`BlockStructure.line_groups`).  Both operands have zero
     flux, so the contracted tuples a row meets are exactly those of one
     total charge: a row and a column meet the same set or disjoint ones.
     Rows and columns with equal keys make one dense (rows x K) @ (K x
@@ -254,12 +246,11 @@ class _PairPlan:
     output's (rows, cols) matrix.  The plan depends only on the two
     structures and the axes, so it is computed once and reused by every
     contraction of that shape.  ``out`` is the output structure and
-    ``out_bonds`` its bonds (None and [] for a scalar result), ``size``
-    the output's element count, and ``out_blocks`` each output block's
-    (start, stop, shape) in the output buffer.
+    ``out_bonds`` its bonds (None and [] for a scalar result), and
+    ``size`` the output's element count.
     """
 
-    __slots__ = ("out", "out_bonds", "size", "out_blocks", "groups")
+    __slots__ = ("out", "out_bonds", "size", "groups")
 
     def __init__(self, sa, sb, a_pos, b_pos, a_free, b_free, out_bonds):
         self.out_bonds = out_bonds
@@ -267,14 +258,11 @@ class _PairPlan:
         if self.out is not None and not self.out.qns:
             raise ValueError("no valid blocks: no output block of this "
                              "contraction has zero flux")
-        out_shapes = self.out.shapes if self.out is not None else [()]
-        out_off = _offsets(out_shapes)
+        out_off = self.out.offsets if self.out is not None else (0, 1)
         self.size = out_off[-1]
-        self.out_blocks = [(lo, hi, shape) for lo, hi, shape
-                           in zip(out_off, out_off[1:], out_shapes)]
-        col_groups = _line_groups(sb, b_free, b_pos)
+        col_groups = sb.line_groups(b_free, b_pos)
         self.groups = []
-        for key, rows in _line_groups(sa, a_free, a_pos).items():
+        for key, rows in sa.line_groups(a_free, a_pos).items():
             cols = col_groups.get(key)
             if cols is None:
                 continue
@@ -304,33 +292,6 @@ class _PairPlan:
         for (_, _, out_idx), am, bm in zip(self.groups, a_mats, b_mats):
             out[out_idx] = am @ bm
         return out
-
-
-def _offsets(shapes):
-    """Start of each block in a flat buffer, and its total size last."""
-    return [0, *itertools.accumulate(math.prod(sh) for sh in shapes)]
-
-
-def _line_groups(struct, free, summed):
-    """One operand's blocks as the lines of a matrix, grouped by key.
-
-    A line is a free Qn tuple with the blocks it meets, as ``(free tuple,
-    {contracted tuple: index matrix}, free element count)``; each index
-    matrix holds a block's flat-buffer positions as a (free, contracted)
-    matrix.  A line's key is the set of contracted tuples it meets.
-    """
-    off = _offsets(struct.shapes)
-    lines = {}
-    for i, (qn, shape) in enumerate(zip(struct.qns, struct.shapes)):
-        f = tuple(qn[p] for p in free)
-        nf = math.prod(shape[p] for p in free)
-        idx = np.arange(off[i], off[i + 1]).reshape(shape)\
-                .transpose(free + summed).reshape(nf, -1)
-        lines.setdefault(f, (f, {}, nf))[1][tuple(qn[p] for p in summed)] = idx
-    groups = {}
-    for line in lines.values():
-        groups.setdefault(frozenset(line[1]), []).append(line)
-    return groups
 
 
 # -- multi-tensor contraction ---------------------------------------------------

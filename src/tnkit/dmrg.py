@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bond import Bond, IN, OUT
-from .contract import contract_pair, flat_blocks, pair_plan
+from .contract import contract_pair, pair_plan
 from .linalg import ConvergenceError, LinOp, lanczos, svd, svd_truncate
 from .storage import DenseTensor
 from .symmetry import Symmetry
@@ -253,15 +253,12 @@ PSI_LABELS = ["vl", "p1", "p2", "vr"]
 
 
 def _unpack(vec, template):
-    """A tensor shaped like ``template`` whose blocks are views of ``vec``
-    (made contiguous) and so take its dtype."""
+    """A contiguous tensor shaped like ``template`` over ``vec`` (made
+    contiguous, else not copied), so it takes ``vec``'s dtype."""
     vec = np.ascontiguousarray(vec)
-    blocks, off = [], 0
-    for b in template.get_blocks_():
-        blocks.append(DenseTensor(vec[off:off + b.size].reshape(b.shape)))
-        off += b.size
+    data = DenseTensor(vec if template.is_sym else vec.reshape(template.shape))
     return UniTensor._assemble(template.bonds, template.labels,
-                               template.rowrank, template.name, blocks,
+                               template.rowrank, template.name, data,
                                template._struct)
 
 
@@ -287,8 +284,8 @@ class _EffectiveHamiltonian:
     three block plans of the same contractions once per solve, chaining
     each plan's output structure into the next (see
     :func:`contract.pair_plan`), and gather the group matrices of L, W12
-    and R once.  The vector is the flat buffer of the pair tensor's
-    blocks, so a matvec is three plan applications on it:
+    and R once from their buffers.  The vector is the pair tensor's
+    buffer, so a matvec is three plan applications on it:
 
         t = p1.apply(l_mats, p1.gather_b(v), dt)    # (b, w, p1, p2, vr)
         t = p2.apply(p2.gather_a(t), w_mats, dt)    # (b, vr, q1, w3, q2)
@@ -304,16 +301,16 @@ class _EffectiveHamiltonian:
         w12 = contract_pair(w1.relabel(["w", "w2", "q1", "p1"]),
                             w2.relabel(["w2", "w3", "q2", "p2"]))
         self.template = template
-        self.dim = sum(b.size for b in template.get_blocks_())
+        self.dim = template._data.size
         self.matvecs = 0
         if template.is_sym:
             p1, labels = pair_plan(_legs(left), _legs(template))
             p2, labels = pair_plan((labels, p1.out_bonds, p1.out), _legs(w12))
             p3, _ = pair_plan((labels, p2.out_bonds, p2.out), _legs(right))
             self.plans = (p1, p2, p3)
-            self.l_mats = p1.gather_a(flat_blocks(left))
-            self.w_mats = p2.gather_b(flat_blocks(w12))
-            self.r_mats = p3.gather_b(flat_blocks(right))
+            self.l_mats = p1.gather_a(left._flat())
+            self.w_mats = p2.gather_b(w12._flat())
+            self.r_mats = p3.gather_b(right._flat())
             self.dtype = np.result_type(left.dtype, w12.dtype, right.dtype)
             return
         b, w, vl = left.shape
@@ -387,7 +384,7 @@ def dmrg_ground_state(cfg):
         heff = _EffectiveHamiltonian(left_env[j], mpo[j], mpo[j + 1],
                                      right_env[j + 2], psi0)
         try:
-            vals, vecs = lanczos(heff.linop(), k=1, v0=flat_blocks(psi0),
+            vals, vecs = lanczos(heff.linop(), k=1, v0=psi0._flat(),
                                  tol=cfg.lanczos_tol,
                                  max_iter=cfg.lanczos_max_iter)
         except ConvergenceError as e:

@@ -12,6 +12,8 @@ payload               raw C-order little-endian element bytes of every block,
                       concatenated in block-enumeration order
 ====================  =======================================================
 
+A block-sparse payload is a contiguous tensor's buffer, read in one piece.
+
 Each bond entry stores ``btype`` ("REGULAR"/"IN"/"OUT"), ``dim``, the
 symmetry tags (``"U1"``, ``"Z2"``, ...) and the sector list
 ``[[charges, degeneracy], ...]``; each block entry stores its Qn-index
@@ -26,7 +28,6 @@ import struct
 import numpy as np
 
 from .bond import Bond, BondType
-from .storage import DenseTensor
 from .symmetry import symmetry_from_str
 from .unitensor import UniTensor, block_structure
 
@@ -58,28 +59,29 @@ def _bond_from_json(d):
 
 
 def save_unitensor(ut, path):
-    blocks = ut.get_blocks_()
+    """Write ``ut`` to ``path``; a block-sparse tensor's blocks go in the
+    order of the structure of its bonds, which a lazily permuted tensor's
+    own block order need not be."""
+    layout = block_structure(ut.bonds) if ut.is_sym else None
     header = {
         "name": ut.name,
         "labels": ut.labels,
         "rowrank": ut.rowrank,
         "dtype": {v: k for k, v in _DTYPES.items()}[ut.dtype],
         "bonds": [_bond_to_json(b) for b in ut.bonds],
-        "blocks": [
-            {"qn": list(ut.block_qn_indices(i)) if ut.is_sym else None,
-             "shape": list(blk.shape)}
-            for i, blk in enumerate(blocks)
-        ],
+        "blocks": ([{"qn": list(qn), "shape": list(shape)}
+                    for qn, shape in zip(layout.qns, layout.shapes)]
+                   if ut.is_sym else [{"qn": None, "shape": list(ut.shape)}]),
     }
     raw = json.dumps(header).encode()
+    payload = ut._flat(layout)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<I", len(raw)))
         f.write(raw)
-        for blk in blocks:
-            arr = np.ascontiguousarray(blk.view())
-            f.write(arr.astype(arr.dtype.newbyteorder("<"), copy=False).tobytes())
+        f.write(payload.astype(payload.dtype.newbyteorder("<"),
+                               copy=False).tobytes())
 
 
 def load_unitensor(path):
@@ -129,22 +131,20 @@ def load_unitensor(path):
         if len(entries) != ut.nblocks:
             raise ValueError(f"{path}: header lists {len(entries)} blocks, "
                              f"its bonds give {ut.nblocks}")
-        for i, (shape, qn) in enumerate(entries):
-            if (shape != ut.get_blocks_()[i].shape
-                    or not all(type(d) is int for d in shape)):
+        shapes = ut._struct.shapes if ut.is_sym else [ut.shape]
+        for i, ((shape, qn), expected) in enumerate(zip(entries, shapes)):
+            if shape != expected or not all(type(d) is int for d in shape):
                 raise ValueError(f"{path}: block {i} has shape {shape}, "
-                                 f"expected {ut.get_blocks_()[i].shape}")
+                                 f"expected {expected}")
             if ut.is_sym and qn != ut.block_qn_indices(i):
                 raise ValueError(f"{path}: block {i} has Qn indices {qn}, "
                                  f"expected {ut.block_qn_indices(i)}")
-            nbytes = math.prod(shape) * dtype.itemsize
-            buf = f.read(nbytes)
-            if len(buf) != nbytes:
-                raise ValueError(f"{path}: payload ends inside block {i} "
-                                 f"({len(buf)} of {nbytes} bytes)")
-            arr = np.frombuffer(buf, dtype=dtype.newbyteorder("<")).astype(dtype)
-            ut.put_block_(DenseTensor(arr.reshape(shape)),
-                          *((i,) if ut.is_sym else ()))
+        flat = ut._flat()           # the fresh tensor's own storage
+        buf = f.read(flat.nbytes)
+        if len(buf) != flat.nbytes:
+            raise ValueError(f"{path}: payload ends early ({len(buf)} of "
+                             f"{flat.nbytes} bytes)")
+        flat[...] = np.frombuffer(buf, dtype=dtype.newbyteorder("<"))
         return ut
 
 
@@ -154,14 +154,14 @@ def _check_payload_size(f, path, bonds, itemsize):
     charged bonds, or the full product of plain bonds' dimensions."""
     left = os.fstat(f.fileno()).st_size - f.tell()
     if bonds and all(b.has_qnums and b.syms == bonds[0].syms for b in bonds):
-        sizes = [math.prod(s) for s in block_structure(bonds).shapes]
+        offsets = block_structure(bonds).offsets
     else:
-        sizes = [math.prod(b.dim for b in bonds)]
-    for i, size in enumerate(sizes):
-        if size * itemsize > left:
+        offsets = (0, math.prod(b.dim for b in bonds))
+    for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        if hi * itemsize > left:
             raise ValueError(f"{path}: payload ends inside block {i} "
-                             f"({left} of {size * itemsize} bytes)")
-        left -= size * itemsize
+                             f"({left - lo * itemsize} of "
+                             f"{(hi - lo) * itemsize} bytes)")
 
 
 def _read_uint32(f, path, what):

@@ -3,9 +3,9 @@
 Every routine here reads its input through the ``rowrank`` split: the
 first ``rowrank`` indices are flattened into the matrix row, the rest into
 the column.  Block-sparse tensors are handled sector by sector: grouping
-the stored blocks by the total charge of their row indices turns the
-matricized tensor into a block-diagonal matrix, and each charge sector is
-decomposed independently.
+the blocks by the total charge of their row indices, as contraction groups
+them, makes the matrix block-diagonal.  Each sector matrix is one gather
+from the tensor's buffer, and each factor is one scatter per sector.
 
 The factor conventions follow one pattern: the left factor inherits the
 row labels and gains a new bond labeled ``_aux_L``; the right factor
@@ -16,15 +16,13 @@ input up to a label permutation.  If an input label collides with an
 auxiliary name, a counter is appended.
 """
 
-import math
-
 import numpy as np
 import scipy.linalg
 
 from .bond import Bond, IN, OUT, REGULAR
 from .storage import DenseTensor
 from .symmetry import combine_qnums, identity_qnum, reverse_qnums
-from .unitensor import UniTensor
+from .unitensor import UniTensor, block_structure
 
 
 class ConvergenceError(RuntimeError):
@@ -38,36 +36,11 @@ class ConvergenceError(RuntimeError):
 
 # -- matricization ------------------------------------------------------------
 
-class _Sector:
-    """One charge sector of the matricized tensor."""
-
-    __slots__ = ("charge", "rows", "cols", "row_at", "col_at", "mat")
-
-    def __init__(self, charge):
-        self.charge = charge
-        self.rows = []            # (qn part, offset, size)
-        self.cols = []
-        self.row_at = {}          # qn part -> its entry in rows / cols
-        self.col_at = {}
-        self.mat = None
-
-
-def _place(parts, at, qn, size):
-    """The entry of ``qn`` in ``parts``, appended when first seen."""
-    entry = at.get(qn)
-    if entry is None:
-        off = parts[-1][1] + parts[-1][2] if parts else 0
-        entry = at[qn] = (qn, off, size)
-        parts.append(entry)
-    return entry
-
-
 class _Matricized:
-    __slots__ = ("ut", "rowrank", "row_bonds", "col_bonds", "row_labels",
-                 "col_labels", "sectors", "aux_l", "aux_r")
+    """A tensor split at its rowrank into one matrix per charge sector."""
 
-    def directed(self):
-        return any(b.btype != REGULAR for b in self.ut.bonds)
+    __slots__ = ("ut", "row_bonds", "col_bonds", "row_labels", "col_labels",
+                 "mats", "charges", "sectors", "aux_l", "aux_r")
 
 
 def _aux_labels(labels):
@@ -89,7 +62,6 @@ def _matricize(ut, require_square=False):
                          f"rowrank={r} for rank {ut.rank}")
     m = _Matricized()
     m.ut = ut
-    m.rowrank = r
     m.row_bonds = ut.bonds[:r]
     m.col_bonds = ut.bonds[r:]
     m.row_labels = ut.labels[:r]
@@ -98,66 +70,73 @@ def _matricize(ut, require_square=False):
     if not ut.is_sym:
         rdim = int(np.prod([b.dim for b in m.row_bonds]))
         cdim = int(np.prod([b.dim for b in m.col_bonds]))
-        sec = _Sector(None)
-        sec.rows = [(None, 0, rdim)]
-        sec.cols = [(None, 0, cdim)]
-        sec.mat = np.ascontiguousarray(ut.get_block_().view()).reshape(rdim, cdim)
-        m.sectors = [sec]
+        m.mats = [np.ascontiguousarray(ut.get_block_().view()).reshape(rdim, cdim)]
+        m.charges = [None]
+        m.sectors = None
     else:
-        syms = ut.bonds[0].syms
-        ident = identity_qnum(syms)
-        groups = {}
-        placed = []  # (sector, row entry, col entry) per block
-        blocks = ut.get_blocks_()
-        for i, blk in enumerate(blocks):
-            qn = ut.block_qn_indices(i)
-            charge = ident
-            for b, k in zip(m.row_bonds, qn[:r]):
-                q = b.sectors[k][0]
-                if b.btype == OUT:
-                    q = reverse_qnums(q, syms)
-                charge = combine_qnums(charge, q, syms)
-            sec = groups.get(charge)
-            if sec is None:
-                sec = groups[charge] = _Sector(charge)
-            shape = blk.shape
-            placed.append((
-                sec, _place(sec.rows, sec.row_at, qn[:r], math.prod(shape[:r])),
-                _place(sec.cols, sec.col_at, qn[r:], math.prod(shape[r:]))))
-        for sec in groups.values():
-            rdim = sec.rows[-1][1] + sec.rows[-1][2]
-            cdim = sec.cols[-1][1] + sec.cols[-1][2]
-            sec.mat = np.zeros((rdim, cdim), dtype=ut.dtype)
-        for (sec, (_, ro, rs), (_, co, cs)), blk in zip(placed, blocks):
-            sec.mat[ro:ro + rs, co:co + cs] = \
-                np.ascontiguousarray(blk.view()).reshape(rs, cs)
-        m.sectors = list(groups.values())
+        m.sectors = ut._struct.memo(("matricize", r), _sectors, ut._struct, r)
+        buf = ut._flat()
+        m.mats = [buf[idx] for _, _, idx in m.sectors]
+        m.charges = [_row_charge(m.row_bonds, rows[0])
+                     for rows, _, _ in m.sectors]
     if require_square:
-        rtot = sum(s.rows[-1][1] + s.rows[-1][2] for s in m.sectors)
-        ctot = sum(s.cols[-1][1] + s.cols[-1][2] for s in m.sectors)
-        if rtot != ctot or any(s.mat.shape[0] != s.mat.shape[1]
-                               for s in m.sectors):
+        rtot = sum(mat.shape[0] for mat in m.mats)
+        ctot = sum(mat.shape[1] for mat in m.mats)
+        if rtot != ctot or any(mat.shape[0] != mat.shape[1] for mat in m.mats):
             raise ValueError(
                 f"square matricization required (rows {rtot} vs cols {ctot})")
     return m
 
 
-def _row_degs(m, row_qn):
-    return [b.sectors[k][1] for b, k in zip(m.row_bonds, row_qn)]
+def _sectors(struct, r):
+    """The charge sectors of ``struct`` read as a matrix with its first
+    ``r`` axes as rows, grouped as contraction groups lines: per sector,
+    its row and column Qn tuples, in sorted (dense-matrix) order, and its
+    elements' positions in a contiguous buffer.  Sectors come in the order
+    their charge first appears in block order.
+    """
+    rank = len(struct.qns[0])
+    sectors = []
+    for key, lines in struct.line_groups(list(range(r)),
+                                         list(range(r, rank))).items():
+        lines.sort()            # by row tuple; each row tuple is one line
+        cols = sorted(key)
+        idx = np.block([[blocks[c] for c in cols] for _, blocks, _ in lines])
+        sectors.append(([f for f, _, _ in lines], cols, idx))
+    return sectors
 
 
-def _col_degs(m, col_qn):
-    return [b.sectors[k][1] for b, k in zip(m.col_bonds, col_qn)]
+def _row_charge(bonds, qn):
+    syms = bonds[0].syms
+    charge = identity_qnum(syms)
+    for b, k in zip(bonds, qn):
+        q = b.sectors[k][0]
+        if b.btype == OUT:
+            q = reverse_qnums(q, syms)
+        charge = combine_qnums(charge, q, syms)
+    return charge
 
 
 def _new_bond(m, keeps, btype):
     """The bond created between factors; one sector per surviving charge."""
     if m.ut.is_sym:
-        sectors = [(s.charge, k) for s, k in zip(m.sectors, keeps) if k > 0]
+        sectors = [(c, k) for c, k in zip(m.charges, keeps) if k > 0]
         return Bond(btype=btype, sectors=sectors, syms=m.ut.bonds[0].syms)
-    if m.directed():
+    if any(b.btype != REGULAR for b in m.ut.bonds):
         return Bond(int(keeps[0]), btype)
     return Bond(int(keeps[0]))
+
+
+def _factor(bonds, labels, rowrank, name, kept, new_axis):
+    """The block-sparse factor over ``bonds`` whose matrix, in the sector
+    of Qn index n on the new bond (axis ``new_axis``), is ``kept[n]``;
+    each sector is written with one index scatter."""
+    struct = block_structure(bonds)
+    buf = np.zeros(struct.offsets[-1], dtype=np.result_type(*kept))
+    for rows, cols, idx in _sectors(struct, rowrank):
+        buf[idx] = kept[(rows[0] + cols[0])[new_axis]]
+    return UniTensor._assemble(bonds, labels, rowrank, name,
+                               DenseTensor._wrap(buf), struct)
 
 
 def _build_left(m, mats, keeps, label, name):
@@ -168,18 +147,9 @@ def _build_left(m, mats, keeps, label, name):
         arr = mats[0][:, :keeps[0]].reshape([b.dim for b in m.row_bonds]
                                             + [keeps[0]])
         return UniTensor._assemble(bonds, labels, len(m.row_bonds), name,
-                                   [DenseTensor(np.ascontiguousarray(arr))], None)
-    out = UniTensor(bonds, labels=labels, dtype=mats[0].dtype,
-                    rowrank=len(m.row_bonds), name=name)
-    new_idx = 0
-    for sec, mat, keep in zip(m.sectors, mats, keeps):
-        if keep == 0:
-            continue
-        for row_qn, off, size in sec.rows:
-            blk = mat[off:off + size, :keep].reshape(_row_degs(m, row_qn) + [keep])
-            out.get_block_(list(row_qn) + [new_idx]).view()[...] = blk
-        new_idx += 1
-    return out
+                                   DenseTensor(np.ascontiguousarray(arr)), None)
+    return _factor(bonds, labels, len(m.row_bonds), name,
+                   [mat[:, :k] for mat, k in zip(mats, keeps) if k], -1)
 
 
 def _build_right(m, mats, keeps, label, name):
@@ -190,56 +160,38 @@ def _build_right(m, mats, keeps, label, name):
         arr = mats[0][:keeps[0], :].reshape([keeps[0]]
                                             + [b.dim for b in m.col_bonds])
         return UniTensor._assemble(bonds, labels, 1, name,
-                                   [DenseTensor(np.ascontiguousarray(arr))], None)
-    out = UniTensor(bonds, labels=labels, dtype=mats[0].dtype, rowrank=1,
-                    name=name)
-    new_idx = 0
-    for sec, mat, keep in zip(m.sectors, mats, keeps):
-        if keep == 0:
-            continue
-        for col_qn, off, size in sec.cols:
-            blk = mat[:keep, off:off + size].reshape([keep] + _col_degs(m, col_qn))
-            out.get_block_([new_idx] + list(col_qn)).view()[...] = blk
-        new_idx += 1
-    return out
+                                   DenseTensor(np.ascontiguousarray(arr)), None)
+    return _factor(bonds, labels, 1, name,
+                   [mat[:k] for mat, k in zip(mats, keeps) if k], 0)
 
 
 def _build_middle(m, diags, keeps, labels, name):
     """Square diagonal middle factor on the new bond (IN left, OUT right)."""
+    bonds = [_new_bond(m, keeps, IN), _new_bond(m, keeps, OUT)]
     if not m.ut.is_sym:
         arr = np.diag(np.asarray(diags[0])[:keeps[0]])
-        bonds = [_new_bond(m, keeps, IN), _new_bond(m, keeps, OUT)]
         return UniTensor._assemble(bonds, labels, 1, name,
-                                   [DenseTensor(arr)], None)
-    bonds = [_new_bond(m, keeps, IN), _new_bond(m, keeps, OUT)]
-    dt = np.result_type(*[np.asarray(d).dtype for d in diags])
-    out = UniTensor(bonds, labels=labels, dtype=dt, rowrank=1, name=name)
-    new_idx = 0
-    for d, keep in zip(diags, keeps):
-        if keep == 0:
-            continue
-        out.get_block_([new_idx, new_idx]).view()[...] = np.diag(np.asarray(d)[:keep])
-        new_idx += 1
-    return out
+                                   DenseTensor(arr), None)
+    return _factor(bonds, labels, 1, name,
+                   [np.diag(np.asarray(d)[:k]) for d, k in zip(diags, keeps)
+                    if k], 0)
 
 
 def _rebuild_like(ut, m, mats):
     """Inverse of _matricize: write per-sector matrices back into a tensor."""
     dt = np.result_type(ut.dtype, *[mat.dtype for mat in mats])
-    out = ut.clone()
-    if dt != ut.dtype:
-        out = out.astype(dt)
-    out.contiguous_()
     if not ut.is_sym:
+        out = ut.clone()
+        if dt != ut.dtype:
+            out = out.astype(dt)
+        out.contiguous_()
         out.get_block_().view()[...] = mats[0].reshape(ut.shape)
         return out
-    for sec, mat in zip(m.sectors, mats):
-        for row_qn, ro, rs in sec.rows:
-            for col_qn, co, cs in sec.cols:
-                blk = out.get_block_(list(row_qn) + list(col_qn))
-                blk.view()[...] = mat[ro:ro + rs, co:co + cs].reshape(
-                    _row_degs(m, row_qn) + _col_degs(m, col_qn))
-    return out
+    buf = np.zeros(ut._struct.offsets[-1], dtype=dt)
+    for (_, _, idx), mat in zip(m.sectors, mats):
+        buf[idx] = mat
+    return UniTensor._assemble(ut.bonds, ut.labels, ut.rowrank, ut.name,
+                               DenseTensor._wrap(buf), ut._struct)
 
 
 # -- SVD ------------------------------------------------------------------------
@@ -256,8 +208,8 @@ def svd(ut, compute_uv=True):
     """
     m = _matricize(ut)
     us, ss, vhs, keeps = [], [], [], []
-    for sec in m.sectors:
-        u, s, vh = np.linalg.svd(sec.mat, full_matrices=False)
+    for mat in m.mats:
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
         us.append(u)
         ss.append(s)
         vhs.append(vh)
@@ -290,26 +242,35 @@ def svd_truncate(ut, keepdim, err=0.0, return_err=0, min_blockdim=None):
     ``return_err=1`` appends a one-element tensor with the largest
     discarded value (0 when nothing was discarded); ``return_err=2``
     appends all discarded values, descending.
+
+    ``keepdim`` must be an int >= 1, every ``min_blockdim`` entry an int
+    >= 0 and ``return_err`` 0, 1 or 2; all are checked before any SVD.
     """
-    if keepdim < 1:
-        raise ValueError(f"keepdim must be >= 1, got {keepdim}")
+    if not _is_int(keepdim) or keepdim < 1:
+        raise ValueError(f"keepdim must be an int >= 1, got {keepdim!r}")
+    if not _is_int(return_err) or return_err not in (0, 1, 2):
+        raise ValueError(f"return_err must be 0, 1 or 2, got {return_err!r}")
     m = _matricize(ut)
-    us, ss, vhs = [], [], []
-    for sec in m.sectors:
-        u, s, vh = np.linalg.svd(sec.mat, full_matrices=False)
-        us.append(u)
-        ss.append(s)
-        vhs.append(vh)
-    nsec = len(m.sectors)
+    nsec = len(m.mats)
     if min_blockdim is not None:
         if not ut.is_sym:
             raise ValueError("min_blockdim applies to symmetric tensors only")
         if len(min_blockdim) != nsec:
             raise ValueError(f"min_blockdim needs one entry per block "
                              f"({nsec}), got {len(min_blockdim)}")
-        keeps = [min(int(mb), len(s)) for mb, s in zip(min_blockdim, ss)]
+        if not all(_is_int(mb) and mb >= 0 for mb in min_blockdim):
+            raise ValueError(f"min_blockdim entries must be ints >= 0, got "
+                             f"{list(min_blockdim)}")
+        keeps = [min(int(mb), *mat.shape) for mb, mat in zip(min_blockdim,
+                                                              m.mats)]
     else:
         keeps = [0] * nsec
+    us, ss, vhs = [], [], []
+    for mat in m.mats:
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        us.append(u)
+        ss.append(s)
+        vhs.append(vh)
     slots = keepdim - sum(keeps)
     if slots > 0:
         ranked = sorted(
@@ -333,12 +294,14 @@ def svd_truncate(ut, keepdim, err=0.0, return_err=0, min_blockdim=None):
     if return_err == 1:
         worst = discarded[0] if discarded else 0.0
         e_t = UniTensor(DenseTensor(np.array([worst])), labels=["s_err"])
-    elif return_err == 2:
+    else:
         vals = np.array(discarded) if discarded else np.zeros(1)
         e_t = UniTensor(DenseTensor(vals), labels=["s_err"])
-    else:
-        raise ValueError(f"return_err must be 0, 1 or 2, got {return_err}")
     return s_t, u_t, v_t, e_t
+
+
+def _is_int(x):
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 # -- eigendecompositions ------------------------------------------------------------
@@ -349,9 +312,9 @@ _HERM_RTOL = 1e-10
 def _check_hermitian(m):
     diff = 0.0
     scale = 0.0
-    for sec in m.sectors:
-        diff += np.sum(np.abs(sec.mat - sec.mat.conj().T) ** 2)
-        scale += np.sum(np.abs(sec.mat) ** 2)
+    for mat in m.mats:
+        diff += np.sum(np.abs(mat - mat.conj().T) ** 2)
+        scale += np.sum(np.abs(mat) ** 2)
     if np.sqrt(diff) > _HERM_RTOL * max(np.sqrt(scale), 1e-300):
         raise ValueError("matrix is not Hermitian to within tolerance "
                          f"{_HERM_RTOL}; use eig for general matrices")
@@ -367,8 +330,8 @@ def eigh(ut, compute_v=True):
     m = _matricize(ut, require_square=True)
     _check_hermitian(m)
     ws, vs, keeps = [], [], []
-    for sec in m.sectors:
-        w, v = np.linalg.eigh(sec.mat)
+    for mat in m.mats:
+        w, v = np.linalg.eigh(mat)
         ws.append(w)
         vs.append(v)
         keeps.append(len(w))
@@ -387,8 +350,8 @@ def eig(ut, compute_v=True):
     """
     m = _matricize(ut, require_square=True)
     ws, vs, keeps = [], [], []
-    for sec in m.sectors:
-        w, v = np.linalg.eig(sec.mat)
+    for mat in m.mats:
+        w, v = np.linalg.eig(mat)
         idx = np.lexsort((w.imag, w.real))
         ws.append(w[idx])
         vs.append(v[:, idx])
@@ -409,8 +372,8 @@ def qr(ut):
     """
     m = _matricize(ut)
     qs, rs, keeps = [], [], []
-    for sec in m.sectors:
-        q, r = np.linalg.qr(sec.mat, mode="reduced")
+    for mat in m.mats:
+        q, r = np.linalg.qr(mat, mode="reduced")
         qs.append(q)
         rs.append(r)
         keeps.append(q.shape[1])
@@ -428,8 +391,8 @@ def expm(ut, a=1.0, b=0.0):
     """
     m = _matricize(ut, require_square=True)
     outs = []
-    for sec in m.sectors:
-        x = a * sec.mat + b * np.eye(sec.mat.shape[0], dtype=sec.mat.dtype)
+    for mat in m.mats:
+        x = a * mat + b * np.eye(mat.shape[0], dtype=mat.dtype)
         hnorm = np.linalg.norm(x - x.conj().T)
         if hnorm <= 1e-12 * max(np.linalg.norm(x), 1e-300):
             w, v = np.linalg.eigh(x)

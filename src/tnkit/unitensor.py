@@ -4,18 +4,23 @@ A :class:`UniTensor` bundles a name, per-index string labels, the
 :class:`~tnkit.bond.Bond` list, a ``rowrank`` (how many leading indices
 form the row side when the tensor is read as a matrix), and the payload.
 For bonds without quantum numbers the payload is a single dense block; for
-quantum-number bonds it is the list of all blocks whose total charge flux
-vanishes: incoming bonds contribute their sector charge, outgoing bonds
-the reversed charge, and only zero-flux index combinations can be nonzero.
+quantum-number bonds it is all blocks whose total charge flux vanishes:
+incoming bonds contribute their sector charge, outgoing bonds the reversed
+charge, and only zero-flux index combinations can be nonzero.
 
-Which blocks exist, their Qn-index tuples and their shapes form a
+Which blocks exist, their Qn-index tuples, shapes and offsets form a
 :class:`BlockStructure`.  It is computed once per distinct bond tuple, by
 merging charges one bond at a time, and shared by every tensor and handle
 over those bonds, following the block bookkeeping of Singh, Pfeifer &
-Vidal, PRB 83, 115125 (2011).  Structures derived from it (permuted or
-transposed) and the contraction plans computed from it are memoized on
-it, so repeated contractions over the same bonds, such as those of every
-DMRG sweep, reuse their plan.
+Vidal, PRB 83, 115125 (2011).  What is computed from a structure alone
+(permuted and transposed structures, contraction plans, matricizations)
+is memoized on it, so every DMRG sweep reuses its index arrays.
+
+A block-sparse tensor keeps its elements in one flat buffer, as ITensor's
+BlockSparse storage does (Fishman, White & Stoudenmire, SciPost Phys.
+Codebases 4 (2022)): blocks end to end in block order, each C-contiguous
+under one lazy permutation, handed out as views.  A contiguous tensor's
+buffer is the layout that contraction plans and ``linalg`` read.
 
 Handles follow reference semantics: metadata-only operations (``relabel``,
 ``permute``, ``set_rowrank``, ``transpose``) return a new handle that
@@ -23,6 +28,8 @@ shares element storage with the original; use :meth:`UniTensor.clone` for
 an independent copy.
 """
 
+import itertools
+import math
 from collections import OrderedDict
 
 import numpy as np
@@ -48,19 +55,24 @@ class BlockStructure:
     """The zero-flux blocks of one bond tuple.
 
     ``qns`` holds the Qn-index tuple of every block in block order,
-    ``lookup`` maps a Qn-index tuple to its block position and ``shapes``
-    gives each block's shape.  A structure is never modified once built,
-    so tensors share it freely.  ``derived`` memoizes what is computed
-    from the structure alone (see :meth:`memo`); it is bounded by
-    :data:`STRUCTURE_CACHE_SIZE` and goes away with the structure.
+    ``lookup`` maps a Qn-index tuple to its block position, ``shapes``
+    gives each block's shape and ``offsets`` each block's start in the
+    flat buffer, with the buffer's size last.  A structure is never
+    modified once built, so tensors share it freely.  ``derived`` memoizes
+    what is computed from the structure alone (see :meth:`memo`); it is
+    bounded by :data:`STRUCTURE_CACHE_SIZE` and goes away with the
+    structure.
     """
 
-    __slots__ = ("qns", "lookup", "shapes", "derived")
+    __slots__ = ("qns", "lookup", "shapes", "offsets", "derived")
 
-    def __init__(self, qns, shapes):
+    def __init__(self, qns, shapes, offsets=None):
         self.qns = qns
         self.lookup = {q: i for i, q in enumerate(qns)}
         self.shapes = shapes
+        if offsets is None:
+            offsets = (0, *itertools.accumulate(math.prod(sh) for sh in shapes))
+        self.offsets = offsets
         self.derived = {}
 
     def memo(self, key, build, *args):
@@ -81,7 +93,8 @@ class BlockStructure:
     def permuted(self, pos):
         """The structure of the same blocks with their bonds reordered.
 
-        Block order is kept; each Qn tuple and shape is permuted.
+        Block order and block sizes are kept, so the offsets are shared;
+        each Qn tuple and shape is permuted.
         """
         pos = tuple(pos)
         if pos == tuple(range(len(pos))):
@@ -90,7 +103,8 @@ class BlockStructure:
 
     def _permute(self, pos):
         return BlockStructure(tuple(tuple(qn[p] for p in pos) for qn in self.qns),
-                              tuple(tuple(sh[p] for p in pos) for sh in self.shapes))
+                              tuple(tuple(sh[p] for p in pos) for sh in self.shapes),
+                              self.offsets)
 
     def transposed(self):
         """The structure over the same bonds with every direction flipped.
@@ -99,7 +113,47 @@ class BlockStructure:
         the same; the structure is a distinct object because plans built
         on it depend on the directions.
         """
-        return self.memo("transposed", BlockStructure, self.qns, self.shapes)
+        return self.memo("transposed", BlockStructure, self.qns, self.shapes,
+                         self.offsets)
+
+    def positions(self, perm, like=None):
+        """Where, in a buffer of this structure stored in the axis order
+        ``perm``, each element of a contiguous tensor of ``like`` (a
+        structure of the same blocks; by default this one) sits."""
+        return self.memo(("positions", perm, like), self._positions, perm,
+                         like or self)
+
+    def _positions(self, perm, like):
+        stored_axes = np.argsort(perm)      # the logical axis of each stored one
+        segments = []
+        for qn in like.qns:
+            i = self.lookup[qn]
+            segments.append(np.arange(self.offsets[i], self.offsets[i + 1])
+                            .reshape([self.shapes[i][k] for k in stored_axes])
+                            .transpose(perm).ravel())
+        return np.concatenate(segments)
+
+    def line_groups(self, free, summed):
+        """The blocks as the lines of a matrix, grouped by key.
+
+        A line is a ``free`` Qn tuple with the blocks it meets, as ``(free
+        tuple, {summed tuple: index matrix}, free element count)``; an
+        index matrix holds a block's positions in a contiguous buffer as a
+        (free, summed) matrix.  Lines come in the order their free tuple
+        first appears.  A line's key is the set of summed tuples it meets,
+        which under zero flux is fixed by the line's total charge.
+        """
+        lines = {}
+        for i, (qn, shape) in enumerate(zip(self.qns, self.shapes)):
+            f = tuple(qn[p] for p in free)
+            nf = math.prod(shape[p] for p in free)
+            idx = np.arange(self.offsets[i], self.offsets[i + 1])\
+                    .reshape(shape).transpose(free + summed).reshape(nf, -1)
+            lines.setdefault(f, (f, {}, nf))[1][tuple(qn[p] for p in summed)] = idx
+        groups = {}
+        for line in lines.values():
+            groups.setdefault(frozenset(line[1]), []).append(line)
+        return groups
 
 
 def block_structure(bonds):
@@ -149,15 +203,6 @@ def _zero_flux_blocks(bonds):
     return qns, shapes
 
 
-def zero_blocks(struct, dtype):
-    """Fresh zero-filled blocks for a structure (rejects an empty one)."""
-    if not struct.qns:
-        raise ValueError("no valid blocks: no combination of these bonds' "
-                         "sectors has zero flux")
-    return [DenseTensor._wrap(np.zeros(shape, dtype=dtype))
-            for shape in struct.shapes]
-
-
 class UniTensor(Arithmetic):
     """A named tensor with labeled bonds and dense or block-sparse payload.
 
@@ -173,9 +218,13 @@ class UniTensor(Arithmetic):
     the tensor is block-sparse and stores one dense block per zero-flux
     sector combination, enumerated row-major over the per-bond Qn indices
     with the first bond outermost.
+
+    ``_data`` is a :class:`DenseTensor`: the dense block, or the flat
+    buffer whose blocks all store logical axis k on axis ``_perm[k]``.
     """
 
-    __slots__ = ("_name", "_labels", "_bonds", "_rowrank", "_blocks", "_struct")
+    __slots__ = ("_name", "_labels", "_bonds", "_rowrank", "_data", "_struct",
+                 "_perm")
 
     def __init__(self, bonds, labels=None, name="", dtype=Float64, rowrank=None):
         if isinstance(bonds, DenseTensor):
@@ -189,31 +238,27 @@ class UniTensor(Arithmetic):
         labels = _default_labels(len(bonds)) if labels is None else list(labels)
         _check_labels(labels, len(bonds))
         n_q = sum(1 for b in bonds if b.has_qnums)
+        dt = check_dtype(dtype)
         if n_q == 0:
-            dt = check_dtype(dtype)
-            block = DenseTensor(np.zeros([b.dim for b in bonds], dtype=dt))
+            data = DenseTensor(np.zeros([b.dim for b in bonds], dtype=dt))
             struct = None
-            blocks = [block]
         elif n_q == len(bonds):
             syms = bonds[0].syms
             for b in bonds:
                 if b.syms != syms:
                     raise ValueError("all bonds must carry the same symmetries")
-            dt = check_dtype(dtype)
             struct = block_structure(bonds)
-            blocks = zero_blocks(struct, dt)
+            if not struct.qns:
+                raise ValueError("no valid blocks: no combination of these "
+                                 "bonds' sectors has zero flux")
+            data = DenseTensor._wrap(np.zeros(struct.offsets[-1], dtype=dt))
         else:
             raise ValueError(
                 "cannot mix quantum-number bonds with plain bonds in one tensor")
         if rowrank is None:
             rowrank = (len(bonds) + 1) // 2
         _check_rowrank(rowrank, len(bonds))
-        self._name = str(name)
-        self._labels = labels
-        self._bonds = bonds
-        self._rowrank = int(rowrank)
-        self._blocks = blocks
-        self._struct = struct
+        self._init(bonds, labels, int(rowrank), str(name), data, struct)
 
     def _init_wrap(self, tensor, labels, name, rowrank):
         rank = tensor.rank
@@ -224,27 +269,30 @@ class UniTensor(Arithmetic):
         if rowrank is None:
             rowrank = rank // 2
         _check_rowrank(rowrank, rank)
-        self._name = str(name)
+        self._init([Bond(d) for d in tensor.shape], labels, int(rowrank),
+                   str(name), tensor, None)
+
+    def _init(self, bonds, labels, rowrank, name, data, struct, perm=None):
+        """Set every field; a symmetric tensor without ``perm`` is contiguous."""
+        self._name = name
         self._labels = labels
-        self._bonds = [Bond(d) for d in tensor.shape]
-        self._rowrank = int(rowrank)
-        self._blocks = [tensor]
-        self._struct = None
+        self._bonds = bonds
+        self._rowrank = rowrank
+        self._data = data
+        self._struct = struct
+        self._perm = (tuple(range(len(bonds))) if struct is not None
+                      and perm is None else perm)
 
     @classmethod
-    def _assemble(cls, bonds, labels, rowrank, name, blocks, struct):
+    def _assemble(cls, bonds, labels, rowrank, name, data, struct, perm=None):
         """Internal constructor that skips validation (rank 0 allowed).
 
         ``struct`` is the :class:`BlockStructure` of ``bonds`` for a
-        symmetric tensor, None for a dense one.
+        symmetric tensor, None for a dense one.  ``data`` is the dense
+        block, or a symmetric tensor's buffer; it is shared.
         """
         ut = cls.__new__(cls)
-        ut._name = name
-        ut._labels = list(labels)
-        ut._bonds = list(bonds)
-        ut._rowrank = rowrank
-        ut._blocks = list(blocks)
-        ut._struct = struct
+        ut._init(list(bonds), list(labels), rowrank, name, data, struct, perm)
         return ut
 
     @classmethod
@@ -253,7 +301,7 @@ class UniTensor(Arithmetic):
         if dtype is None:
             dtype = storage.Complex128 if isinstance(value, complex) else Float64
         block = DenseTensor(np.array(value, dtype=check_dtype(dtype)))
-        return cls._assemble([], [], 0, "", [block], None)
+        return cls._assemble([], [], 0, "", block, None)
 
     # -- generators --------------------------------------------------------
 
@@ -315,7 +363,7 @@ class UniTensor(Arithmetic):
 
     @property
     def dtype(self):
-        return self._blocks[0].dtype
+        return self._data.dtype
 
     @property
     def is_sym(self):
@@ -323,7 +371,9 @@ class UniTensor(Arithmetic):
 
     @property
     def is_contiguous(self):
-        return all(b.is_contiguous for b in self._blocks)
+        if self._struct is None:
+            return self._data.is_contiguous
+        return self._perm == tuple(range(len(self._perm)))
 
     @property
     def braket_form(self):
@@ -336,7 +386,7 @@ class UniTensor(Arithmetic):
 
     @property
     def nblocks(self):
-        return len(self._blocks)
+        return 1 if self._struct is None else len(self._struct.qns)
 
     def bond(self, label):
         return self._bonds[self._label_pos(label)]
@@ -356,7 +406,8 @@ class UniTensor(Arithmetic):
     def _meta_view(self):
         """A handle with fresh metadata sharing all element storage."""
         return UniTensor._assemble(self._bonds, self._labels, self._rowrank,
-                                   self._name, self._blocks, self._struct)
+                                   self._name, self._data, self._struct,
+                                   self._perm)
 
     # -- relabel / permute / rowrank ------------------------------------------
 
@@ -412,19 +463,22 @@ class UniTensor(Arithmetic):
     def permute(self, order):
         """Reorder indices (by labels or positions) without moving elements."""
         pos = self._resolve_order(order)
-        labels = [self._labels[p] for p in pos]
-        bonds = [self._bonds[p] for p in pos]
-        blocks = [blk.permute(pos) for blk in self._blocks]
-        struct = None if self._struct is None else self._struct.permuted(pos)
-        return UniTensor._assemble(bonds, labels, self._rowrank, self._name,
-                                   blocks, struct)
+        data, struct, perm = self._data, self._struct, self._perm
+        if struct is None:
+            data = data.permute(pos)
+        else:
+            struct, perm = struct.permuted(pos), tuple(perm[p] for p in pos)
+        return UniTensor._assemble([self._bonds[p] for p in pos],
+                                   [self._labels[p] for p in pos],
+                                   self._rowrank, self._name, data, struct, perm)
 
     def permute_(self, order):
         out = self.permute(order)
         self._labels = out._labels
         self._bonds = out._bonds
-        self._blocks = out._blocks
+        self._data = out._data
         self._struct = out._struct
+        self._perm = out._perm
         return self
 
     def set_rowrank(self, r):
@@ -479,7 +533,7 @@ class UniTensor(Arithmetic):
         if self.is_sym:
             raise ValueError("symmetric tensors are indexed with at() or "
                              "get_block(); slicing is for dense tensors")
-        return self._blocks[0][key]
+        return self._data[key]
 
     def __setitem__(self, key, value):
         if self.is_sym:
@@ -487,14 +541,11 @@ class UniTensor(Arithmetic):
                              "put_block(); slicing is for dense tensors")
         if isinstance(value, UniTensor):
             value = value.get_block_()
-        self._blocks[0][key] = value
+        self._data[key] = value
 
     def item(self):
         """The value of a single-element tensor."""
-        total = sum(b.size for b in self._blocks)
-        if total != 1:
-            raise ValueError(f"item() needs a single-element tensor, got {total}")
-        return self._blocks[0].item()
+        return self._data.item()
 
     # -- blocks -------------------------------------------------------------------
 
@@ -509,9 +560,9 @@ class UniTensor(Arithmetic):
                              "one by index, Qn indices, or labels + Qn indices")
         if len(args) == 1 and isinstance(args[0], (int, np.integer)):
             i = int(args[0])
-            if not 0 <= i < len(self._blocks):
+            if not 0 <= i < self.nblocks:
                 raise ValueError(f"block index {i} out of range "
-                                 f"(0..{len(self._blocks) - 1})")
+                                 f"(0..{self.nblocks - 1})")
             return i
         if len(args) == 1:
             qn = tuple(int(x) for x in args[0])
@@ -534,40 +585,66 @@ class UniTensor(Arithmetic):
             raise ValueError(f"no valid block at Qn indices {qn}")
         return pos
 
+    def _block(self, i):
+        """Block ``i``: the dense tensor's block, or a view into the buffer."""
+        if self._struct is None:
+            return self._data
+        shape = self._struct.shapes[i]
+        lo, hi = self._struct.offsets[i], self._struct.offsets[i + 1]
+        return DenseTensor._wrap(self._data._storage[lo:hi].reshape(
+            [shape[k] for k in np.argsort(self._perm)]), self._perm)
+
+    def _flat(self, like=None):
+        """The elements in the layout of a contiguous tensor of ``like``
+        (by default this tensor's structure), or the dense block flattened:
+        the buffer itself when that is the stored layout, else one gather.
+        """
+        if self._struct is None:
+            return self._data.contiguous().storage()
+        if self.is_contiguous and (like is None or like.qns == self._struct.qns):
+            return self._data._storage
+        return self._data._storage[self._struct.positions(self._perm, like)]
+
     def get_block_(self, *args):
         """The addressed block as a reference (edits write through)."""
-        return self._blocks[self._block_pos(args)]
+        return self._block(self._block_pos(args))
 
     def get_block(self, *args):
         """The addressed block as an independent copy."""
-        return self._blocks[self._block_pos(args)].clone()
+        return self._block(self._block_pos(args)).clone()
 
     def get_blocks_(self):
         """All blocks, by ascending block index, as references."""
-        return list(self._blocks)
+        return [self._block(i) for i in range(self.nblocks)]
 
     def get_blocks(self):
-        return [b.clone() for b in self._blocks]
+        return [b.clone() for b in self.get_blocks_()]
 
     def put_block(self, tensor, *args):
         """Copy a tensor's values into the addressed block."""
-        pos = self._block_pos(args)
-        if tensor.shape != self._blocks[pos].shape:
+        block = self._block(self._block_pos(args))
+        if tensor.shape != block.shape:
             raise ValueError(f"block shape mismatch: {tensor.shape} vs "
-                             f"{self._blocks[pos].shape}")
-        self._blocks[pos].view()[...] = tensor.view()
+                             f"{block.shape}")
+        block.view()[...] = tensor.view()
         return self
 
     def put_block_(self, tensor, *args):
-        """Install a tensor as the addressed block (shares storage with it)."""
-        pos = self._block_pos(args)
-        if tensor.shape != self._blocks[pos].shape:
+        """Install a tensor as the dense tensor's block (shares storage
+        with it).  A block-sparse tensor's blocks are views into its one
+        buffer, so it refuses: use :meth:`put_block` to copy values in."""
+        if self.is_sym:
+            raise ValueError("a block-sparse tensor keeps its blocks in one "
+                             "buffer and cannot share another tensor's "
+                             "storage; copy the values in with put_block")
+        self._block_pos(args)
+        if tensor.shape != self._data.shape:
             raise ValueError(f"block shape mismatch: {tensor.shape} vs "
-                             f"{self._blocks[pos].shape}")
+                             f"{self._data.shape}")
         if tensor.dtype != self.dtype:
             raise TypeError(f"block dtype {dtype_name(tensor.dtype)} differs "
                             f"from tensor dtype {dtype_name(self.dtype)}")
-        self._blocks[pos] = tensor
+        self._data = tensor
         return self
 
     def block_qn_indices(self, i):
@@ -597,12 +674,11 @@ class UniTensor(Arithmetic):
     def conj(self):
         """Complex-conjugate all elements (identity for real dtypes)."""
         out = self._meta_view()
-        out._blocks = [b.conj() for b in self._blocks]
+        out._data = self._data.conj()
         return out
 
     def conj_(self):
-        for b in self._blocks:
-            b.conj_()
+        self._data.conj_()
         return self
 
     def dagger(self):
@@ -628,9 +704,9 @@ class UniTensor(Arithmetic):
         if src.rank != self.rank or src.shape != self.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {src.shape}")
         if self.is_sym and not src.is_sym:
-            src_view = src._blocks[0].view()
+            src_view = src._data.view()
             covered = np.zeros(src.shape, dtype=bool)
-            for qn, blk in zip(self._struct.qns, self._blocks):
+            for qn, blk in zip(self._struct.qns, self.get_blocks_()):
                 sl = tuple(
                     slice(b.sector_offsets()[k], b.sector_offsets()[k] + b.sectors[k][1])
                     for b, k in zip(self._bonds, qn))
@@ -641,9 +717,9 @@ class UniTensor(Arithmetic):
                     "source has nonzero elements in symmetry-violating "
                     "positions; pass force=True to drop them")
         elif not self.is_sym and src.is_sym:
-            view = self._blocks[0].view()
+            view = self._data.view()
             view[...] = 0
-            for qn, blk in zip(src._struct.qns, src._blocks):
+            for qn, blk in zip(src._struct.qns, src.get_blocks_()):
                 sl = tuple(
                     slice(b.sector_offsets()[k], b.sector_offsets()[k] + b.sectors[k][1])
                     for b, k in zip(src._bonds, qn))
@@ -652,10 +728,10 @@ class UniTensor(Arithmetic):
             if [b for b in self._bonds] != [b for b in src._bonds]:
                 raise ValueError("symmetric tensors have different bond structure")
             lookup = src._struct.lookup
-            for qn, blk in zip(self._struct.qns, self._blocks):
-                blk.view()[...] = src._blocks[lookup[qn]].view()
+            for qn, blk in zip(self._struct.qns, self.get_blocks_()):
+                blk.view()[...] = src._block(lookup[qn]).view()
         else:
-            self._blocks[0].view()[...] = src._blocks[0].view()
+            self._data.view()[...] = src._data.view()
         return self
 
     # -- arithmetic -----------------------------------------------------------------
@@ -669,8 +745,7 @@ class UniTensor(Arithmetic):
                     f"structure; operate on the blocks instead")
             out = self._meta_view()
             out._name = ""
-            out._blocks = [DenseTensor(np.asarray(op(b.view(), other)))
-                           for b in self._blocks]
+            out._data = DenseTensor(np.asarray(op(self._data.view(), other)))
             return out
         if not isinstance(other, UniTensor):
             return NotImplemented
@@ -687,13 +762,12 @@ class UniTensor(Arithmetic):
         out = self._meta_view()
         out._name = ""
         if self.is_sym:
-            lookup = other._struct.lookup
-            out._blocks = [
-                DenseTensor(op(b.view(), other._blocks[lookup[qn]].view()))
-                for qn, b in zip(self._struct.qns, self._blocks)]
+            # both operands in the layout of a contiguous self
+            out._data = DenseTensor._wrap(op(self._flat(),
+                                             other._flat(self._struct)))
+            out._perm = tuple(range(self.rank))
         else:
-            out._blocks = [DenseTensor(op(self._blocks[0].view(),
-                                          other._blocks[0].view()))]
+            out._data = DenseTensor(op(self._data.view(), other._data.view()))
         return out
 
     def __neg__(self):
@@ -701,10 +775,7 @@ class UniTensor(Arithmetic):
 
     def norm(self):
         """Two-norm over all stored elements."""
-        acc = 0.0
-        for b in self._blocks:
-            acc += float(np.sum(np.abs(b._storage) ** 2))
-        return float(np.sqrt(acc))
+        return float(np.sqrt(float(np.sum(np.abs(self._data._storage) ** 2))))
 
     # -- copies -------------------------------------------------------------------
 
@@ -714,23 +785,25 @@ class UniTensor(Arithmetic):
         Bonds are immutable values, so the copy shares them.
         """
         out = self._meta_view()
-        out._blocks = [b.clone() for b in self._blocks]
+        out._data = self._data.clone()
         return out
 
     def same_data(self, other):
         """True iff the element storage is shared with ``other``."""
-        if not isinstance(other, UniTensor) or len(self._blocks) != len(other._blocks):
-            return False
-        return all(a.same_data(b) for a, b in zip(self._blocks, other._blocks))
+        return isinstance(other, UniTensor) and self._data.same_data(other._data)
 
     def astype(self, dtype):
         out = self._meta_view()
-        out._blocks = [b.astype(dtype) for b in self._blocks]
+        out._data = self._data.astype(dtype)
         return out
 
     def contiguous_(self):
-        for b in self._blocks:
-            b.contiguous_()
+        """Store the elements in logical axis order; returns self."""
+        if not self.is_sym:
+            self._data.contiguous_()
+        elif not self.is_contiguous:
+            self._data = DenseTensor._wrap(self._flat())
+            self._perm = tuple(range(self.rank))
         return self
 
     # -- display --------------------------------------------------------------------
@@ -788,10 +861,10 @@ class UniTensor(Arithmetic):
         if not self.is_sym:
             out.append(f"contiguous : {self.is_contiguous}")
             out.append("")
-            out.append(str(self._blocks[0]))
+            out.append(str(self._data))
             return "\n".join(out)
         out.append(f"braket_form: {self.braket_form}")
-        for i, (qn, blk) in enumerate(zip(self._struct.qns, self._blocks)):
+        for i, (qn, blk) in enumerate(zip(self._struct.qns, self.get_blocks_())):
             out.append("=" * 24)
             out.append(f"BLOCK [#{i}]")
             for lbl, b, k in zip(self._labels, self._bonds, qn):
@@ -844,14 +917,14 @@ class ElementProxy:
         if self._pos is None:
             raise ValueError("trying to access an element that does not "
                              "exist; check with .exists() first")
-        return self._ut._blocks[self._pos].view()[self._index].item()
+        return self._ut._block(self._pos).view()[self._index].item()
 
     @value.setter
     def value(self, v):
         if self._pos is None:
             raise ValueError("trying to assign an element that does not "
                              "exist; check with .exists() first")
-        self._ut._blocks[self._pos].view()[self._index] = v
+        self._ut._block(self._pos).view()[self._index] = v
 
 
 def _check_labels(labels, rank):

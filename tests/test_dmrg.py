@@ -6,7 +6,6 @@ import pytest
 
 from tnkit import DenseTensor, UniTensor, contract_pair
 from tnkit import dmrg as dmrg_module
-from tnkit.contract import flat_blocks
 from tnkit.dmrg import (DmrgConfig, MPO_BOND_DIM, PHYS_DIM, build_xx_mpo,
                         dmrg_ground_state)
 from tnkit.dmrg import PSI_LABELS, _EffectiveHamiltonian, _boundary_env, \
@@ -161,7 +160,7 @@ def test_effective_hamiltonian_matches_dense_matrix():
         mat[:, i] = heff.matvec(e)
     ref = np.linalg.eigvalsh(mat)[0]
     from tnkit.linalg import LinOp, lanczos
-    vals, _ = lanczos(heff.linop(), k=1, v0=flat_blocks(psi0), tol=1e-12)
+    vals, _ = lanczos(heff.linop(), k=1, v0=psi0._flat(), tol=1e-12)
     assert abs(vals[0] - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
@@ -190,7 +189,7 @@ def _assert_matvec_matches_blueprint(mps, mpo, vectors, as_tensor):
         heff = _EffectiveHamiltonian(*ops, psi0)
         for vec in vectors(heff.dim):
             got = heff.matvec(vec)
-            ref = flat_blocks(blueprint_heff_apply(*ops, as_tensor(vec, psi0)))
+            ref = blueprint_heff_apply(*ops, as_tensor(vec, psi0))._flat()
             assert got.shape == ref.shape == (heff.dim,)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         shapes.append(psi0.shape)
@@ -259,7 +258,7 @@ def test_symmetric_matvec_keeps_the_imaginary_part():
     assert np.array_equal(heff.matvec(1j * np.ones(2)), [0.5j, 0.5j])
     vec = np.arange(2.0) + 1j
     psi = _unpack(vec, psi0)
-    assert psi.dtype == np.complex128 and np.array_equal(flat_blocks(psi), vec)
+    assert psi.dtype == np.complex128 and np.array_equal(psi._flat(), vec)
     assert all(np.shares_memory(b.view(), vec) for b in psi.get_blocks_())
 
 

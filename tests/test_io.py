@@ -43,6 +43,20 @@ def test_symmetric_round_trip(tmp_path, u1):
     assert (t2 - t).norm() == 0.0
 
 
+def test_lazily_permuted_symmetric_round_trip(tmp_path, u1):
+    # the permuted tensor's own block order, (0,0,0), (1,1,0), (0,1,1),
+    # ..., is not the order the loader enumerates its bonds in
+    b = Bond(btype=IN, sectors=[(1, 2), (-1, 1)], syms=[u1])
+    c = Bond(btype=OUT, sectors=[(2, 1), (0, 2), (-2, 2)], syms=[u1])
+    t = UniTensor([b, b, c], labels=["a", "b", "c"], dtype=Complex128)
+    trandom.normal_(t, seed=3)
+    p = t.permute(["b", "c", "a"])
+    save_unitensor(p, tmp_path / "p.utn")
+    t2 = load_unitensor(tmp_path / "p.utn")
+    assert t2.labels == ["b", "c", "a"] and t2.bonds == p.bonds
+    assert (t2 - p).norm() == 0.0
+
+
 def test_multi_symmetry_round_trip(tmp_path, u1):
     z2 = Symmetry.zn(2)
     b = Bond(btype=IN, sectors=[((1, 0), 1), ((-1, 1), 2)], syms=[u1, z2])

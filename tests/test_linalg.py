@@ -196,6 +196,35 @@ def test_min_blockdim_validation():
         linalg.svd_truncate(m, keepdim=2, min_blockdim=[1])
 
 
+def _u1_matrix_7x7():
+    """A 7x7 U(1) matrix whose sectors are 2x2, 3x3 and 2x2."""
+    u1 = Symmetry.u1()
+    b = Bond(btype=IN, sectors=[(1, 2), (0, 3), (-1, 2)], syms=[u1])
+    t = UniTensor([b, b.redirect()], labels=["a", "b"], rowrank=1)
+    trandom.normal_(t, seed=7)
+    return t
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"keepdim": 1, "min_blockdim": [-1, 0, 0]},    # dropped the top value
+    {"keepdim": 3, "min_blockdim": [-5, 0, 0]},    # was an IndexError
+    {"keepdim": 3, "min_blockdim": [1.5, 0, 0]},   # was truncated to 1
+    {"keepdim": 2.5},                              # was a TypeError
+    {"keepdim": True},
+    {"keepdim": 3, "return_err": 3},               # was raised after the SVD
+])
+def test_svd_truncate_rejects_bad_arguments_before_any_svd(monkeypatch,
+                                                           kwargs):
+    t = _u1_matrix_7x7()
+
+    def no_svd(*args, **kw):
+        raise AssertionError("an SVD ran before the arguments were checked")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    with pytest.raises(ValueError):
+        linalg.svd_truncate(t, **kwargs)
+
+
 def test_min_blockdim_may_exceed_keepdim():
     t = _sym_with_spectrum([(2.0, 1.0), (3.0, 2.5, 2.2, 2.1), (1.5, 0.2)])
     s, _, _ = linalg.svd_truncate(t, keepdim=2, min_blockdim=[2, 2, 2])
