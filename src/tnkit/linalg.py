@@ -16,8 +16,11 @@ input up to a label permutation.  If an input label collides with an
 auxiliary name, a counter is appended.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dstemr
 
 from .bond import Bond, IN, OUT, REGULAR
 from .storage import DenseTensor
@@ -437,16 +440,44 @@ class LinOp:
 _BASIS_CHUNK = 64      # rows of the first Lanczos basis allocation
 
 
-def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None):
+def _tridiag_lowest(alphas, betas, k):
+    """Lowest ``k`` eigenpairs of the real symmetric tridiagonal matrix
+    with diagonal ``alphas`` and off-diagonal ``betas`` (one shorter).
+
+    Calls LAPACK's ``dstemr`` directly: scipy's ``eigh_tridiagonal`` costs
+    several times more per call in argument checks, and the Lanczos loop
+    calls this once per iteration.  The caller guarantees finite input.
+    Returns ``(values, vectors)``: values ascending, vectors as columns.
+    """
+    m = len(alphas)
+    d = np.array(alphas, dtype=np.float64)
+    e = np.zeros(m)        # dstemr reads an n-long e and overwrites it
+    e[:m - 1] = betas
+    _, w, z, info = dstemr(d, e, 2, 0.0, 0.0, 1, k, overwrite_d=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstemr failed with info={info}")
+    return w[:k], z[:, :k]
+
+
+def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
+            best_effort=False):
     """Lowest ``k`` eigenpairs of a Hermitian linear operator.
 
     Lanczos iteration with full reorthogonalization.  Convergence is
     declared when every target Ritz value has residual
     ``|op(v) - theta*v| <= tol * max(1, |theta|)``.  On breakdown (an
     invariant subspace was found early) the iteration restarts with a
-    fresh random vector orthogonal to the basis.  Raises
-    :class:`ConvergenceError` carrying the best estimate when ``max_iter``
-    is exhausted; ``max_iter`` below ``k`` is rejected up front.
+    fresh random vector orthogonal to the basis.  ``max_iter`` bounds the
+    matvecs and below ``k`` is rejected up front.  When it is exhausted,
+    the call raises :class:`ConvergenceError` carrying the best estimate,
+    or, with ``best_effort=True``, returns that estimate: the lowest
+    ``k`` Ritz pairs of the basis built in ``max_iter`` matvecs.  From
+    a warm start ``v0`` the lowest Ritz value never exceeds ``v0``'s
+    Rayleigh quotient, so a budget-bounded solve stays variational.
+
+    A non-finite ``v0`` raises ``ValueError`` before any matvec; a
+    non-finite Lanczos coefficient (the operator returned inf or nan)
+    raises ``FloatingPointError`` in the iteration that met it.
 
     The basis vectors are the contiguous rows of an array that starts at
     64 rows and doubles when an iteration needs another row, so memory is
@@ -483,6 +514,8 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None):
         q = np.array(v0, dtype=op.dtype)
         if q.shape != (n,):
             raise ValueError(f"v0 has shape {q.shape}, expected ({n},)")
+        if not np.all(np.isfinite(q)):
+            raise ValueError("v0 has non-finite entries")
     nq = np.linalg.norm(q)
     q = random_start() if nq == 0 else q
     q = q / np.linalg.norm(q)
@@ -497,6 +530,10 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None):
     while True:
         w = op(V[it])
         alpha = np.vdot(V[it], w).real
+        if not math.isfinite(alpha):
+            raise FloatingPointError(f"lanczos iteration {it + 1}: alpha is "
+                                     f"{alpha}; the operator returned inf "
+                                     f"or nan")
         alphas.append(alpha)
         scale = max(scale, abs(alpha))
         w = w - alpha * V[it]
@@ -505,22 +542,21 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None):
         # full reorthogonalization against every Lanczos vector so far
         w = w - V[:it + 1].T @ (V[:it + 1].conj() @ w)
         beta = np.linalg.norm(w)
+        if not math.isfinite(beta):
+            raise FloatingPointError(f"lanczos iteration {it + 1}: beta is "
+                                     f"{beta}")
         mdim = it + 1
         if mdim >= k:
-            theta, y = scipy.linalg.eigh_tridiagonal(
-                np.asarray(alphas), np.asarray(betas),
-                select="i", select_range=(0, k - 1))
+            theta, y = _tridiag_lowest(alphas, betas, k)
             resid = beta * np.abs(y[-1, :])
-            if np.all(resid <= tol * np.maximum(1.0, np.abs(theta))) or mdim == n:
+            done = np.all(resid <= tol * np.maximum(1.0, np.abs(theta)))
+            if done or mdim == n or (best_effort and mdim >= cap):
                 return theta, V[:mdim].T @ y
-        if mdim >= cap:
-            theta, y = scipy.linalg.eigh_tridiagonal(
-                np.asarray(alphas), np.asarray(betas),
-                select="i", select_range=(0, min(k, mdim) - 1))
-            raise ConvergenceError(
-                f"lanczos did not converge within {max_iter} iterations "
-                f"(best residual {float(np.max(beta * np.abs(y[-1, :]))):.3e})",
-                eigenvalues=theta, eigenvectors=V[:mdim].T @ y)
+            if mdim >= cap:
+                raise ConvergenceError(
+                    f"lanczos did not converge within {max_iter} iterations "
+                    f"(best residual {float(np.max(resid)):.3e})",
+                    eigenvalues=theta, eigenvectors=V[:mdim].T @ y)
         if mdim == len(V):
             grown = np.empty((min(2 * mdim, cap), n), dtype=op.dtype)
             grown[:mdim] = V
@@ -531,9 +567,7 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None):
             w = w - V[:mdim].T @ (V[:mdim].conj() @ w)
             nw = np.linalg.norm(w)
             if nw < 1e-12:
-                theta, y = scipy.linalg.eigh_tridiagonal(
-                    np.asarray(alphas), np.asarray(betas),
-                    select="i", select_range=(0, min(k, mdim) - 1))
+                theta, y = _tridiag_lowest(alphas, betas, min(k, mdim))
                 return theta, V[:mdim].T @ y
             betas.append(0.0)
             V[mdim] = w / nw

@@ -279,12 +279,31 @@ def test_sweeps_record_max_bond_and_matvecs(monkeypatch):
 
     monkeypatch.setattr(dmrg_module, "lanczos", counting_lanczos)
     n, sweeps = 8, 3
-    res = dmrg_ground_state(DmrgConfig(n_sites=n, bond_dim=16, sweeps=sweeps))
+    cfg = DmrgConfig(n_sites=n, bond_dim=16, sweeps=sweeps)
+    res = dmrg_ground_state(cfg)
     assert res.sweep_max_bond == [16] * sweeps
     solves = 2 * (n - 1)
     assert len(calls) == solves * sweeps
+    assert max(calls) <= cfg.lanczos_max_iter
     assert res.sweep_matvecs == [sum(calls[i * solves:(i + 1) * solves])
                                  for i in range(sweeps)]
+
+
+# Sweep energies of N=12, bond_dim=8, 3 sweeps with every pair solved to
+# residual 1e-12, as the solver gave them before solves had a small budget.
+_CONVERGED_SWEEP_ENERGIES = {
+    False: [-3.6479498446996623, -3.6479518683429473, -3.647952003594889],
+    True: [-3.625624391371865, -3.6479521785344438, -3.647952138595989],
+}
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_large_budget_reproduces_converged_sweep_energies(symmetric):
+    res = dmrg_ground_state(DmrgConfig(n_sites=12, bond_dim=8, sweeps=3,
+                                       symmetric=symmetric,
+                                       lanczos_max_iter=1000))
+    ref = _CONVERGED_SWEEP_ENERGIES[symmetric]
+    assert np.allclose(res.sweep_energies, ref, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("symmetric", [False, True])

@@ -1,7 +1,9 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tnkit import (Bond, IN, OUT, Symmetry, UniTensor, contract, linalg,
                    storage)
@@ -397,6 +399,84 @@ def test_lanczos_raises_on_iteration_budget():
             lanczos(op, k=k, tol=1e-15, max_iter=3)
         assert exc.value.eigenvalues.shape == (k,)
         assert exc.value.eigenvectors.shape == (60, k)
+
+
+def test_lanczos_best_effort_returns_the_budget_estimate():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((60, 60))
+    a = a + a.T
+    for k in (1, 2):
+        with pytest.raises(ConvergenceError) as exc:
+            lanczos(LinOp(60, matvec=lambda v: a @ v), k=k, tol=1e-15,
+                    max_iter=5)
+        rows = []
+
+        def matvec(v):
+            rows.append(v.base.shape[0])
+            return a @ v
+
+        vals, vecs = lanczos(LinOp(60, matvec=matvec), k=k, tol=1e-15,
+                             max_iter=5, best_effort=True)
+        assert np.array_equal(vals, exc.value.eigenvalues)
+        assert np.array_equal(vecs, exc.value.eigenvectors)
+        assert len(rows) == 5 and max(rows) <= 5
+    # a solve that converges within the budget is not changed by it
+    d = np.linspace(1.0, 2.0, 200)
+    d[0] = 0.0
+    op, mv = _counting_diag(d)
+    vals, vecs = lanczos(op, k=1, max_iter=100, best_effort=True)
+    ref_vals, ref_vecs = lanczos(_counting_diag(d)[0], k=1, max_iter=100)
+    assert mv.calls < 100
+    assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+
+def test_lanczos_rejects_non_finite_start_before_any_matvec():
+    def never(v):
+        raise AssertionError("no matvec may run on a non-finite start")
+
+    op = LinOp(10, matvec=never)
+    for v0 in (np.full(10, np.nan), np.r_[np.ones(9), np.inf],
+               np.r_[-np.inf, np.ones(9)]):
+        with pytest.raises(ValueError, match="non-finite"):
+            lanczos(op, k=1, v0=v0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lanczos_stops_on_a_non_finite_coefficient(bad):
+    d = np.arange(1.0, 41.0)
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        out = d * v
+        if len(calls) == 3:
+            out[7] = bad
+        return out
+
+    # raised before any arithmetic on the bad values: numpy warns of none
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="iteration 3"):
+            lanczos(LinOp(40, matvec=matvec), k=1)
+    assert len(calls) == 3
+
+
+def test_tridiagonal_helper_matches_eigh_tridiagonal():
+    rng = np.random.default_rng(17)
+    for m in range(1, 61):
+        d = rng.standard_normal(m)
+        e = rng.standard_normal(m - 1)
+        for k in range(1, min(3, m) + 1):
+            vals, vecs = linalg._tridiag_lowest(list(d), list(e), k)
+            ref_vals, ref_vecs = scipy.linalg.eigh_tridiagonal(
+                d, e, select="i", select_range=(0, k - 1))
+            assert vals.shape == (k,) and vecs.shape == (m, k)
+            assert np.allclose(vals, ref_vals, rtol=0, atol=1e-12)
+            # columns agree up to sign
+            overlap = np.abs(np.sum(vecs * ref_vecs, axis=0))
+            assert np.allclose(overlap, 1.0, rtol=0, atol=1e-10)
+            assert np.allclose(np.abs(vecs[-1]), np.abs(ref_vecs[-1]),
+                               rtol=0, atol=1e-10)
 
 
 def test_lanczos_rejects_bad_budget_and_tolerance():
