@@ -78,14 +78,11 @@ class DmrgResult:
 
 # -- MPO -----------------------------------------------------------------------
 #
-# Channel layout of the bulk operator-valued matrix W[a, b] (row a, col b):
+# Channel layout of the bulk operator-valued matrix W[a, b] (row a, col b),
+# in the basis up=0, down=1:
 #     W[0,0] = I     W[0,1] = S+    W[0,2] = S-
 #     W[1,3] = S-/2  W[2,3] = S+/2  W[3,3] = I
 # The first site keeps row 0 only, the last site column 3 only.
-
-_SP = np.array([[0.0, 1.0], [0.0, 0.0]])   # S+ (basis: up=0, down=1)
-_SM = _SP.T                                # S-
-_ID = np.eye(2)
 
 _W_ENTRIES = [
     # (row channel, col channel, s_out, s_in, value)
@@ -97,63 +94,55 @@ _W_ENTRIES = [
     (3, 3, 0, 0, 1.0), (3, 3, 1, 1, 1.0),
 ]
 
-# Channel charges (twice Sz carried down the chain): I-chains carry 0,
-# an open S+ carries +2, an open S- carries -2.
-_CHAN_CHARGE = {0: 0, 1: 2, 2: -2, 3: 0}
-# Grouped internal bond: sectors [(0, 2), (+2, 1), (-2, 1)], so channels
-# 0 and 3 share the charge-0 sector at offsets 0 and 1.
-_FULL_SECTORS = [(0, 2), (2, 1), (-2, 1)]
-_FULL_FLAT = {0: 0, 3: 1, 1: 2, 2: 3}
+# Charge of each channel (twice Sz carried down the chain): the I-chains
+# carry 0, an open S+ carries +2, an open S- carries -2.
+_CHAN_CHARGE = (0, 2, -2, 0)
+_PHYS_CHARGE = (1, -1)      # twice Sz of up, down
 
 MPO_LABELS = ["wl", "wr", "po", "pi"]  # po: bra-side phys, pi: ket-side phys
 
 
-def _dense_w():
-    w = np.zeros((4, 4, 2, 2))
-    for a, b, so, si, val in _W_ENTRIES:
-        w[a, b, so, si] = val
-    return w
+def _u1_bond(charges, btype):
+    """A U(1) bond over states with these charges, equal charges adjacent."""
+    sectors = [(q, charges.count(q)) for q in dict.fromkeys(charges)]
+    return Bond(btype=btype, sectors=sectors, syms=[Symmetry.u1()])
 
 
 def build_xx_mpo(n, symmetric=False):
     """The XX-chain MPO: ``n`` rank-4 tensors labeled (wl, wr, po, pi).
 
     Internal bonds have dimension 4 in the bulk and dimension 1 at the two
-    boundaries (the boundary row/column selection is baked in).  With
-    ``symmetric=True`` every bond carries U(1) charges: physical bonds
-    have sectors (+1, -1) and the internal bond groups its four channels
-    into charge sectors (0 x2, +2, -2).
+    boundaries (the boundary row/column selection is baked in).  The
+    first, bulk and last tensors are built once from ``_W_ENTRIES``, and
+    the bulk one is cloned.  With ``symmetric=True`` the U(1) tensors are
+    converted from the dense ones by ``convert_from``, which checks that
+    every entry conserves charge: physical bonds have sectors (+1, -1),
+    and the internal bond groups its channels by ``_CHAN_CHARGE`` into
+    sectors (0 x2, +2, -2).
     """
     if n < 2:
         raise ValueError(f"an MPO chain needs n >= 2 sites, got {n}")
-    if not symmetric:
-        w = _dense_w()
-        first = DenseTensor(w[0:1, :, :, :].copy())
-        bulk = DenseTensor(w)
-        last = DenseTensor(w[:, 3:4, :, :].copy())
-        tensors = [first] + [bulk.clone() for _ in range(n - 2)] + [last]
-        return [UniTensor(t, labels=list(MPO_LABELS), rowrank=2,
-                          name=f"W{i}") for i, t in enumerate(tensors)]
-    u1 = Symmetry.u1()
-    phys_in = Bond(btype=IN, sectors=[(1, 1), (-1, 1)], syms=[u1])
-    phys_out = phys_in.redirect()
-    full_in = Bond(btype=IN, sectors=_FULL_SECTORS, syms=[u1])
-    full_out = full_in.redirect()
-    first_in = Bond(btype=IN, sectors=[(0, 1)], syms=[u1])
-    last_out = Bond(btype=OUT, sectors=[(0, 1)], syms=[u1])
-    first_flat = {0: 0}
-    last_flat = {3: 0}
-    out = []
-    for site in range(n):
-        wl, lmap = (first_in, first_flat) if site == 0 else (full_in, _FULL_FLAT)
-        wr, rmap = (last_out, last_flat) if site == n - 1 else (full_out, _FULL_FLAT)
-        t = UniTensor([wl, wr, phys_in, phys_out],
-                      labels=list(MPO_LABELS), rowrank=2, name=f"W{site}")
-        for a, b, so, si, val in _W_ENTRIES:
-            if a in lmap and b in rmap:
-                t.at([lmap[a], rmap[b], so, si]).value = val
-        out.append(t)
-    return out
+    w = np.zeros((MPO_BOND_DIM, MPO_BOND_DIM, PHYS_DIM, PHYS_DIM))
+    for a, b, so, si, val in _W_ENTRIES:
+        w[a, b, so, si] = val
+    chans = list(range(MPO_BOND_DIM))
+    if symmetric:
+        # channels of equal charge adjacent, charges in order of appearance
+        chans.sort(key=lambda c: _CHAN_CHARGE.index(_CHAN_CHARGE[c]))
+        phys = _u1_bond(_PHYS_CHARGE, IN)
+    ends = []
+    for rows, cols in (([0], chans), (chans, chans), (chans, [3])):
+        t = UniTensor(DenseTensor(w[np.ix_(rows, cols)]),
+                      labels=list(MPO_LABELS), rowrank=2)
+        if symmetric:
+            t = UniTensor([_u1_bond([_CHAN_CHARGE[c] for c in rows], IN),
+                           _u1_bond([_CHAN_CHARGE[c] for c in cols], OUT),
+                           phys, phys.redirect()],
+                          labels=list(MPO_LABELS), rowrank=2).convert_from(t)
+        ends.append(t)
+    first, bulk, last = ends
+    tensors = [first] + [bulk.clone() for _ in range(n - 2)] + [last]
+    return [t.set_name(f"W{i}") for i, t in enumerate(tensors)]
 
 
 # -- MPS initialization ---------------------------------------------------------
@@ -173,18 +162,16 @@ def _random_dense_mps(n, bond_dim, seed):
 
 
 def _neel_symmetric_mps(n):
-    u1 = Symmetry.u1()
-    phys = Bond(btype=IN, sectors=[(1, 1), (-1, 1)], syms=[u1])
+    phys = _u1_bond(_PHYS_CHARGE, IN)
     mps = []
     charge = 0
     for j in range(n):
-        q = 1 if j % 2 == 0 else -1
-        vl = Bond(btype=IN, sectors=[(charge, 1)], syms=[u1])
-        charge += q
-        vr = Bond(btype=OUT, sectors=[(charge, 1)], syms=[u1])
-        t = UniTensor([vl, phys, vr], labels=list(MPS_LABELS), rowrank=1,
-                      name=f"A{j}")
-        t.at([0, 0 if q == 1 else 1, 0]).value = 1.0
+        s = j % 2                  # up on even sites, down on odd ones
+        vl = _u1_bond([charge], IN)
+        charge += _PHYS_CHARGE[s]
+        t = UniTensor([vl, phys, _u1_bond([charge], OUT)],
+                      labels=list(MPS_LABELS), rowrank=1, name=f"A{j}")
+        t.at([0, s, 0]).value = 1.0
         mps.append(t)
     return mps
 
@@ -211,44 +198,32 @@ ENV_LABELS = ["b", "w", "k"]
 
 
 def _boundary_env(mps, mpo, side):
-    """Dimension-1 environment closing the chain on the left or right."""
-    if not mps[0].is_sym:
-        t = DenseTensor(np.ones((1, 1, 1)))
-        return UniTensor(t, labels=list(ENV_LABELS), rowrank=1)
-    u1 = mps[0].bonds[0].syms[0]
+    """Dimension-1 environment closing the chain on the left or right.
+
+    Its legs (b, w, k) take the bonds (ket, w.redirect(), ket.redirect())
+    of the MPS end bond ``ket`` and the MPO end bond ``w``, so dense
+    chains and chains of any charges close alike; its one element is 1.
+    """
     if side == "left":
-        ket = mps[0].bonds[0]          # IN (charge c0)
-        wb = mpo[0].bonds[0]           # IN
-        charge = ket.sectors[0][0]
-        b = Bond(btype=IN, sectors=[(charge, 1)], syms=[u1])
-        w = wb.redirect()
-        k = ket.redirect()
+        ket, w = mps[0].bonds[0], mpo[0].bonds[0]
     else:
-        ket = mps[-1].bonds[2]         # OUT (charge c_n)
-        wb = mpo[-1].bonds[1]          # OUT
-        charge = ket.sectors[0][0]
-        b = Bond(btype=OUT, sectors=[(charge, 1)], syms=[u1])
-        w = wb.redirect()
-        k = ket.redirect()
-    env = UniTensor([b, w, k], labels=list(ENV_LABELS), rowrank=1)
+        ket, w = mps[-1].bonds[2], mpo[-1].bonds[1]
+    env = UniTensor([ket, w.redirect(), ket.redirect()],
+                    labels=list(ENV_LABELS), rowrank=1)
     env.at([0, 0, 0]).value = 1.0
     return env
 
 
-def _grow_left(env, a, w_t):
+def _grow(env, a, w, side):
+    """``env`` grown by site tensor ``a`` and MPO tensor ``w``: a left
+    environment by the site on its right, a right one by the site on its
+    left.  The legs (b, w, k) meet the site's near legs, and its far legs
+    become the new ones."""
+    near_first = 1 if side == "left" else -1
     abar = a.dagger()
-    t = contract_pair(env, a.relabel(["k", "p", "kn"]))
-    t = contract_pair(t, w_t.relabel(["w", "wn", "pb", "p"]))
-    t = contract_pair(t, abar.relabel(["b", "pb", "bn"]))
-    t = t.relabel(["kn", "wn", "bn"], ["k", "w", "b"]).permute(ENV_LABELS)
-    return t.contiguous_()
-
-
-def _grow_right(env, a, w_t):
-    abar = a.dagger()
-    t = contract_pair(env, a.relabel(["kn", "p", "k"]))
-    t = contract_pair(t, w_t.relabel(["wn", "w", "pb", "p"]))
-    t = contract_pair(t, abar.relabel(["bn", "pb", "b"]))
+    t = contract_pair(env, a.relabel(["k", "p", "kn"][::near_first]))
+    t = contract_pair(t, w.relabel(["w", "wn"][::near_first] + ["pb", "p"]))
+    t = contract_pair(t, abar.relabel(["b", "pb", "bn"][::near_first]))
     t = t.relabel(["kn", "wn", "bn"], ["k", "w", "b"]).permute(ENV_LABELS)
     return t.contiguous_()
 
@@ -388,7 +363,7 @@ def dmrg_ground_state(cfg):
     left_env[0] = _boundary_env(mps, mpo, "left")
     right_env[n] = _boundary_env(mps, mpo, "right")
     for j in range(n - 1, 1, -1):
-        right_env[j] = _grow_right(right_env[j + 1], mps[j], mpo[j])
+        right_env[j] = _grow(right_env[j + 1], mps[j], mpo[j], "right")
 
     def solve(j):
         psi0 = _merge_pair(mps[j], mps[j + 1])
@@ -410,15 +385,15 @@ def dmrg_ground_state(cfg):
             mps[j] = u.relabel(list(MPS_LABELS)).set_name(f"A{j}")
             mps[j + 1] = contract_pair(s, vd).relabel(list(MPS_LABELS))\
                                              .set_name(f"A{j+1}")
-            left_env[j + 1] = _grow_left(left_env[j], mps[j], mpo[j])
+            left_env[j + 1] = _grow(left_env[j], mps[j], mpo[j], "left")
         for j in range(n - 2, -1, -1):  # right to left
             res.energy, psi = solve(j)
             s, u, vd = svd_truncate(psi, keepdim=cfg.bond_dim)
             mps[j + 1] = vd.relabel(list(MPS_LABELS)).set_name(f"A{j+1}")
             mps[j] = contract_pair(u, s).relabel(list(MPS_LABELS))\
                                         .set_name(f"A{j}")
-            right_env[j + 1] = _grow_right(right_env[j + 2], mps[j + 1],
-                                           mpo[j + 1])
+            right_env[j + 1] = _grow(right_env[j + 2], mps[j + 1],
+                                     mpo[j + 1], "right")
         res.sweep_energies.append(res.energy)
         res.sweep_max_bond.append(max(a.shape[2] for a in mps))
     return res

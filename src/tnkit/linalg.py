@@ -131,9 +131,13 @@ def _new_bond(m, keeps, btype):
 
 
 def _factor(bonds, labels, rowrank, name, kept, new_axis):
-    """The block-sparse factor over ``bonds`` whose matrix, in the sector
-    of Qn index n on the new bond (axis ``new_axis``), is ``kept[n]``;
-    each sector is written with one index scatter."""
+    """The factor over ``bonds`` whose matrix, in the sector of Qn index n
+    on the new bond (axis ``new_axis``), is ``kept[n]``.  A dense factor
+    is its one kept matrix, reshaped; a block-sparse one is written with
+    one index scatter per sector."""
+    if not bonds[0].has_qnums:
+        data = DenseTensor(kept[0].reshape([b.dim for b in bonds]))
+        return UniTensor._assemble(bonds, labels, rowrank, name, data, None)
     struct = block_structure(bonds)
     buf = np.zeros(struct.offsets[-1], dtype=np.result_type(*kept))
     for rows, cols, idx in _sectors(struct, rowrank):
@@ -144,38 +148,22 @@ def _factor(bonds, labels, rowrank, name, kept, new_axis):
 
 def _build_left(m, mats, keeps, label, name):
     """Left factor: row bonds + one new OUT bond; inherits row labels."""
-    bonds = m.row_bonds + [_new_bond(m, keeps, OUT)]
-    labels = m.row_labels + [label]
-    if not m.ut.is_sym:
-        arr = mats[0][:, :keeps[0]].reshape([b.dim for b in m.row_bonds]
-                                            + [keeps[0]])
-        return UniTensor._assemble(bonds, labels, len(m.row_bonds), name,
-                                   DenseTensor(np.ascontiguousarray(arr)), None)
-    return _factor(bonds, labels, len(m.row_bonds), name,
+    return _factor(m.row_bonds + [_new_bond(m, keeps, OUT)],
+                   m.row_labels + [label], len(m.row_bonds), name,
                    [mat[:, :k] for mat, k in zip(mats, keeps) if k], -1)
 
 
 def _build_right(m, mats, keeps, label, name):
     """Right factor: one new IN bond + column bonds; inherits column labels."""
-    bonds = [_new_bond(m, keeps, IN)] + m.col_bonds
-    labels = [label] + m.col_labels
-    if not m.ut.is_sym:
-        arr = mats[0][:keeps[0], :].reshape([keeps[0]]
-                                            + [b.dim for b in m.col_bonds])
-        return UniTensor._assemble(bonds, labels, 1, name,
-                                   DenseTensor(np.ascontiguousarray(arr)), None)
-    return _factor(bonds, labels, 1, name,
+    return _factor([_new_bond(m, keeps, IN)] + m.col_bonds,
+                   [label] + m.col_labels, 1, name,
                    [mat[:k] for mat, k in zip(mats, keeps) if k], 0)
 
 
 def _build_middle(m, diags, keeps, labels, name):
     """Square diagonal middle factor on the new bond (IN left, OUT right)."""
-    bonds = [_new_bond(m, keeps, IN), _new_bond(m, keeps, OUT)]
-    if not m.ut.is_sym:
-        arr = np.diag(np.asarray(diags[0])[:keeps[0]])
-        return UniTensor._assemble(bonds, labels, 1, name,
-                                   DenseTensor(arr), None)
-    return _factor(bonds, labels, 1, name,
+    return _factor([_new_bond(m, keeps, IN), _new_bond(m, keeps, OUT)],
+                   labels, 1, name,
                    [np.diag(np.asarray(d)[:k]) for d, k in zip(diags, keeps)
                     if k], 0)
 

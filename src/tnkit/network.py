@@ -48,7 +48,9 @@ class Network:
         self._optimal = False   # recompute the order at every launch
         self._bindings = {}     # name -> (tensor, [tensor labels])
         if source is not None:
-            if isinstance(source, str) and "\n" not in source and ":" not in source:
+            # a blueprint has a slot line and a TOUT line, so a string
+            # without a line break is a path
+            if isinstance(source, str) and "\n" not in source:
                 self.from_file(source)
             elif isinstance(source, str):
                 self.from_string(source.splitlines())

@@ -44,6 +44,15 @@ def dtype_name(dtype):
     return _DTYPE_NAMES[np.dtype(dtype)]
 
 
+def check_writable(dtype, value):
+    """Raise ``TypeError`` if writing ``value`` (anything with a dtype, or
+    array-like) into elements of ``dtype`` would drop imaginary parts."""
+    if np.iscomplexobj(value) and not np.issubdtype(dtype, np.complexfloating):
+        raise TypeError(f"cannot write complex values into a "
+                        f"{dtype_name(dtype)} tensor; convert it with "
+                        f"astype first")
+
+
 def _operator(op, symbol):
     def method(self, other):
         return self._binary(other, op, symbol)
@@ -57,20 +66,21 @@ def _swapped(op):
 class Arithmetic:
     """The binary arithmetic operators, written once for both tensor types.
 
-    Each calls ``self._binary(other, op, symbol)`` with a numpy ufunc (its
-    operands swapped for the reflected form) and the operator's symbol.
+    Each calls ``self._binary(other, op, symbol)`` with a numpy ufunc and
+    the operator's symbol; the reflected form swaps the ufunc's operands
+    and prefixes the symbol with ``r``.
     """
 
     __slots__ = ()
 
     __add__ = _operator(np.add, "+")
-    __radd__ = _operator(_swapped(np.add), "+")
+    __radd__ = _operator(_swapped(np.add), "r+")
     __sub__ = _operator(np.subtract, "-")
-    __rsub__ = _operator(_swapped(np.subtract), "-")
+    __rsub__ = _operator(_swapped(np.subtract), "r-")
     __mul__ = _operator(np.multiply, "*")
-    __rmul__ = _operator(_swapped(np.multiply), "*")
+    __rmul__ = _operator(_swapped(np.multiply), "r*")
     __truediv__ = _operator(np.true_divide, "/")
-    __rtruediv__ = _operator(_swapped(np.true_divide), "/")
+    __rtruediv__ = _operator(_swapped(np.true_divide), "r/")
 
 
 class DenseTensor(Arithmetic):
@@ -214,6 +224,7 @@ class DenseTensor(Arithmetic):
                                  f"{np.shape(view[key])} vs {value.shape}")
         elif not np.isscalar(value):
             raise TypeError(f"cannot assign {type(value).__name__} into a tensor")
+        check_writable(self.dtype, value)
         view[key] = value
 
     # -- arithmetic -------------------------------------------------------

@@ -36,7 +36,8 @@ import numpy as np
 
 from . import storage
 from .bond import Bond, BondType, IN, OUT, REGULAR
-from .storage import Arithmetic, DenseTensor, Float64, check_dtype, dtype_name
+from .storage import (Arithmetic, DenseTensor, Float64, check_dtype,
+                      check_writable, dtype_name)
 from .symmetry import combine_qnums, identity_qnum, reverse_qnums
 
 # Distinct bond tuples whose structure is kept; the least recently used is
@@ -626,6 +627,7 @@ class UniTensor(Arithmetic):
         if tensor.shape != block.shape:
             raise ValueError(f"block shape mismatch: {tensor.shape} vs "
                              f"{block.shape}")
+        check_writable(self.dtype, tensor)
         block.view()[...] = tensor.view()
         return self
 
@@ -697,12 +699,14 @@ class UniTensor(Arithmetic):
         tensor's block structure.  Nonzero source elements outside those
         addresses raise an error unless ``force=True``, in which case they
         are dropped.  Symmetric -> dense writes the valid blocks and zeros
-        elsewhere.
+        elsewhere.  A complex source for a real tensor raises ``TypeError``
+        before anything is written.
         """
         if not isinstance(src, UniTensor):
             raise TypeError("convert_from expects a UniTensor")
         if src.rank != self.rank or src.shape != self.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {src.shape}")
+        check_writable(self.dtype, src)
         if self.is_sym and not src.is_sym:
             src_view = src._data.view()
             covered = np.zeros(src.shape, dtype=bool)
@@ -738,11 +742,13 @@ class UniTensor(Arithmetic):
 
     def _binary(self, other, op, symbol):
         if isinstance(other, (int, float, complex, bool, np.generic)):
-            if self.is_sym and symbol in "+-":
+            # s + t, t - s, s / t, ...: every element outside the blocks
+            # would become nonzero
+            if self.is_sym and symbol in ("+", "r+", "-", "r-", "r/"):
                 raise ValueError(
-                    f"cannot perform elementwise '{symbol}' between a scalar "
-                    f"and a block-sparse tensor: it would destroy the block "
-                    f"structure; operate on the blocks instead")
+                    f"cannot perform elementwise '{symbol[-1]}' between a "
+                    f"scalar and a block-sparse tensor: it would destroy the "
+                    f"block structure; operate on the blocks instead")
             out = self._meta_view()
             out._name = ""
             out._data = DenseTensor(np.asarray(op(self._data.view(), other)))
@@ -924,6 +930,7 @@ class ElementProxy:
         if self._pos is None:
             raise ValueError("trying to assign an element that does not "
                              "exist; check with .exists() first")
+        check_writable(self._ut.dtype, v)
         self._ut._block(self._pos).view()[self._index] = v
 
 

@@ -121,6 +121,19 @@ def test_contract_binding_without_label_list(tmp_path, capsys):
     assert r.labels == ["r", "c"] and r.shape == (2, 3)
 
 
+def test_contract_netfile_with_colon_in_its_name(tmp_path, monkeypatch,
+                                                 capsys):
+    # a one-line string is a path even when it has a colon
+    monkeypatch.chdir(tmp_path)
+    save_unitensor(UniTensor.ones([3], labels=["x"], name="A"), "a.utn")
+    (tmp_path / "odd:name.net").write_text("M1: i\nM2: i\nTOUT:\n")
+    rc = main(["contract", "odd:name.net", "--tensor", "M1=a.utn",
+               "--tensor", "M2=a.utn"])
+    assert rc == 0
+    assert "scalar result: 3.0" in capsys.readouterr().out
+    assert (tmp_path / "odd:name_out.utn").exists()
+
+
 def test_usage_errors():
     assert main(["dmrg", "--n", "4"]) == 1          # missing --chi
     assert main(["bogus"]) == 1

@@ -4,13 +4,14 @@ import weakref
 import numpy as np
 import pytest
 
-from tnkit import DenseTensor, UniTensor, contract_pair
+from tnkit import (Bond, DenseTensor, IN, OUT, Symmetry, UniTensor,
+                   contract_pair)
 from tnkit import dmrg as dmrg_module
-from tnkit.dmrg import (DmrgConfig, MPO_BOND_DIM, PHYS_DIM, build_xx_mpo,
-                        dmrg_ground_state)
+from tnkit.dmrg import (DmrgConfig, MPO_BOND_DIM, MPO_LABELS, MPS_LABELS,
+                        PHYS_DIM, build_xx_mpo, dmrg_ground_state)
 from tnkit.dmrg import PSI_LABELS, _EffectiveHamiltonian, _boundary_env, \
-    _grow_left, _grow_right, _merge_pair, _neel_symmetric_mps, \
-    _random_dense_mps, _right_canonicalize, _unpack
+    _grow, _merge_pair, _neel_symmetric_mps, _random_dense_mps, \
+    _right_canonicalize, _unpack
 from tests.conftest import (blueprint_heff_apply, free_fermion_ground_energy,
                             to_dense, xx_dense_hamiltonian)
 
@@ -127,7 +128,7 @@ def test_effective_hamiltonian_is_hermitian():
     right = [None] * (n + 1)
     right[n] = _boundary_env(mps, mpo, "right")
     for j in range(n - 1, 1, -1):
-        right[j] = _grow_right(right[j + 1], mps[j], mpo[j])
+        right[j] = _grow(right[j + 1], mps[j], mpo[j], "right")
     psi0 = _merge_pair(mps[0], mps[1])
     heff = _EffectiveHamiltonian(left, mpo[0], mpo[1], right[2], psi0)
     dim = heff.dim
@@ -149,7 +150,7 @@ def test_effective_hamiltonian_matches_dense_matrix():
     right = [None] * (n + 1)
     right[n] = _boundary_env(mps, mpo, "right")
     for j in range(n - 1, 1, -1):
-        right[j] = _grow_right(right[j + 1], mps[j], mpo[j])
+        right[j] = _grow(right[j + 1], mps[j], mpo[j], "right")
     psi0 = _merge_pair(mps[0], mps[1])
     heff = _EffectiveHamiltonian(left, mpo[0], mpo[1], right[2], psi0)
     dim = heff.dim
@@ -171,10 +172,46 @@ def _environments(mps, mpo):
     left[0] = _boundary_env(mps, mpo, "left")
     right[n] = _boundary_env(mps, mpo, "right")
     for j in range(n - 1):
-        left[j + 1] = _grow_left(left[j], mps[j], mpo[j])
+        left[j + 1] = _grow(left[j], mps[j], mpo[j], "left")
     for j in range(n - 1, 0, -1):
-        right[j] = _grow_right(right[j + 1], mps[j], mpo[j])
+        right[j] = _grow(right[j + 1], mps[j], mpo[j], "right")
     return left, right
+
+
+def test_boundaries_close_a_chain_with_product_charges():
+    """The boundaries take the chain's end bonds whole, so a chain whose
+    virtual bonds carry U(1)xZ2 charges, and start off the zero sector,
+    closes: <psi|1|psi> through a boundary and the environments grown
+    from it is the squared norm, from either side."""
+    syms = [Symmetry.u1(), Symmetry.zn(2)]
+    states = [(1, 1), (-1, 0)]              # charge of each local state
+    phys = Bond(btype=IN, sectors=[(q, 1) for q in states], syms=syms)
+    chan = Bond(btype=IN, sectors=[((0, 0), 1)], syms=syms)
+    ident = UniTensor([chan, chan.redirect(), phys, phys.redirect()],
+                      labels=list(MPO_LABELS))
+    for s in range(2):
+        ident.at([0, 0, s, s]).value = 1.0
+    charge, mps = (2, 1), []
+    for j, s in enumerate([0, 1, 1]):
+        vl = Bond(btype=IN, sectors=[(charge, 1)], syms=syms)
+        charge = (charge[0] + states[s][0], (charge[1] + states[s][1]) % 2)
+        vr = Bond(btype=OUT, sectors=[(charge, 1)], syms=syms)
+        a = UniTensor([vl, phys, vr], labels=list(MPS_LABELS))
+        a.at([0, s, 0]).value = 2.0 + j
+        mps.append(a)
+    mpo = [ident.clone() for _ in mps]
+    left = _boundary_env(mps, mpo, "left")
+    right = _boundary_env(mps, mpo, "right")
+    end = mps[0].bonds[0]
+    assert left.bonds == [end, chan.redirect(), end.redirect()]
+    assert right.bonds[0] == mps[-1].bonds[2]
+    grown_left, grown_right = left, right
+    for a, w in zip(mps, mpo):
+        grown_left = _grow(grown_left, a, w, "left")
+    for a, w in zip(mps[::-1], mpo[::-1]):
+        grown_right = _grow(grown_right, a, w, "right")
+    assert contract_pair(grown_left, right).item() == 4.0 * 9.0 * 16.0
+    assert contract_pair(left, grown_right).item() == 4.0 * 9.0 * 16.0
 
 
 def _assert_matvec_matches_blueprint(mps, mpo, vectors, as_tensor):

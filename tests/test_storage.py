@@ -110,6 +110,20 @@ def test_element_and_slice_access():
         t[5, 0, 0]
 
 
+def test_complex_slice_into_real_raises_before_writing():
+    t = ones([2, 3])
+    for value in (np.full((2, 3), 1 + 1j), ones([2, 3], dtype=Complex128),
+                  np.complex128(2j)):
+        with pytest.raises(TypeError, match="complex"):
+            t[:, :] = value
+    assert np.array_equal(t.view(), np.ones((2, 3)))
+    c = zeros([2, 3], dtype=Complex128)
+    c[:, :] = np.full((2, 3), 1 + 1j)
+    assert c[1, 2] == 1 + 1j
+    t[:, :] = np.full((2, 3), 4, dtype=np.int64)     # real into real is fine
+    assert t[0, 0] == 4.0
+
+
 def test_arithmetic():
     a = ones([2, 3])
     b = a * 3 + 2

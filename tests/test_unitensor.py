@@ -253,6 +253,18 @@ def test_put_block_round_trip(sym_rank3):
         t.put_block(storage.zeros([2, 2]), 0)
 
 
+def test_block_and_element_writes_of_complex_into_real_raise(sym_rank3):
+    t = sym_rank3
+    trandom.normal_(t, seed=2)
+    before = t.get_block(1)
+    with pytest.raises(TypeError, match="complex"):
+        t.put_block(before.astype(Complex128) * 1j, 1)
+    assert np.array_equal(t.get_block_(1).view(), before.view())
+    with pytest.raises(TypeError, match="complex"):
+        t.at([0, 1, 1]).value = np.complex128(1j)
+    assert np.array_equal(t.get_block_(1).view(), before.view())
+
+
 def test_put_block_reference_writes_through():
     t = UniTensor.ones([2, 2])
     new = storage.zeros([2, 2])
@@ -375,6 +387,31 @@ def test_convert_random_round_trips(rng):
         assert (back - t).norm() < 1e-14
 
 
+def _u1_pair(u1, dtype=np.float64):
+    """A 2x2 U(1) tensor with the two diagonal blocks (charges +1, -1)."""
+    b = Bond(btype=IN, sectors=[(1, 1), (-1, 1)], syms=[u1])
+    return UniTensor([b, b.redirect()], labels=["a", "b"], dtype=dtype)
+
+
+@pytest.mark.parametrize("src_sym", [False, True])
+@pytest.mark.parametrize("dst_sym", [False, True])
+def test_convert_complex_into_real_raises_before_writing(u1, src_sym,
+                                                         dst_sym):
+    src = UniTensor(storage.from_numpy(np.array([[1 + 1j, 0], [0, 2j]])),
+                    labels=["a", "b"])
+    if src_sym:
+        src = _u1_pair(u1, Complex128).convert_from(src)
+    dst = _u1_pair(u1) if dst_sym else UniTensor.zeros([2, 2],
+                                                        labels=["a", "b"])
+    dst.at([1, 1]).value = 5.0
+    with pytest.raises(TypeError, match="complex"):
+        dst.convert_from(src)
+    assert dst.at([0, 0]).value == 0.0 and dst.at([1, 1]).value == 5.0
+    # a complex target takes the values whole
+    cdst = dst.astype(Complex128).convert_from(src)
+    assert cdst.at([0, 0]).value == 1 + 1j and cdst.at([1, 1]).value == 2j
+
+
 # -- arithmetic ---------------------------------------------------------------------
 
 def test_dense_scalar_arithmetic():
@@ -394,6 +431,18 @@ def test_symmetric_scalar_add_rejected(sym_rank3):
         sym_rank3 - 1.0
     scaled = (sym_rank3 * 2) / 2
     assert (scaled - sym_rank3).norm() < 1e-15
+
+
+def test_scalar_divided_by_symmetric_rejected(sym_rank3):
+    trandom.normal_(sym_rank3, seed=3)
+    with pytest.raises(ValueError, match="elementwise '/'"):
+        2.0 / sym_rank3
+    with pytest.raises(ValueError, match="elementwise '-'"):
+        1.0 - sym_rank3
+    halved = sym_rank3 / 2
+    assert np.array_equal(halved._flat(), sym_rank3._flat() / 2)
+    dense = UniTensor.ones([2, 3]) * 4
+    assert np.allclose((2.0 / dense).get_block_().view(), 0.5)
 
 
 def test_arithmetic_aligns_by_labels():
