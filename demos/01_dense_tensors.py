@@ -1,4 +1,4 @@
-"""Dense strided tensors: generators, lazy permutation, slicing, arithmetic.
+"""Dense strided tensors: generators, permuted views, slicing, arithmetic.
 
 Run with:  python demos/01_dense_tensors.py
 """
@@ -9,7 +9,8 @@ from tnkit import storage
 a = storage.arange(24).reshape(2, 3, 4)
 print("a:", a.shape, "contiguous:", a.is_contiguous)
 
-# permute only rewrites metadata; the buffer stays put until `contiguous`.
+# permute is a numpy transpose: only the strides change, and the buffer
+# stays put until `contiguous`.  storage() reads it in memory order.
 b = a.permute(1, 2, 0)
 print("b = a.permute(1,2,0):", b.shape, "contiguous:", b.is_contiguous)
 print("b buffer (unchanged):", list(b.storage())[:8], "...")

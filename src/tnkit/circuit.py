@@ -146,7 +146,8 @@ def _central_sz(state, n):
     """(<sz> of the central site, <psi|psi>), read in storage order."""
     axis = state.labels.index(f"q{(n + 1) // 2 - 1}")  # site ceil(n/2)
     block = state.get_block_()
-    v = block._storage.reshape(2 ** block._perm[axis], 2, -1)
+    view = block.view()
+    v = block.storage().reshape(-1, 2, view.strides[axis] // view.itemsize)
     up = np.sum(np.abs(v[:, 0, :]) ** 2)
     down = np.sum(np.abs(v[:, 1, :]) ** 2)
     return float(up - down), float(up + down)

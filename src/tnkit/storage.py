@@ -1,16 +1,16 @@
-"""Dense strided numeric arrays with lazy axis permutation.
+"""Dense strided numeric arrays: thin handles on numpy views.
 
-:class:`DenseTensor` keeps a flat, row-major buffer together with a
-permutation that maps logical axes to storage axes.  ``permute`` only
-rewrites that mapping; the buffer is rearranged when ``contiguous`` is
-called (and implicitly inside ``reshape`` when needed).  All handles are
-references: metadata-changing methods return a new handle that shares the
-element buffer with the original.
+A :class:`DenseTensor` holds one numpy view of a C-contiguous buffer in
+logical axis order; numpy's strides record where each axis lives in
+memory.  ``permute`` is a transpose; the buffer is rearranged when
+``contiguous`` is called (and implicitly inside ``reshape`` when needed).
+All handles are references: metadata-changing methods return a new handle
+that shares the element buffer with the original.
 
 :func:`contract_axes` contracts two tensors as one matrix product.  It
 reads an operand in place, with no copy, when the contracted axes lead or
 trail its storage order.  Its result keeps the storage order of that
-product and may therefore come back lazily permuted.
+product and may therefore come back as a transposed view.
 
 Supported dtypes are float64, complex128, int64 and bool.
 """
@@ -45,10 +45,12 @@ def dtype_name(dtype):
 
 
 def check_writable(dtype, value):
-    """Raise ``TypeError`` if writing ``value`` (anything with a dtype, or
-    array-like) into elements of ``dtype`` would drop imaginary parts."""
-    if np.iscomplexobj(value) and not np.issubdtype(dtype, np.complexfloating):
-        raise TypeError(f"cannot write complex values into a "
+    """Raise ``TypeError`` unless ``value`` (anything with a dtype, or
+    array-like) casts to ``dtype`` under numpy's ``same_kind`` rule: no
+    complex into real, float into integer or number into bool."""
+    src = value.dtype if hasattr(value, "dtype") else np.asarray(value).dtype
+    if not np.can_cast(src, dtype, "same_kind"):
+        raise TypeError(f"cannot write {src} values into a "
                         f"{dtype_name(dtype)} tensor; convert it with "
                         f"astype first")
 
@@ -84,63 +86,57 @@ class Arithmetic:
 
 
 class DenseTensor(Arithmetic):
-    """A multi-dimensional array with lazy permutation.
+    """A multi-dimensional array: one numpy view of a C-contiguous buffer.
 
-    Internally holds ``_storage`` (a C-contiguous numpy array whose axis
-    order is the storage order) and ``_perm`` (logical axis k lives on
-    storage axis ``_perm[k]``).  The logical element ``(i0, ..)`` reads the
-    buffer at the row-major offset of the permuted multi-index.
+    ``_array`` holds the elements in logical axis order; its strides are
+    the only record of where each axis lives in memory.  The logical
+    element ``(i0, ..)`` is ``_array[i0, ..]``.
     """
 
-    __slots__ = ("_storage", "_perm")
+    __slots__ = ("_array",)
 
-    def __init__(self, array, _perm=None):
-        arr = np.asarray(array)
-        dt = check_dtype(arr.dtype)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self._storage = arr.astype(dt, copy=False)
-        self._perm = tuple(range(arr.ndim)) if _perm is None else tuple(_perm)
+    def __init__(self, array):
+        arr = np.asarray(array, order="C")
+        self._array = arr.astype(check_dtype(arr.dtype), copy=False)
 
     # -- basic properties ------------------------------------------------
 
     @property
     def shape(self):
-        s = self._storage.shape
-        return tuple(s[p] for p in self._perm)
+        return self._array.shape
 
     @property
     def rank(self):
-        return self._storage.ndim
+        return self._array.ndim
 
     @property
     def size(self):
-        return self._storage.size
+        return self._array.size
 
     @property
     def dtype(self):
-        return self._storage.dtype
+        return self._array.dtype
 
     @property
     def is_contiguous(self):
-        return self._perm == tuple(range(self._storage.ndim))
+        return self._array.flags.c_contiguous
 
     def view(self):
         """Numpy view in logical axis order (shares the buffer)."""
-        return self._storage.transpose(self._perm)
+        return self._array.view()
 
     def numpy(self):
         """Copy of the logical array as a plain numpy array."""
-        return np.array(self.view())
+        return np.array(self._array)
 
     def storage(self):
         """The flat buffer in memory order (a view; mutations propagate)."""
-        return self._storage.reshape(-1)
+        return self._array.ravel(order="K")
 
     def item(self):
         if self.size != 1:
             raise ValueError(f"item() needs a single-element tensor, got {self.size}")
-        return self._storage.reshape(-1)[0].item()
+        return self._array.item()
 
     # -- layout ----------------------------------------------------------
 
@@ -149,12 +145,10 @@ class DenseTensor(Arithmetic):
         order = _flatten_axes(order, self.rank)
         if sorted(order) != list(range(self.rank)):
             raise ValueError(f"invalid permutation {order} for rank {self.rank}")
-        return DenseTensor._wrap(self._storage,
-                                 tuple(self._perm[o] for o in order))
+        return DenseTensor._wrap(self._array.transpose(order))
 
     def permute_(self, *order):
-        t = self.permute(*order)
-        self._perm = t._perm
+        self._array = self.permute(*order)._array
         return self
 
     def contiguous(self):
@@ -163,14 +157,10 @@ class DenseTensor(Arithmetic):
         Returns a buffer-sharing handle when already contiguous, otherwise
         reorders the elements into a fresh buffer.
         """
-        if self.is_contiguous:
-            return DenseTensor._wrap(self._storage, self._perm)
-        return DenseTensor(np.ascontiguousarray(self.view()))
+        return DenseTensor._wrap(np.asarray(self._array, order="C"))
 
     def contiguous_(self):
-        if not self.is_contiguous:
-            self._storage = np.ascontiguousarray(self.view())
-            self._perm = tuple(range(self._storage.ndim))
+        self._array = np.asarray(self._array, order="C")
         return self
 
     def reshape(self, *shape):
@@ -183,41 +173,35 @@ class DenseTensor(Arithmetic):
         if int(np.prod(shape, dtype=np.int64)) != self.size:
             raise ValueError(f"cannot reshape {self.shape} (size {self.size}) "
                              f"into {shape}")
-        if self.is_contiguous:
-            base = self._storage
-        else:
-            base = np.ascontiguousarray(self.view())
-        return DenseTensor(base.reshape(shape))
+        return DenseTensor._wrap(np.asarray(self._array, order="C").reshape(shape))
 
     def reshape_(self, *shape):
-        t = self.reshape(*shape)
-        self._storage = t._storage
-        self._perm = t._perm
+        self._array = self.reshape(*shape)._array
         return self
 
     def astype(self, dtype):
-        dt = check_dtype(dtype)
-        return DenseTensor(self.view().astype(dt))
+        return DenseTensor._wrap(self._array.astype(check_dtype(dtype),
+                                                    order="C"))
 
     def clone(self):
-        return DenseTensor(np.array(self._storage), self._perm)
+        return DenseTensor._wrap(self._array.copy(order="K"))
 
     def same_data(self, other):
-        return np.shares_memory(self._storage, other._storage)
+        return np.shares_memory(self._array, other._array)
 
     # -- element access --------------------------------------------------
 
     def __getitem__(self, key):
-        out = self.view()[_as_key(key)]
+        out = self._array[_as_key(key)]
         if np.ndim(out) == 0:
             return out.item()
-        return DenseTensor(np.ascontiguousarray(out))
+        return DenseTensor._wrap(out.copy())
 
     def __setitem__(self, key, value):
         key = _as_key(key)
-        view = self.view()
+        view = self._array
         if isinstance(value, DenseTensor):
-            value = value.view()
+            value = value._array
         if isinstance(value, np.ndarray):
             if np.shape(view[key]) != value.shape:
                 raise ValueError(f"slice assignment shape mismatch: "
@@ -234,38 +218,38 @@ class DenseTensor(Arithmetic):
             if self.shape != other.shape:
                 raise ValueError(f"elementwise op on mismatched shapes "
                                  f"{self.shape} vs {other.shape}")
-            return DenseTensor(op(self.view(), other.view()))
+            return DenseTensor(op(self._array, other._array))
         if isinstance(other, (int, float, complex, bool, np.generic)):
-            return DenseTensor(np.asarray(op(self.view(), other)))
+            return DenseTensor(np.asarray(op(self._array, other)))
         return NotImplemented
 
     def __neg__(self):
-        return DenseTensor(-self.view())
+        return DenseTensor(-self._array)
 
     def norm(self):
         """Two-norm: sqrt of the sum of |element|^2."""
-        return float(np.linalg.norm(self._storage.reshape(-1)))
+        return float(np.linalg.norm(self.storage()))
 
     def conj(self):
-        return DenseTensor(np.conj(self.view()))
+        return DenseTensor(np.conj(self._array))
 
     def conj_(self):
         if np.issubdtype(self.dtype, np.complexfloating):
-            np.conj(self._storage, out=self._storage)
+            np.conj(self._array, out=self._array)
         return self
 
     def pow(self, p):
         """Elementwise power."""
-        return DenseTensor(np.asarray(self.view() ** p))
+        return DenseTensor(np.asarray(self._array ** p))
 
     def pow_(self, p):
-        self._storage **= p
+        self._array **= p
         return self
 
     # -- display ----------------------------------------------------------
 
     def __str__(self):
-        body = format_array(self.view())
+        body = format_array(self._array)
         return (f"Total elem: {self.size}\n"
                 f"type  : {dtype_name(self.dtype)}\n"
                 f"device: {DEVICE}\n"
@@ -279,15 +263,14 @@ class DenseTensor(Arithmetic):
     # -- internals ---------------------------------------------------------
 
     @staticmethod
-    def _wrap(storage, perm=None):
-        """Handle on a C-contiguous array of a supported dtype, unchecked.
+    def _wrap(array):
+        """Unchecked handle on a view of a C-contiguous buffer.
 
         For arrays the library has just made itself; anything else goes
         through the constructor.
         """
         t = DenseTensor.__new__(DenseTensor)
-        t._storage = storage
-        t._perm = tuple(range(storage.ndim)) if perm is None else perm
+        t._array = array
         return t
 
 
@@ -304,56 +287,64 @@ def contract_axes(a, b, a_axes, b_axes):
     order in which the axes are listed.
 
     The result keeps the storage order of the product, (a's free axes, b's
-    free axes), each as its matrix holds them, under a lazy permutation to
-    the logical order: a's free axes, then b's, each in logical order.  A
-    full contraction gives a rank-0 tensor.
+    free axes), each as its matrix holds them, viewed in the logical order:
+    a's free axes, then b's, each in logical order.  A full contraction
+    gives a rank-0 tensor.
     """
-    big, small = (a, a_axes), (b, b_axes)
+    (arr_a, pos_a), (arr_b, pos_b) = _stored(a), _stored(b)
+    big, small = (pos_a, a_axes), (pos_b, b_axes)
     if a.size < b.size:
         big, small = small, big
-    for t, axes in (big, small):
-        if _at_an_end(t, axes):
-            order = sorted(range(len(axes)), key=lambda i: t._perm[axes[i]])
+    for pos, axes in (big, small):
+        if _at_an_end(pos, axes):
+            order = sorted(range(len(axes)), key=lambda i: pos[axes[i]])
             break
     else:
         order = range(len(a_axes))
-    mat_a, free_a = _matrix(a, a_axes, order, k_first=False)
-    mat_b, free_b = _matrix(b, b_axes, order, k_first=True)
-    dims = ([a._storage.shape[s] for s in free_a]
-            + [b._storage.shape[s] for s in free_b])
+    mat_a, free_a = _matrix(arr_a, pos_a, a_axes, order, k_first=False)
+    mat_b, free_b = _matrix(arr_b, pos_b, b_axes, order, k_first=True)
+    dims = [arr_a.shape[s] for s in free_a] + [arr_b.shape[s] for s in free_b]
     out = (mat_a @ mat_b).reshape(dims)
-    perm = ([free_a.index(a._perm[k]) for k in range(a.rank) if k not in a_axes]
-            + [len(free_a) + free_b.index(b._perm[k])
+    perm = ([free_a.index(pos_a[k]) for k in range(a.rank) if k not in a_axes]
+            + [len(free_a) + free_b.index(pos_b[k])
                for k in range(b.rank) if k not in b_axes])
-    return DenseTensor._wrap(out, tuple(perm))
+    return DenseTensor._wrap(out.transpose(perm))
 
 
-def _at_an_end(t, axes):
-    """Whether the logical ``axes`` of t lead or trail its storage order."""
-    stored = sorted(t._perm[k] for k in axes)
+def _stored(t):
+    """t's buffer with axes in memory order, read from the strides, and the
+    memory position of each logical axis."""
+    order = sorted(range(t.rank), key=lambda k: -t._array.strides[k])
+    return t._array.transpose(order), sorted(range(t.rank), key=order.__getitem__)
+
+
+def _at_an_end(pos, axes):
+    """Whether the logical ``axes``, at memory positions ``pos``, lead or
+    trail the storage order."""
+    stored = sorted(pos[k] for k in axes)
     return stored in (list(range(len(axes))),
-                      list(range(t.rank - len(axes), t.rank)))
+                      list(range(len(pos) - len(axes), len(pos))))
 
 
-def _matrix(t, axes, order, k_first):
-    """t as a (K, F) matrix if ``k_first``, else (F, K), its contracted
-    elements running over ``axes`` in ``order``; also its free storage
-    axes in the order the matrix holds them."""
-    contracted = [t._perm[axes[i]] for i in order]
-    k = math.prod(t._storage.shape[s] for s in contracted)
-    free = [s for s in range(t.rank) if s not in contracted]
-    in_place = list(range(t.rank))
+def _matrix(arr, pos, axes, order, k_first):
+    """An operand, ``arr`` and ``pos`` from :func:`_stored`, as a (K, F)
+    matrix if ``k_first``, else (F, K), its contracted elements running over
+    ``axes`` in ``order``; also its free memory axes in the matrix's order."""
+    in_place = list(range(arr.ndim))
+    contracted = [pos[axes[i]] for i in order]
+    k = math.prod(arr.shape[s] for s in contracted)
+    free = [s for s in in_place if s not in contracted]
     if contracted + free == in_place:
-        m = t._storage.reshape(k, -1)
+        m = arr.reshape(k, -1)
         return (m if k_first else m.T), free
     if free + contracted == in_place:
-        m = t._storage.reshape(-1, k)
+        m = arr.reshape(-1, k)
         return (m.T if k_first else m), free
-    free = [t._perm[i] for i in range(t.rank) if i not in axes]
+    free = [pos[i] for i in in_place if i not in axes]
     if k_first:
-        m = np.ascontiguousarray(t._storage.transpose(contracted + free))
+        m = np.ascontiguousarray(arr.transpose(contracted + free))
         return m.reshape(k, -1), free
-    m = np.ascontiguousarray(t._storage.transpose(free + contracted))
+    m = np.ascontiguousarray(arr.transpose(free + contracted))
     return m.reshape(-1, k), free
 
 

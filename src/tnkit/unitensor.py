@@ -592,8 +592,8 @@ class UniTensor(Arithmetic):
             return self._data
         shape = self._struct.shapes[i]
         lo, hi = self._struct.offsets[i], self._struct.offsets[i + 1]
-        return DenseTensor._wrap(self._data._storage[lo:hi].reshape(
-            [shape[k] for k in np.argsort(self._perm)]), self._perm)
+        return DenseTensor._wrap(self._data.storage()[lo:hi].reshape(
+            [shape[k] for k in np.argsort(self._perm)]).transpose(self._perm))
 
     def _flat(self, like=None):
         """The elements in the layout of a contiguous tensor of ``like``
@@ -603,8 +603,8 @@ class UniTensor(Arithmetic):
         if self._struct is None:
             return self._data.contiguous().storage()
         if self.is_contiguous and (like is None or like.qns == self._struct.qns):
-            return self._data._storage
-        return self._data._storage[self._struct.positions(self._perm, like)]
+            return self._data.storage()
+        return self._data.storage()[self._struct.positions(self._perm, like)]
 
     def get_block_(self, *args):
         """The addressed block as a reference (edits write through)."""
@@ -781,7 +781,7 @@ class UniTensor(Arithmetic):
 
     def norm(self):
         """Two-norm over all stored elements."""
-        return float(np.sqrt(float(np.sum(np.abs(self._data._storage) ** 2))))
+        return self._data.norm()
 
     # -- copies -------------------------------------------------------------------
 

@@ -125,6 +125,13 @@ def test_norm_series_on_acceptance_circuit():
     assert np.max(np.abs(res.norm - 1.0)) <= 1e-12
 
 
+def _memory_position(block, axis):
+    """Where logical ``axis`` of a state block sits in memory order: the
+    number of its axes with a larger stride (every qubit axis is 2 long)."""
+    strides = block.view().strides
+    return sum(s > strides[axis] for s in strides)
+
+
 def test_reading_the_norm_leaves_sz_bit_identical(monkeypatch):
     """sz comes from the same two half-sums as the norm, unchanged by it."""
     cfg = CircuitConfig(n_sites=7, steps=12, pattern="uududdu")
@@ -141,8 +148,8 @@ def test_reading_the_norm_leaves_sz_bit_identical(monkeypatch):
     sz_only = []
     for state in states:
         block = state.get_block_()
-        axis = block._perm[state.labels.index(f"q{site}")]
-        v = block._storage.reshape(2 ** axis, 2, -1)
+        axis = _memory_position(block, state.labels.index(f"q{site}"))
+        v = block.storage().reshape(2 ** axis, 2, -1)
         sz_only.append(float(np.sum(np.abs(v[:, 0, :]) ** 2)
                              - np.sum(np.abs(v[:, 1, :]) ** 2)))
     assert res.sz.tolist() == sz_only
@@ -160,7 +167,7 @@ def test_every_gate_finds_its_qubits_at_the_front_of_memory(monkeypatch, n):
 
     def spying(state, gate):
         block = state.get_block_()
-        fronts.append(sorted(block._perm[state.labels.index(l)]
+        fronts.append(sorted(_memory_position(block, state.labels.index(l))
                              for l in gate.labels[:2]))
         return contract_pair(state, gate)
 

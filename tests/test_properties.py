@@ -5,7 +5,7 @@ dense eigensolvers, and contraction order independence."""
 import itertools
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tnkit import (Bond, IN, OUT, Symmetry, UniTensor, contract, storage)
 from tnkit import random as trandom
@@ -100,6 +100,8 @@ def test_at_is_label_order_invariant(perm, seed):
 # -- lazy-permute transparency ---------------------------------------------------------
 
 @given(_shapes_and_orders(), st.integers(min_value=0, max_value=10**6))
+@example(([1, 3, 1, 2], [2, 1, 3, 0]), 0)      # size-1 axes moved
+@example(([3, 1, 2], [0, 2, 1]), 0)            # only a size-1 axis moved
 @settings(max_examples=60, deadline=None)
 def test_storage_reads_unchanged_by_contiguity(shape_order, seed):
     shape, order = shape_order
@@ -111,6 +113,11 @@ def test_storage_reads_unchanged_by_contiguity(shape_order, seed):
     after = [c[idx] for idx in itertools.product(*map(range, c.shape))]
     assert before == after
     assert list(t.storage()) == buffer_before  # source buffer untouched
+    buf = t.storage()
+    assert np.shares_memory(buf, t.view())
+    assert t.is_contiguous == (buffer_before == list(t.view().ravel()))
+    buf[0] = -1                                 # memory offset 0 ...
+    assert t.view()[(0,) * t.rank] == -1        # ... is logical (0, .., 0)
 
 
 # -- Lanczos vs dense ------------------------------------------------------------------

@@ -67,6 +67,14 @@ def test_permute_is_lazy():
         t.permute(0, 0, 1)
 
 
+def test_view_shares_the_buffer_but_not_the_shape():
+    t = arange(6).reshape(2, 3)
+    v = t.view()
+    v.shape = (3, 2)
+    v[0, 0] = 7.0
+    assert t.shape == (2, 3) and t[0, 0] == 7.0
+
+
 def test_contiguous_storage_reordering():
     a = arange(8).reshape(2, 2, 2)
     a.permute_(0, 2, 1)
@@ -99,9 +107,10 @@ def test_element_and_slice_access():
     t[1, 1, 2] = 3.0
     assert t[1, 1, 2] == 3.0
     part = t[0, :, 1:3]          # a copy, unaffected by later writes
+    row = t[0]                   # a copy too, though numpy's is a view
     t[0, :, 1:3] = ones([3, 2])
     assert t[0, 1, 2] == 1.0
-    assert part.norm() == 0.0
+    assert part.norm() == 0.0 and row.norm() == 0.0
     full = t[:, :, :]
     assert np.array_equal(full.view(), t.view())
     with pytest.raises(ValueError):

@@ -387,6 +387,28 @@ def test_convert_random_round_trips(rng):
         assert (back - t).norm() < 1e-14
 
 
+_WRITES = {
+    "__setitem__": lambda t, v: t.__setitem__((0, 0), v),
+    "put_block": lambda t, v: t.put_block(storage.from_numpy(np.full((2, 2), v))),
+    "convert_from": lambda t, v: t.convert_from(
+        UniTensor(storage.from_numpy(np.full((2, 2), v)), labels=t.labels)),
+    "at().value": lambda t, v: setattr(t.at([0, 0]), "value", v),
+}
+
+
+@pytest.mark.parametrize("dtype, value", [(storage.Int64, 1.7),
+                                          (storage.Bool, 0.5),
+                                          (storage.Bool, 2)])
+@pytest.mark.parametrize("write", list(_WRITES))
+def test_lossy_writes_raise_before_writing(write, dtype, value):
+    t = UniTensor.zeros([2, 2], labels=["a", "b"], dtype=dtype)
+    with pytest.raises(TypeError, match="astype"):
+        _WRITES[write](t, value)
+    assert not t.get_block_().view().any()
+    _WRITES[write](t, True)              # bool casts into every dtype
+    assert t.at([0, 0]).value == 1
+
+
 def _u1_pair(u1, dtype=np.float64):
     """A 2x2 U(1) tensor with the two diagonal blocks (charges +1, -1)."""
     b = Bond(btype=IN, sectors=[(1, 1), (-1, 1)], syms=[u1])
