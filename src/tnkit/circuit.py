@@ -14,16 +14,20 @@ z-magnetization of the central site, site ceil(n/2) counting from one, is
 recorded.
 
 The state is held as a rank-n tensor with one labeled index per qubit and
-gates are applied by label-driven contraction.  At the start of every
-brickwork layer the state buffer is rotated once so that the layer's first
-bond is the front of memory.  Dense contraction reads an operand whose
-contracted axes lead its memory order without copying it, and each gate's
-output puts the untouched qubits first and the gate's pair last, so the
-next bond of the layer is then at the front: a layer costs one copy of
-the state instead of one per gate.  The central-site readout reads the
-buffer in memory order for the same reason.
+gates are applied by label-driven contraction.  Each brickwork layer is
+split into consecutive windows of at most ``FUSE_WIDTH`` qubits, each
+holding whole gates of the layer; a qubit no gate of the layer touches
+gets a 2x2 identity.  A window's gates commute, so their outer product is
+one fused gate, built once per run.  A layer is one left-to-right sweep of
+its fused gates.  Dense contraction reads an operand whose contracted axes
+lead its memory order without copying it, and each product writes the
+untouched qubits first and the window last, so the next window is then at
+the front; after the last window the buffer is back in qubit order.  A
+layer thus makes one pass over the state per window and never copies it
+otherwise.  The central-site readout reads the buffer in memory order.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +41,12 @@ from .storage import Complex128, DenseTensor
 from .unitensor import UniTensor
 
 MAX_SITES = 24  # full statevector memory guard
+
+# Qubits per fused gate.  A wider window means fewer passes over the state
+# but 2^w multiply-adds per element: on 18 qubits, 150 steps (2-vCPU host),
+# w = 2, 3, 4, 5, 6 took 2.5, 2.1, 1.6, 1.9 and 2.3 s
+# (BENCH_qsim_fusion.json).
+FUSE_WIDTH = 4
 
 GATE_LABELS = ["in_up", "in_bottom", "out_up", "out_bottom"]
 
@@ -134,12 +144,49 @@ def _initial_state(cfg):
     return UniTensor(DenseTensor(arr), labels=labels, rowrank=0)
 
 
-def _apply_gate(state, gate, site):
-    """Contract a bond gate into the state on (site, site+1)."""
-    qa, qb = f"q{site}", f"q{site + 1}"
-    g = gate.relabel([qa, qb, f"_n_{qa}", f"_n_{qb}"])
-    out = contract_pair(state, g)
-    return out.relabel([f"_n_{qa}", f"_n_{qb}"], [qa, qb])
+def _layer_windows(n, first):
+    """The layer whose bonds start at ``first``, as consecutive windows of
+    at most ``FUSE_WIDTH`` qubits that cover 0..n-1 in order.  A window is
+    ``(start, stop, bonds)``: qubits start..stop-1 and the layer's bonds
+    among them (bond b couples b and b+1), whole gates only."""
+    windows, start, bonds, q = [], 0, [], 0
+    while q < n:
+        width = 2 if first <= q < n - 1 and (q - first) % 2 == 0 else 1
+        if q + width - start > FUSE_WIDTH:
+            windows.append((start, q, bonds))
+            start, bonds = q, []
+        if width == 2:
+            bonds.append(q)
+        q += width
+    windows.append((start, n, bonds))
+    return windows
+
+
+def _fused_gate(gates, start, stop, bonds):
+    """One window's gate: the outer product of its bond gates and an
+    identity on each other qubit, stored contiguous with its input labels
+    q<start>..q<stop-1> leading in qubit order, then ``_n_`` output labels."""
+    mats, q = [], start
+    while q < stop:
+        if q in bonds:
+            mats.append(gates[q].get_block_().view().reshape(4, 4))
+            q += 2
+        else:
+            mats.append(np.eye(2))
+            q += 1
+    width = stop - start
+    qubits = [f"q{i}" for i in range(start, stop)]
+    arr = functools.reduce(np.kron, mats).reshape([2] * (2 * width))
+    return UniTensor(DenseTensor(arr), labels=qubits + [f"_n_{l}" for l in qubits],
+                     rowrank=width)
+
+
+def _apply_gate(state, gate):
+    """Contract a fused gate into the state; its outputs take over its
+    input labels."""
+    width = gate.rank // 2
+    out = contract_pair(state, gate)
+    return out.relabel(gate.labels[width:], gate.labels[:width])
 
 
 def _central_sz(state, n):
@@ -165,16 +212,14 @@ def simulate_circuit(cfg):
                          f"guard ({MAX_SITES} sites)")
     n = cfg.n_sites
     gates = _bond_gates(cfg)
+    layers = [[_fused_gate(gates, *w) for w in _layer_windows(n, first)]
+              for first in (0, 1) if first < n - 1]
     state = _initial_state(cfg)
-    labels = state.labels
-    layers = [range(first, n - 1, 2) for first in (0, 1) if first < n - 1]
     series = [_central_sz(state, n)]
     for _ in range(cfg.steps):
-        for bonds in layers:
-            first = bonds[0]
-            state = state.permute(labels[first:] + labels[:first]).contiguous_()
-            for b in bonds:
-                state = _apply_gate(state, gates[b], b)
+        for layer in layers:
+            for gate in layer:
+                state = _apply_gate(state, gate)
         series.append(_central_sz(state, n))
     sz, norm = (np.array(column) for column in zip(*series))
     times = cfg.dt * np.arange(cfg.steps + 1)

@@ -157,8 +157,10 @@ def _cmd_netopt(args):
             print(f"bad --dims entry {item!r}; expected label=dim",
                   file=sys.stderr)
             return USAGE_ERROR
-        label, d = item.split("=", 1)
-        dims[label.strip()] = int(d)
+        label, d = (part.strip() for part in item.split("=", 1))
+        if label in dims:
+            raise ValueError(f"--dims gives label {label!r} more than once")
+        dims[label] = int(d)
     label_sets = {name: labels for name, labels in net._slots}
     tree = find_optimal_order(label_sets, dims)
     print(f"order: {render_order(tree)}")

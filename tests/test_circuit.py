@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -91,14 +93,16 @@ def test_series_matches_reference_small_chain():
 
 def test_norm_is_preserved():
     cfg = CircuitConfig(n_sites=5, steps=10, pattern="uuddd")
-    from tnkit.circuit import _bond_gates, _initial_state, _apply_gate
+    from tnkit.circuit import (_apply_gate, _bond_gates, _fused_gate,
+                               _initial_state, _layer_windows)
     state = _initial_state(cfg)
     gates = _bond_gates(cfg)
+    layers = [[_fused_gate(gates, *w) for w in _layer_windows(5, first)]
+              for first in (0, 1)]
     for _ in range(cfg.steps):
-        for b in range(0, 4, 2):
-            state = _apply_gate(state, gates[b], b)
-        for b in range(1, 4, 2):
-            state = _apply_gate(state, gates[b], b)
+        for layer in layers:
+            for gate in layer:
+                state = _apply_gate(state, gate)
         assert abs(state.norm() - 1.0) <= 1e-10
 
 
@@ -106,7 +110,11 @@ def test_norm_is_preserved():
     (2, "du"),        # one bond: the odd layer is empty
     (3, "dud"),       # one bond per layer
     (4, "uddu"),      # two even bonds, one odd
+    (5, "uuddu"),     # two bonds per layer, one site left out of each
+    (6, "dduduu"),    # three even bonds, two odd
     (7, "duuddud"),   # three bonds per layer, one site left out of each
+    (8, "udduuddd"),  # even windows [0-3][4-7], odd [0-2][3-6][7]
+    (9, "duududdud"), # four bonds per layer, one site left out of each
 ])
 def test_layer_rotation_matches_reference_at_edge_sizes(n, pattern):
     cfg = CircuitConfig(n_sites=n, j=0.9, hx=0.6, hz=1.3, dt=0.08, steps=9,
@@ -162,19 +170,68 @@ def test_reading_the_norm_leaves_sz_bit_identical(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 7])
 def test_every_gate_finds_its_qubits_at_the_front_of_memory(monkeypatch, n):
-    """The per-layer rotation lets each gate read the state in place."""
+    """Each window's fused gate reads its k qubits at memory positions
+    0..k-1, so every product reads the state in place."""
     fronts = []
 
     def spying(state, gate):
         block = state.get_block_()
+        width = gate.rank // 2
         fronts.append(sorted(_memory_position(block, state.labels.index(l))
-                             for l in gate.labels[:2]))
+                             for l in gate.labels[:width]))
         return contract_pair(state, gate)
 
     monkeypatch.setattr(circuit, "contract_pair", spying)
     simulate_circuit(CircuitConfig(n_sites=n, steps=3))
-    assert len(fronts) == 3 * (n - 1)
-    assert all(f == [0, 1] for f in fronts)
+    widths = [stop - start for first in (0, 1) if first < n - 1
+              for start, stop, _ in circuit._layer_windows(n, first)]
+    assert fronts == 3 * [list(range(k)) for k in widths]
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_layer_windows_tile_the_chain(n):
+    for first in (0, 1):
+        windows = circuit._layer_windows(n, first)
+        assert windows[0][0] == 0 and windows[-1][1] == n
+        assert all(w[1] == nxt[0] for w, nxt in zip(windows, windows[1:]))
+        assert all(0 < stop - start <= circuit.FUSE_WIDTH
+                   for start, stop, _ in windows)
+        for b in range(first, n - 1, 2):
+            assert sum(b in bonds and start <= b and b + 1 < stop
+                       for start, stop, bonds in windows) == 1
+        assert sorted(b for _, _, bonds in windows for b in bonds) == list(
+            range(first, n - 1, 2))
+
+
+def test_layers_never_copy_the_state(monkeypatch):
+    """Each product reads the buffer the previous one wrote, and the traced
+    peak of a run stays within two states, the one a product reads and the
+    one it writes, plus small change: the fused gates and Python objects
+    take under 100 KB, and a third state would add 256 KB."""
+    cfg = CircuitConfig(n_sites=14, steps=3)
+    state_bytes = 2 ** 14 * 16
+    chained, last = [], []
+
+    def spying(state, gate):
+        view = state.get_block_().view()
+        if last:
+            chained.append(np.may_share_memory(view, last[0]))
+        out = contract_pair(state, gate)
+        last[:] = [out.get_block_().view()]
+        return out
+
+    monkeypatch.setattr(circuit, "contract_pair", spying)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        res = simulate_circuit(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(chained) == 3 * 8 - 1 and all(chained)   # 8 windows a step
+    assert peak <= 2 * state_bytes + 128 * 1024
+    assert np.max(np.abs(res.sz - circuit_reference(cfg))) <= 1e-12
 
 
 def test_central_sz_reads_any_storage_order():

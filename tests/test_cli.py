@@ -27,6 +27,17 @@ def test_netopt_missing_dims_is_usage_error(tmp_path, capsys):
     assert "missing labels" in capsys.readouterr().err
 
 
+def test_netopt_repeated_dims_label_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "m.net"
+    p.write_text("A: a, b\nB: b, c\nTOUT: a, c\n")
+    assert main(["netopt", str(p), "--dims", "a=2,b=3,c=2"]) == 0
+    assert "cost : 12" in capsys.readouterr().out
+    assert main(["netopt", str(p), "--dims", "a=2,b=3,c=2, a=5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "'a'" in captured.err
+
+
 def test_qsim_constant_column(tmp_path):
     out = tmp_path / "sz.csv"
     rc = main(["qsim", "--n", "3", "--hx", "0", "--hz", "0", "--steps", "5",
