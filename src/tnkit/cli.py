@@ -5,7 +5,8 @@ Subcommands:
 * ``contract`` -- launch a network file on serialized tensors
 * ``dmrg``     -- ground state of the XX chain, JSON output
 * ``qsim``     -- Trotterized Ising-circuit magnetization series, CSV output
-* ``netopt``   -- optimal contraction order and cost for a network file
+* ``netopt``   -- optimal contraction order, its cost and its largest
+  intermediate for a network file
 
 Exit codes: 0 ok, 1 usage error, 2 numeric failure.
 """
@@ -18,7 +19,8 @@ import time
 import numpy as np
 
 from .circuit import CircuitConfig, simulate_circuit
-from .contract import contraction_cost, find_optimal_order, render_order
+from .contract import (contraction_cost, contraction_peak,
+                       find_optimal_order, render_order)
 from .dmrg import DmrgConfig, dmrg_ground_state
 from .io import load_unitensor, save_unitensor
 from .linalg import ConvergenceError
@@ -48,8 +50,9 @@ def _build_parser():
     c.add_argument("--optimal", action="store_true",
                    help="search for the cheapest contraction order")
     c.add_argument("--print-order", action="store_true",
-                   help="print the contraction order that was used and "
-                        "its predicted cost")
+                   help="print the contraction order that was used, its "
+                        "predicted cost and the element count of its "
+                        "largest intermediate")
     c.add_argument("--out", default=None,
                    help="output tensor path (default: <netfile stem>_out.utn)")
 
@@ -76,7 +79,8 @@ def _build_parser():
     q.add_argument("--csv", default=None, metavar="OUT",
                    help="write t,sz rows to this file")
 
-    o = sub.add_parser("netopt", help="optimal order and cost for a network")
+    o = sub.add_parser("netopt", help="optimal order, cost and peak size "
+                                      "for a network")
     o.add_argument("netfile")
     o.add_argument("--dims", required=True, metavar="l=d,...",
                    help="comma-separated label=dimension assignments")
@@ -103,6 +107,7 @@ def _cmd_contract(args):
     if args.print_order:
         print(f"order: {net.get_order()}")
         print(f"cost : {net.get_cost()}")
+        print(f"peak : {net.get_peak()}")
     out = args.out
     if out is None:
         stem = args.netfile[:-4] if args.netfile.endswith(".net") else args.netfile
@@ -160,11 +165,16 @@ def _cmd_netopt(args):
         label, d = (part.strip() for part in item.split("=", 1))
         if label in dims:
             raise ValueError(f"--dims gives label {label!r} more than once")
-        dims[label] = int(d)
+        try:
+            dims[label] = int(d)
+        except ValueError:
+            raise ValueError(f"bad --dims entry {item!r}; dimension must be "
+                             f"an int") from None
     label_sets = {name: labels for name, labels in net._slots}
     tree = find_optimal_order(label_sets, dims)
     print(f"order: {render_order(tree)}")
     print(f"cost : {contraction_cost(tree, label_sets, dims)}")
+    print(f"peak : {contraction_peak(tree, label_sets, dims)}")
     return 0
 
 

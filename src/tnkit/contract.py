@@ -10,11 +10,14 @@ Multi-tensor calls either follow an explicit parenthesized order string
 such as ``"((A,B),C)"`` or search for a cost-optimal order with a dynamic
 program over tensor subsets.  Every bond of a list is checked
 (:func:`check_bonds`) before the first pair is contracted, and
-:func:`execute_tree` runs the tree; ``Network`` blueprints go through the
-same two functions.
+:func:`execute_tree` runs the tree, storing each dense intermediate so
+that the next pair reads it without a copy; ``Network`` blueprints go
+through the same two functions.
 """
 
+import contextvars
 import itertools
+import math
 import re
 
 import numpy as np
@@ -25,6 +28,8 @@ from .unitensor import UniTensor, block_structure
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_*'+\-]+")
 MAX_ORDER_DEPTH = 500
+# label -> the step that sums it, of the tree execute_tree is running
+_TREE_STEPS = contextvars.ContextVar("tree_steps", default=None)
 
 
 # -- contraction trees -------------------------------------------------------
@@ -168,6 +173,11 @@ def contract_pair(a, b):
     output's buffer; a lazily permuted operand is gathered once first.  A
     fully contracted result is returned as a rank-0 tensor (read it with
     ``.item()``).
+
+    Inside :func:`execute_tree`, a dense output is stored so that the next
+    pair of the tree reads it in place: the tree's steps tell
+    :func:`storage.contract_axes` when each output label will be summed.
+    Only strides depend on them.
     """
     if not isinstance(a, UniTensor) or not isinstance(b, UniTensor):
         raise TypeError("contract expects UniTensors")
@@ -178,7 +188,11 @@ def contract_pair(a, b):
     for pa, pb in zip(a_pos, b_pos):
         _check_pair_bond(a.labels[pa], a.bonds[pa], b.bonds[pb])
     if not a.is_sym:
-        block = contract_axes(a.get_block_(), b.get_block_(), a_pos, b_pos)
+        pending = _TREE_STEPS.get()
+        steps = (None if pending is None
+                 else [pending.get(l) for l in out_labels])
+        block = contract_axes(a.get_block_(), b.get_block_(), a_pos, b_pos,
+                              sum_steps=steps)
         if block.rank == 0:
             return UniTensor.scalar(block.item())
         out_bonds = [a.bonds[i] for i in a_free] + [b.bonds[i] for i in b_free]
@@ -343,8 +357,24 @@ def contract(first, *rest, order=None, optimal=True):
 
 
 def execute_tree(tree, by_name):
-    """Contract the named tensors pair by pair along ``tree``."""
-    return fold_tree(tree, by_name.__getitem__, contract_pair)
+    """Contract the named tensors pair by pair along ``tree``.
+
+    Each pair is told at which later step of the tree every label of its
+    output is summed, so that a dense intermediate is stored with the
+    labels of the next step in one run of memory and that step reads it in
+    place (see :func:`storage.contract_axes`).  The steps travel in a
+    context variable, not as an argument, so that every pair stays a call
+    ``contract_pair(left, right)`` on this module's attribute, which
+    wrappers of that two-operand signature (tracers, test spies) replace.
+    """
+    label_sets = {name: t.labels for name, t in by_name.items()}
+    steps = {l: i for i, (summed, _) in enumerate(tree_steps(tree, label_sets))
+             for l in summed}
+    token = _TREE_STEPS.set(steps)
+    try:
+        return fold_tree(tree, by_name.__getitem__, contract_pair)
+    finally:
+        _TREE_STEPS.reset(token)
 
 
 def check_bonds(tensors):
@@ -387,20 +417,32 @@ def _tensor_ref(tensors, i):
 
 # -- optimal order search ----------------------------------------------------------
 
-def contraction_cost(tree, label_sets, dims):
-    """Total scalar-multiplication cost of executing ``tree``."""
+def tree_steps(tree, label_sets):
+    """The pair steps of ``tree`` in execution order, each as (the labels
+    it sums, its output's free labels)."""
+    steps = []
 
     def join(left, right):
-        (c1, f1), (c2, f2) = left, right
-        union = {**f1, **f2}
-        step = 1
-        for l in union:
-            step *= dims[l]
-        free = {l: None for l in union if (l in f1) != (l in f2)}
-        return c1 + c2 + step, free
+        summed = [l for l in left if l in right]
+        free = [l for l in {**left, **right} if (l in left) != (l in right)]
+        steps.append((summed, free))
+        return dict.fromkeys(free)
 
-    return fold_tree(tree, lambda name: (0, dict.fromkeys(label_sets[name])),
-                     join)[0]
+    fold_tree(tree, lambda name: dict.fromkeys(label_sets[name]), join)
+    return steps
+
+
+def contraction_cost(tree, label_sets, dims):
+    """Total scalar-multiplication cost of executing ``tree``."""
+    return sum(math.prod(dims[l] for l in summed + free)
+               for summed, free in tree_steps(tree, label_sets))
+
+
+def contraction_peak(tree, label_sets, dims):
+    """Element count of the largest tensor a step of ``tree`` produces (0
+    for a single tensor)."""
+    return max((math.prod(dims[l] for l in free)
+                for _, free in tree_steps(tree, label_sets)), default=0)
 
 
 def find_optimal_order(label_sets, dims):

@@ -31,8 +31,9 @@ contracted, and :func:`contract.execute_tree` runs the order.
 
 import re
 
-from .contract import (check_bonds, contraction_cost, execute_tree,
-                       find_optimal_order, order_tree, render_order)
+from .contract import (check_bonds, contraction_cost, contraction_peak,
+                       execute_tree, find_optimal_order, order_tree,
+                       render_order)
 
 _TOKEN = re.compile(r"^[A-Za-z0-9_*'+\-]+$")
 
@@ -200,6 +201,12 @@ class Network:
     def get_cost(self):
         """Predicted cost of the stored order over the bound dimensions."""
         return contraction_cost(self._tree(), dict(self._slots),
+                                check_bonds(self._relabeled()))
+
+    def get_peak(self):
+        """Element count of the largest intermediate of the stored order
+        over the bound dimensions."""
+        return contraction_peak(self._tree(), dict(self._slots),
                                 check_bonds(self._relabeled()))
 
     def _tree(self):

@@ -9,8 +9,11 @@ that shares the element buffer with the original.
 
 :func:`contract_axes` contracts two tensors as one matrix product.  It
 reads an operand in place, with no copy, when the contracted axes lead or
-trail its storage order.  Its result keeps the storage order of that
-product and may therefore come back as a transposed view.
+trail its storage order, and the larger operand also when they are one
+run inside it (one product batched over the axes before the run).  Its
+result keeps the storage order of that product and may therefore come
+back as a transposed view; a contraction tree can ask for the order that
+its next product reads in place.
 
 Supported dtypes are float64, complex128, int64 and bool.
 """
@@ -274,41 +277,115 @@ class DenseTensor(Arithmetic):
         return t
 
 
-def contract_axes(a, b, a_axes, b_axes):
-    """Sum ``a`` and ``b`` over the paired logical axes as one matrix product.
+def contract_axes(a, b, a_axes, b_axes, *, sum_steps=None):
+    """Sum ``a`` and ``b`` over the paired logical axes in one matrix product.
 
-    Each operand becomes a matrix over (free, contracted) elements.  When
+    The result's logical axes are a's free axes, then b's, each in logical
+    order; a full contraction gives a rank-0 tensor.  Its storage order is
+    that of the product, so it may come back as a transposed view.
+
+    Each operand is read as a matrix over (free, contracted) elements.  When
     its contracted axes lead or trail its storage order, that matrix is a
     reshape of the buffer, possibly transposed, which BLAS reads without a
-    copy.  Otherwise the operand is transposed into a fresh buffer, as
-    ``np.tensordot`` does.  Both matrices must run over the contracted
-    elements in one order: the storage order of the larger operand if it
-    can be read in place, else that of the smaller one if it can, else the
-    order in which the axes are listed.
+    copy.  Otherwise the operand is copied into a fresh buffer, as
+    ``np.tensordot`` does.  Both matrices run over the contracted elements in
+    one order: the storage order of the larger operand if it can be read in
+    place, else that of the smaller one if it can, else the listed order.
+    The result's storage order is then (a's free axes, b's free axes), each
+    as its matrix holds them.
 
-    The result keeps the storage order of the product, (a's free axes, b's
-    free axes), each as its matrix holds them, viewed in the logical order:
-    a's free axes, then b's, each in logical order.  A full contraction
-    gives a rank-0 tensor.
+    One more case is read in place: when the larger operand's contracted
+    axes are one run inside its storage order, (F1, K, F2).  That operand is
+    viewed as a stack of (K, F2) matrices and multiplied by the copied
+    smaller operand in one ``np.matmul`` batched over F1, and the result is
+    stored as (F1, F2, Fs) or (F1, Fs, F2), Fs the smaller operand's free
+    axes.
+
+    ``sum_steps``, one entry per result axis, gives the step of a
+    contraction tree that sums that axis (a smaller step is sooner; None
+    for never), and asks for a storage order that the next product can read
+    in place.  Copied free axes are then placed by step, the soonest nearest
+    the other operand: descending along a's side, ascending along b's.  In
+    the batched case the arrangement and the order of Fs are chosen so that
+    the axes of the soonest step lie in one run, if any choice does; else
+    (F1, F2, Fs) is written.  When both operands together hold at most a
+    quarter of the result's elements, both are copied, so that the result
+    can take that order whatever the operands' layouts; otherwise an
+    operand read in place without ``sum_steps`` is read in place with it.
+    Only strides depend on ``sum_steps``.
     """
     (arr_a, pos_a), (arr_b, pos_b) = _stored(a), _stored(b)
-    big, small = (pos_a, a_axes), (pos_b, b_axes)
+    ids_a = _free_ids(pos_a, a_axes, 0)
+    ids_b = _free_ids(pos_b, b_axes, len(ids_a))
+    big = (arr_a, pos_a, a_axes, ids_a)
+    small = (arr_b, pos_b, b_axes, ids_b)
     if a.size < b.size:
         big, small = small, big
-    for pos, axes in (big, small):
-        if _at_an_end(pos, axes):
-            order = sorted(range(len(axes)), key=lambda i: pos[axes[i]])
-            break
-    else:
-        order = range(len(a_axes))
-    mat_a, free_a = _matrix(arr_a, pos_a, a_axes, order, k_first=False)
-    mat_b, free_b = _matrix(arr_b, pos_b, b_axes, order, k_first=True)
+    step = key_a = key_b = None
+    if sum_steps is not None:
+        def step(i):
+            return math.inf if sum_steps[i] is None else sum_steps[i]
+
+        def key_a(s):
+            return -step(ids_a[s])
+
+        def key_b(s):
+            return step(ids_b[s])
+    summed = math.prod(a.shape[k] for k in a_axes)
+    copy = (step is not None
+            and 4 * (a.size + b.size) * summed ** 2 <= a.size * b.size)
+    run = None if copy else _inner_run(big[1], big[2])
+    if run is not None:
+        return _batched(big, small, run, step)
+    order = range(len(a_axes))
+    if not copy:
+        for _, pos, axes, _ in (big, small):
+            if _at_an_end(pos, axes):
+                order = sorted(range(len(axes)), key=lambda i: pos[axes[i]])
+                break
+    mat_a, free_a = _matrix(arr_a, pos_a, a_axes, order, False, key_a, copy)
+    mat_b, free_b = _matrix(arr_b, pos_b, b_axes, order, True, key_b, copy)
     dims = [arr_a.shape[s] for s in free_a] + [arr_b.shape[s] for s in free_b]
-    out = (mat_a @ mat_b).reshape(dims)
-    perm = ([free_a.index(pos_a[k]) for k in range(a.rank) if k not in a_axes]
-            + [len(free_a) + free_b.index(pos_b[k])
-               for k in range(b.rank) if k not in b_axes])
-    return DenseTensor._wrap(out.transpose(perm))
+    return _logical((mat_a @ mat_b).reshape(dims),
+                    [ids_a[s] for s in free_a] + [ids_b[s] for s in free_b])
+
+
+def _batched(big, small, run, step):
+    """:func:`contract_axes` when the larger operand holds its contracted
+    axes at memory positions ``run`` = (lo, hi), inside its storage order:
+    one matmul batched over the axes before the run.  ``step`` is the
+    summing step of each result axis, or None."""
+    arr_x, pos_x, axes_x, ids_x = big
+    arr_y, pos_y, axes_y, ids_y = small
+    lo, hi = run
+    order = sorted(range(len(axes_x)), key=lambda i: pos_x[axes_x[i]])
+    f1 = [ids_x[s] for s in range(lo)]
+    f2 = [ids_x[s] for s in range(hi, arr_x.ndim)]
+    fs_first, key = False, None
+    if step is not None:
+        def arranged(fs_first, key):
+            fs = [ids_y[s] for s in _free_axes(pos_y, axes_y, key)]
+            return f1 + fs + f2 if fs_first else f1 + f2 + fs
+
+        # Fs after F2, soonest first; or before F2, its soonest axes next
+        # to F2's or next to F1's
+        choices = [(False, lambda s: step(ids_y[s])),
+                   (True, lambda s: -step(ids_y[s])),
+                   (True, lambda s: step(ids_y[s]))]
+        fs_first, key = next((c for c in choices
+                              if _one_run(arranged(*c), step)), choices[0])
+    mat_y, free_y = _matrix(arr_y, pos_y, axes_y, order, True, key, True)
+    x = arr_x.reshape(math.prod(arr_x.shape[:lo]),
+                      math.prod(arr_x.shape[lo:hi]), -1)
+    fs = [ids_y[s] for s in free_y]
+    dims_fs = [arr_y.shape[s] for s in free_y]
+    if fs_first:
+        out = np.matmul(mat_y.T, x)
+        dims = [*arr_x.shape[:lo], *dims_fs, *arr_x.shape[hi:]]
+        return _logical(out.reshape(dims), f1 + fs + f2)
+    out = np.matmul(x.transpose(0, 2, 1), mat_y)
+    dims = [*arr_x.shape[:lo], *arr_x.shape[hi:], *dims_fs]
+    return _logical(out.reshape(dims), f1 + f2 + fs)
 
 
 def _stored(t):
@@ -316,6 +393,26 @@ def _stored(t):
     memory position of each logical axis."""
     order = sorted(range(t.rank), key=lambda k: -t._array.strides[k])
     return t._array.transpose(order), sorted(range(t.rank), key=order.__getitem__)
+
+
+def _free_ids(pos, axes, start):
+    """Result axis of each free memory axis: the free logical axes, in
+    logical order, are result axes ``start``, ``start + 1``, ..."""
+    free = [k for k in range(len(pos)) if k not in axes]
+    return {pos[k]: start + i for i, k in enumerate(free)}
+
+
+def _free_axes(pos, axes, key=None):
+    """The free memory axes, in logical order or sorted by ``key``."""
+    free = [pos[k] for k in range(len(pos)) if k not in axes]
+    return sorted(free, key=key) if key else free
+
+
+def _logical(out, ids):
+    """``out``, whose memory axes are result axes ``ids``, viewed in result
+    axis order."""
+    return DenseTensor._wrap(out.transpose(sorted(range(len(ids)),
+                                                  key=ids.__getitem__)))
 
 
 def _at_an_end(pos, axes):
@@ -326,21 +423,44 @@ def _at_an_end(pos, axes):
                       list(range(len(pos) - len(axes), len(pos))))
 
 
-def _matrix(arr, pos, axes, order, k_first):
+def _inner_run(pos, axes):
+    """The memory positions (lo, hi) of the logical ``axes`` if they are one
+    run with free axes on both sides, else None."""
+    stored = sorted(pos[k] for k in axes)
+    if (stored and 0 < stored[0] and stored[-1] < len(pos) - 1
+            and stored[-1] - stored[0] == len(stored) - 1):
+        return stored[0], stored[-1] + 1
+    return None
+
+
+def _one_run(ids, step):
+    """Whether the result axes ``ids`` that the soonest step sums lie in one
+    run."""
+    steps = [step(i) for i in ids]
+    soonest = min(steps)
+    at = [p for p, s in enumerate(steps) if s == soonest]
+    return soonest == math.inf or at[-1] - at[0] == len(at) - 1
+
+
+def _matrix(arr, pos, axes, order, k_first, key=None, copy=False):
     """An operand, ``arr`` and ``pos`` from :func:`_stored`, as a (K, F)
     matrix if ``k_first``, else (F, K), its contracted elements running over
-    ``axes`` in ``order``; also its free memory axes in the matrix's order."""
-    in_place = list(range(arr.ndim))
+    ``axes`` in ``order``; also its free memory axes in the matrix's order.
+    It is read in place when its contracted axes lead or trail, unless
+    ``copy``; a copy holds its free axes in logical order, or sorted by
+    ``key``."""
     contracted = [pos[axes[i]] for i in order]
     k = math.prod(arr.shape[s] for s in contracted)
-    free = [s for s in in_place if s not in contracted]
-    if contracted + free == in_place:
-        m = arr.reshape(k, -1)
-        return (m if k_first else m.T), free
-    if free + contracted == in_place:
-        m = arr.reshape(-1, k)
-        return (m.T if k_first else m), free
-    free = [pos[i] for i in in_place if i not in axes]
+    if not copy:
+        in_place = list(range(arr.ndim))
+        free = [s for s in in_place if s not in contracted]
+        if contracted + free == in_place:
+            m = arr.reshape(k, -1)
+            return (m if k_first else m.T), free
+        if free + contracted == in_place:
+            m = arr.reshape(-1, k)
+            return (m.T if k_first else m), free
+    free = _free_axes(pos, axes, key)
     if k_first:
         m = np.ascontiguousarray(arr.transpose(contracted + free))
         return m.reshape(k, -1), free

@@ -187,6 +187,33 @@ def random_u1_tensor(rng, rank=3, max_sectors=3, max_deg=3, directions=None):
         return t
 
 
+# -- the benchmark's PEPS blueprint ------------------------------------------------
+
+# two boundary rows around a two-site double layer, closed by an operator
+PEPS_SLOTS = {
+    "b0": ["b0-b5", "b0-b1", "b0-t0", "b0-t0*"],
+    "b1": ["b0-b1", "b1-b2", "b1-t0", "b1-t0*"],
+    "b2": ["b1-b2", "b2-b3", "b2-t0", "b2-t0*"],
+    "b3": ["b2-b3", "b3-b4", "b3-t1", "b3-t1*"],
+    "b4": ["b3-b4", "b4-b5", "b4-t1", "b4-t1*"],
+    "b5": ["b4-b5", "b0-b5", "b5-t1", "b5-t1*"],
+    "t0": ["op-t0", "t0-t1", "b0-t0", "b1-t0", "b2-t0"],
+    "t0*": ["op-t0*", "t0*-t1*", "b0-t0*", "b1-t0*", "b2-t0*"],
+    "t1": ["op-t1", "t0-t1", "b3-t1", "b4-t1", "b5-t1"],
+    "t1*": ["op-t1*", "t0*-t1*", "b3-t1*", "b4-t1*", "b5-t1*"],
+    "op": ["op-t0", "op-t0*", "op-t1", "op-t1*"],
+}
+
+
+def peps_dim(label, boundary=64):
+    """Bond dimension of a PEPS label: ``boundary`` between boundary
+    tensors, 2 on operator bonds, 6 on the rest."""
+    a, b = label.split("-")
+    if a.startswith("op"):
+        return 2
+    return boundary if a.startswith("b") and b.startswith("b") else 6
+
+
 # -- malformed tensor files ------------------------------------------------------
 
 MALFORMED_UTN = {

@@ -5,8 +5,9 @@ import pytest
 
 from tnkit import UniTensor, load_unitensor, save_unitensor
 from tnkit.cli import main
-from tests.conftest import (MALFORMED_UTN, circuit_reference,
-                            free_fermion_ground_energy, write_malformed_utn)
+from tests.conftest import (MALFORMED_UTN, PEPS_SLOTS, circuit_reference,
+                            free_fermion_ground_energy, peps_dim,
+                            write_malformed_utn)
 from tnkit.circuit import CircuitConfig
 
 
@@ -83,6 +84,42 @@ def test_dmrg_symmetric_and_bench(tmp_path, capsys):
     assert "bench:" in out and "per sweep" in out
 
 
+def test_netopt_prints_the_peak_after_order_and_cost(tmp_path, capsys):
+    p = tmp_path / "m.net"
+    p.write_text("M1: i, j\nM2: j, k\nM3: k, l\nTOUT: i, l\n")
+    assert main(["netopt", str(p), "--dims", "i=2,j=20,k=20,l=2"]) == 0
+    # (M1,M2) holds i x k = 40 elements, the result i x l only 4
+    assert capsys.readouterr().out.splitlines() == [
+        "order: ((M1,M2),M3)", "cost : 880", "peak : 40"]
+
+
+def test_netopt_peak_of_the_peps_blueprint(tmp_path, capsys):
+    p = tmp_path / "peps.net"
+    p.write_text("".join(f"{n}: {', '.join(ls)}\n"
+                         for n, ls in PEPS_SLOTS.items()) + "TOUT:\n")
+    dims = {l: peps_dim(l) for ls in PEPS_SLOTS.values() for l in ls}
+    assert main(["netopt", str(p), "--dims",
+                 ",".join(f"{l}={d}" for l, d in dims.items())]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("order: ((((((b0,b1),t0),t0*),b2),"
+                        "((((b3,b4),t1),t1*),b5)),op)")
+    # the largest intermediates are (((b0,b1),t0),t0*) and its mirror: two
+    # boundary bonds, two operator bonds and four site bonds
+    assert lines[2] == f"peak : {64 * 64 * 2 * 6 * 6 * 2 * 6 * 6}"
+    assert lines[2] == "peak : 21233664"
+
+
+@pytest.mark.parametrize("entry", ["a=x", "a=2.5"])
+def test_netopt_non_integer_dims_is_usage_error(tmp_path, capsys, entry):
+    p = tmp_path / "m.net"
+    p.write_text("A: a, b\nB: b, c\nTOUT: a, c\n")
+    assert main(["netopt", str(p), "--dims", f"{entry},b=3,c=2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: bad --dims entry {entry!r}; dimension "
+                            f"must be an int\n")
+
+
 def test_contract_subcommand(tmp_path, capsys):
     a = UniTensor.ones([2, 2], labels=["x", "y"], name="A")
     b = UniTensor.ones([2, 2], labels=["x", "y"], name="B")
@@ -97,7 +134,7 @@ def test_contract_subcommand(tmp_path, capsys):
                "--optimal", "--print-order", "--out", str(out)])
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[:2] == ["order: (M1,M2)", "cost : 8"]
+    assert lines[:3] == ["order: (M1,M2)", "cost : 8", "peak : 4"]
     r = load_unitensor(out)
     assert r.labels == ["i", "k"]
     assert np.allclose(r.get_block_().view(), 2.0)

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tnkit import (Bond, IN, OUT, Symmetry, UniTensor, brute_force_order,
-                   contract, contract_pair, contraction_cost,
-                   find_optimal_order, parse_order, render_order, storage)
+from tnkit import (Bond, IN, OUT, Network, Symmetry, UniTensor,
+                   brute_force_order, contract, contract_pair,
+                   contraction_cost, contraction_peak, find_optimal_order,
+                   parse_order, render_order, storage)
 from tnkit import random as trandom
 from tnkit import unitensor
 from tnkit.symmetry import combine_qnums, identity_qnum, reverse_qnums
-from tests.conftest import (cap_doubling_order, loop_contract, random_u1_tensor,
-                            to_dense)
+from tests.conftest import (PEPS_SLOTS, cap_doubling_order, loop_contract,
+                            peps_dim, random_u1_tensor, to_dense)
 
 # the module, which the package's ``contract`` function shadows
 contract_module = importlib.import_module("tnkit.contract")
@@ -186,6 +187,193 @@ def test_contraction_at_a_storage_end_allocates_only_the_output():
     want = np.einsum("ab...,abcd->...cd", arr, gate.get_block_().view())
     got = out.permute(labels[2:] + ["n0", "n1"]).get_block_().view()
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _memory_order(arr):
+    """The logical axes of ``arr`` from the largest stride to the smallest."""
+    return sorted(range(arr.ndim), key=lambda k: -arr.strides[k])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_inner_run_is_read_in_place_by_one_batched_product(dtype):
+    rng = np.random.default_rng(11)
+
+    def draw(shape):
+        arr = rng.standard_normal(shape)
+        return arr + 1j * rng.standard_normal(shape) if dtype == np.complex128 \
+            else arr
+
+    # a: (F1 = 32, K = 8 x 8, F2 = 4 x 16) in memory; b holds K apart
+    a = draw((32, 8, 8, 4, 16))
+    b = draw((8, 7, 8))
+    want = np.einsum("abcde,cfb->adef", a, b)
+    ta, tb = storage.from_numpy(a), storage.from_numpy(b)
+    # result axes 0 (F1), 1 and 2 (F2), 3 (b's free axis); the axes of the
+    # soonest step: none, F2's first with b's, F1's with F2's last
+    for steps, memory in [(None, [0, 1, 2, 3]),
+                          ([5, 1, None, 1], [0, 3, 1, 2]),
+                          ([1, None, 1, None], [0, 1, 2, 3])]:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = storage.contract_axes(ta, tb, [1, 2], [2, 0], sum_steps=steps)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        view = out.view()
+        # a itself (1 or 2 MB) is never copied: only the output and b
+        assert peak <= view.nbytes + b.nbytes + 64 * 1024
+        assert view.shape == (32, 4, 16, 7) and view.dtype == dtype
+        assert _memory_order(view) == memory
+        # the request changes strides; values differ by rounding at most
+        assert np.max(np.abs(view - want)) <= 1e-12 * np.abs(want).max()
+
+
+def test_a_request_never_copies_an_operand_read_in_place_at_an_end():
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((6, 5, 4))         # K = 6 leads a's memory
+    b = rng.standard_normal((3, 6))            # copied: K trails b's memory
+    ta, tb = storage.from_numpy(a), storage.from_numpy(b)
+    plain = storage.contract_axes(ta, tb, [0], [1]).view()
+    asked = storage.contract_axes(ta, tb, [0], [1],
+                                  sum_steps=[1, None, 1]).view()
+    want = np.einsum("kij,lk->ijl", a, b)
+    assert np.array_equal(plain, asked)
+    assert np.max(np.abs(asked - want)) <= 1e-12
+    # a's free axes stay in a's memory order: the request is not met
+    assert _memory_order(plain) == _memory_order(asked) == [0, 1, 2]
+
+
+# -- contraction trees with planned layouts -----------------------------------
+
+
+@st.composite
+def _dense_networks(draw):
+    """3-6 dense tensors, each label on one (free) or two of them, each
+    tensor built in a drawn storage order and lazily permuted to a drawn
+    logical order, and a drawn contraction tree."""
+    n = draw(st.integers(3, 6))
+    names = [f"T{i}" for i in range(n)]
+    labels = {nm: [] for nm in names}
+    for k in range(draw(st.integers(n, 10))):
+        owners = draw(st.lists(st.sampled_from(names), min_size=1,
+                               max_size=2, unique=True))
+        for nm in owners:
+            labels[nm].append(f"l{k}")
+    for i, nm in enumerate(names):      # no tensor without a leg
+        if not labels[nm]:
+            labels[nm].append(f"own{i}")
+    dims = {l: draw(st.sampled_from([1, 2, 2, 3, 3]))
+            for ls in labels.values() for l in ls}
+    complex_ = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    tensors = {}
+    for nm in names:
+        stored = draw(st.permutations(labels[nm]))
+        arr = rng.standard_normal([dims[l] for l in stored])
+        if complex_:
+            arr = arr + 1j * rng.standard_normal(arr.shape)
+        t = UniTensor(storage.from_numpy(arr), labels=list(stored))
+        tensors[nm] = t.permute(list(draw(st.permutations(stored)))).set_name(nm)
+    items = list(draw(st.permutations(names)))
+    while len(items) > 1:
+        i = draw(st.integers(0, len(items) - 2))
+        items[i:i + 2] = [(items[i], items[i + 1])]
+    return tensors, items[0]
+
+
+def _einsum(arrays, labels, out_labels):
+    """``np.einsum`` over label lists, by a greedy pairwise path with no
+    size limit (numpy's default limit falls back to one nested loop)."""
+    ids = {}
+    args = [x for arr, ls in zip(arrays, labels)
+            for x in (arr, [ids.setdefault(l, len(ids)) for l in ls])]
+    args.append([ids[l] for l in out_labels])
+    path, _ = np.einsum_path(*args, optimize=("greedy", 2**40))
+    return np.einsum(*args, optimize=path)
+
+
+def _einsum_network(tensors, out_labels, absolute=False):
+    arrays = [t.get_block_().view() for t in tensors.values()]
+    return _einsum([np.abs(a) for a in arrays] if absolute else arrays,
+                   [t.labels for t in tensors.values()], out_labels)
+
+
+@given(_dense_networks())
+@settings(max_examples=200, deadline=None)
+def test_tree_with_planned_layouts_matches_einsum(network):
+    tensors, tree = network
+    before = {nm: (list(t.labels), t.get_block_().numpy(),
+                   t.get_block_().view().strides)
+              for nm, t in tensors.items()}
+    got = contract_module.execute_tree(tree, tensors)
+    want = _einsum_network(tensors, got.labels)
+    scale = _einsum_network(tensors, got.labels, absolute=True)
+    value = got.item() if got.rank == 0 else got.get_block_().view()
+    assert np.all(np.abs(value - want) <= 1e-12 * np.maximum(scale, 1.0))
+    # no operand is relabeled, rewritten or re-laid out
+    for nm, t in tensors.items():
+        labels, arr, strides = before[nm]
+        assert t.labels == labels
+        assert np.array_equal(t.get_block_().numpy(), arr)
+        assert t.get_block_().view().strides == strides
+
+
+def test_tree_steps_number_the_pairs_in_execution_order():
+    sets = {"A": ["i", "j"], "B": ["j", "k"], "C": ["k", "l"], "D": ["l", "i"]}
+    tree = parse_order("((A,B),(C,D))")
+    assert contract_module.tree_steps(tree, sets) == [
+        (["j"], ["i", "k"]), (["l"], ["k", "i"]), (["i", "k"], [])]
+    dims = {"i": 2, "j": 3, "k": 5, "l": 7}
+    assert contraction_cost(tree, sets, dims) == 2 * 3 * 5 + 5 * 7 * 2 + 10
+    assert contraction_peak(tree, sets, dims) == 10
+    assert contraction_peak("A", sets, dims) == 0
+
+
+_HALF = ("b0", "b1", "t0", "t0*", "b2")
+
+
+def test_peps_half_chain_never_copies_an_intermediate():
+    # the benchmark's PEPS half chain at boundary dimension 16: X1 =
+    # (b0,b1) is 2.7 MB, X2 = (X1,t0) 5.3 MB and X3 = (X2,t0*) 10.6 MB.
+    # A copy of X2 or X3 while it is alive would add 5.3 or 10.6 MB.
+    slots = {nm: PEPS_SLOTS[nm] for nm in _HALF}
+    count = {}
+    for ls in slots.values():
+        for l in ls:
+            count[l] = count.get(l, 0) + 1
+    free = [l for l, c in count.items() if c == 1]
+    dims = {l: peps_dim(l, boundary=16) for l in count}
+    order = "((((b0,b1),t0),t0*),b2)"
+    net = Network([f"{nm}: {', '.join(ls)}" for nm, ls in slots.items()]
+                  + [f"TOUT: {', '.join(free)}", f"ORDER: {order}"])
+    rng = np.random.default_rng(16)
+    arrays = {nm: rng.standard_normal([dims[l] for l in ls])
+              for nm, ls in slots.items()}
+    for nm, arr in arrays.items():
+        net.put_tensor(nm, UniTensor(storage.from_numpy(arr), labels=slots[nm]))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = net.launch()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # each step holds its left operand and its output; right operands are
+    # leaves, allocated before the launch
+    sizes = [int(np.prod([dims[l] for l in f]))
+             for _, f in contract_module.tree_steps(parse_order(order), slots)]
+    lefts = [arrays["b0"].size] + sizes[:-1]
+    bound = 8 * max(l + o for l, o in zip(lefts, sizes))
+    assert bound == 8 * (663_552 + 1_327_104)
+    assert peak <= bound + 512 * 1024
+    want = _einsum([arrays[nm] for nm in _HALF], [slots[nm] for nm in _HALF],
+                   free)
+    assert out.labels == free
+    assert np.max(np.abs(out.get_block_().view() - want)) <= \
+        1e-12 * np.abs(want).max()
 
 
 def test_direction_rules(u1):
@@ -646,26 +834,12 @@ def test_search_equals_cap_doubling_dp(network):
             == render_order(cap_doubling_order(sets, dims)))
 
 
-_PEPS = {
-    "b0": ["b0-b5", "b0-b1", "b0-t0", "b0-t0*"],
-    "b1": ["b0-b1", "b1-b2", "b1-t0", "b1-t0*"],
-    "b2": ["b1-b2", "b2-b3", "b2-t0", "b2-t0*"],
-    "b3": ["b2-b3", "b3-b4", "b3-t1", "b3-t1*"],
-    "b4": ["b3-b4", "b4-b5", "b4-t1", "b4-t1*"],
-    "b5": ["b4-b5", "b0-b5", "b5-t1", "b5-t1*"],
-    "t0": ["op-t0", "t0-t1", "b0-t0", "b1-t0", "b2-t0"],
-    "t0*": ["op-t0*", "t0*-t1*", "b0-t0*", "b1-t0*", "b2-t0*"],
-    "t1": ["op-t1", "t0-t1", "b3-t1", "b4-t1", "b5-t1"],
-    "t1*": ["op-t1*", "t0*-t1*", "b3-t1*", "b4-t1*", "b5-t1*"],
-    "op": ["op-t0", "op-t0*", "op-t1", "op-t1*"],
-}
 
 
 def test_pinned_orders_of_peps_and_ring():
     # boundary-boundary bonds 64, operator bonds 2, the rest 6
-    dims = {l: 64 if l.count("b") == 2 else 2 if l.startswith("op") else 6
-            for ls in _PEPS.values() for l in ls}
-    assert (render_order(find_optimal_order(_PEPS, dims))
+    dims = {l: peps_dim(l) for ls in PEPS_SLOTS.values() for l in ls}
+    assert (render_order(find_optimal_order(PEPS_SLOTS, dims))
             == "((((((b0,b1),t0),t0*),b2),((((b3,b4),t1),t1*),b5)),op)")
     ring = {f"T{i}": [f"r{i}", f"r{(i + 1) % 12}", f"o{i}"] for i in range(12)}
     dims = {**{f"r{i}": 8 for i in range(12)}, **{f"o{i}": 2 for i in range(12)}}

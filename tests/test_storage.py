@@ -52,6 +52,25 @@ def test_reshape():
     assert r.same_data(t)
 
 
+def test_reshape_in_place():
+    t = arange(24).reshape(2, 3, 4)
+    buf = t.storage()
+    assert t.reshape_(6, 4) is t
+    assert t.shape == (6, 4) and t.is_contiguous
+    assert np.shares_memory(t.storage(), buf)      # a contiguous buffer stays
+    assert np.array_equal(t.view(), np.arange(24).reshape(6, 4))
+    assert t.reshape_([24]).shape == (24,)
+    # a permuted tensor is materialized in logical order first
+    p = arange(24).reshape(2, 3, 4).permute(2, 0, 1)
+    expected = np.arange(24).reshape(2, 3, 4).transpose(2, 0, 1).reshape(4, 6)
+    assert p.reshape_(4, 6) is p
+    assert p.is_contiguous and np.array_equal(p.view(), expected)
+    # a failed reshape leaves the tensor as it was
+    with pytest.raises(ValueError):
+        p.reshape_(5, 5)
+    assert p.shape == (4, 6) and np.array_equal(p.view(), expected)
+
+
 def test_permute_is_lazy():
     t = arange(24).reshape(2, 3, 4)
     p = t.permute(1, 2, 0)

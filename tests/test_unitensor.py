@@ -287,6 +287,80 @@ def test_direction_flips_keep_elements(u1):
     assert uc.dagger().dagger().at([0, 0]).value == 1 + 2j
 
 
+def test_dagger_in_place_on_a_dense_tensor():
+    rng = np.random.default_rng(5)
+    arr = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    t = UniTensor([Bond(2, IN), Bond(3, OUT)], labels=["a", "b"],
+                  dtype=Complex128)
+    t.get_block_().view()[...] = arr
+    block = t.get_block_()
+    assert t.dagger_() is t
+    assert t.labels == ["a", "b"] and t.shape == (2, 3)
+    assert [b.btype for b in t.bonds] == [OUT, IN]
+    assert np.array_equal(t.get_block_().view(), arr.conj())
+    assert np.array_equal(block.view(), arr.conj())    # same buffer, edited
+    # matches the copying form, and twice is the identity
+    t2 = UniTensor([Bond(2, IN), Bond(3, OUT)], labels=["a", "b"],
+                   dtype=Complex128)
+    t2.get_block_().view()[...] = arr
+    assert np.array_equal(t2.dagger().get_block_().view(),
+                          t.get_block_().view())
+    t.dagger_()
+    assert np.array_equal(t.get_block_().view(), arr)
+    assert [b.btype for b in t.bonds] == [IN, OUT]
+
+
+def test_dagger_in_place_on_a_u1_tensor(rng):
+    from tests.conftest import random_u1_tensor
+    t = random_u1_tensor(rng, rank=3, directions=[IN, IN, OUT])
+    t = t.astype(Complex128)
+    trandom.normal_(t, seed=3)
+    t.get_block_(0).view()[...] += 1j    # a non-real element in block 0
+    before = t.clone()
+    blocks = t.get_blocks_()
+    copy = before.dagger()
+    assert t.dagger_() is t
+    assert t.labels == before.labels
+    assert [b.btype for b in t.bonds] == [OUT, OUT, IN]
+    assert [t.block_qn_indices(i) for i in range(t.nblocks)] == \
+        [copy.block_qn_indices(i) for i in range(copy.nblocks)]
+    for i, blk in enumerate(t.get_blocks_()):
+        assert np.array_equal(blk.view(), before.get_block_(i).view().conj())
+        assert np.array_equal(blk.view(), copy.get_block_(i).view())
+        assert np.array_equal(blocks[i].view(), blk.view())   # edited in place
+    assert np.array_equal(to_dense(t).get_block_().view(),
+                          to_dense(before).get_block_().view().conj())
+
+
+def test_get_blocks_are_independent_copies(rng):
+    from tests.conftest import random_u1_tensor
+    dense = UniTensor.normal([2, 3], labels=["a", "b"], seed=4)
+    (blk,) = dense.get_blocks()
+    assert np.array_equal(blk.view(), dense.get_block_().view())
+    assert not blk.same_data(dense.get_block_())
+    blk[0, 0] = 99.0
+    assert dense.at([0, 0]).value != 99.0
+    sym = random_u1_tensor(rng, rank=3)
+    copies, refs = sym.get_blocks(), sym.get_blocks_()
+    assert len(copies) == sym.nblocks
+    for c, r in zip(copies, refs):
+        assert c.shape == r.shape and np.array_equal(c.view(), r.view())
+        assert not np.shares_memory(c.view(), r.view())
+    before = sym.get_block(0).view().copy()
+    copies[0].view()[...] = 7.0
+    assert np.array_equal(sym.get_block_(0).view(), before)
+
+
+def test_print_blocks_prints_the_tensor(capsys, sym_rank3):
+    for t in (UniTensor.ones([2, 2], labels=["a", "b"], name="D"), sym_rank3):
+        t.print_blocks()
+        assert capsys.readouterr().out == str(t) + "\n"
+    sym_rank3.print_blocks()
+    out = capsys.readouterr().out
+    assert out.count("BLOCK [#") == sym_rank3.nblocks
+    assert "Tensor name: uTsym" in out and "block_form : True" in out
+
+
 def test_conj_is_identity_on_real():
     t = UniTensor.normal([2, 3], seed=1)
     assert (t.conj() - t).norm() == 0.0
