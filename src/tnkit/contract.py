@@ -445,6 +445,16 @@ def contraction_peak(tree, label_sets, dims):
                 for _, free in tree_steps(tree, label_sets)), default=0)
 
 
+# The order search evaluates its splits in numpy, one popcount layer of
+# subsets at a time and at most _SPLIT_CHUNK splits per pass.  Costs are
+# sums of products of positive int dimensions, so a float cost below _EXACT
+# is the exact integer; above it, rounding leaves it within about 1e-13 of
+# the exact cost, relative, far inside _NEAR.
+_SPLIT_CHUNK = 1 << 16
+_NEAR = 1e-9       # float costs this close (relative) may be equal
+_EXACT = 2.0 ** 53
+
+
 def find_optimal_order(label_sets, dims):
     """Minimal-cost binary contraction tree for a set of named tensors.
 
@@ -454,13 +464,15 @@ def find_optimal_order(label_sets, dims):
     cost of one pairwise step is the product of the dimensions of the
     union of both operands' free labels (contracted labels counted once);
     the total cost is minimized exactly by one pass of a dynamic program
-    over tensor subsets, O(3^n) splits in all.  Outer-product pairs are
-    admitted too: they can be part of the optimum even in a connected
-    network (contract two small dangling tensors first when the tensor
-    joining them carries a huge extra index).  Ties are broken toward the
-    lexicographically smallest rendered order string.  The search is
-    limited to 16 tensors: on one core of a 2-vCPU Xeon VM a ring of 12
-    tensors takes 0.1-0.2 s, of 14 tensors 1.0-1.6 s and of 16 about 12 s.
+    over tensor subsets, O(3^n) splits in all, evaluated by numpy one
+    popcount layer at a time (:class:`_SubsetSearch`).  Outer-product
+    pairs are admitted too: they can be part of the optimum even in a
+    connected network (contract two small dangling tensors first when the
+    tensor joining them carries a huge extra index).  Ties are broken
+    toward the lexicographically smallest rendered order string.  The
+    search is limited to 16 tensors: on one core of a 2-vCPU Xeon VM a
+    ring of 12 tensors takes 0.01-0.03 s, of 14 tensors 0.07-0.2 s and of
+    16 0.5-0.8 s.
     """
     names = list(label_sets)
     n = len(names)
@@ -473,73 +485,221 @@ def find_optimal_order(label_sets, dims):
     _check_dims(label_lists, dims)
     if n == 1:
         return names[0]
-    bit = {}                     # label -> its bit
-    for labels in label_lists:
-        for l in labels:
-            bit.setdefault(l, 1 << len(bit))
-    dim_of = {b: int(dims[l]) for l, b in bit.items()}
-    prods = {0: 1}               # label bits -> product of their dimensions
+    with np.errstate(over="ignore"):     # inf costs are settled exactly
+        return _SubsetSearch(names, label_lists, dims).tree()
 
-    def bits_prod(x):
-        p, rest = 1, x
-        while rest:
-            low = rest & -rest
-            p *= dim_of[low]
-            rest ^= low
-        prods[x] = p
-        return p
 
-    size = 1 << n
-    once = [0] * size            # free labels: occurring exactly once
-    more = [0] * size            # labels occurring twice or more
-    prod = [1] * size            # product of the free dimensions
-    cost = [0] * size
-    rendered = [None] * size
-    tree = [None] * size
-    for i, labels in enumerate(label_lists):
-        seen = rep = 0
-        for l in labels:
-            rep |= seen & bit[l]
-            seen |= bit[l]
-        m = 1 << i
-        once[m], more[m] = seen & ~rep, rep
-        prod[m] = bits_prod(once[m])
-        rendered[m] = tree[m] = names[i]
-    for mask in range(3, size):
-        low = mask & -mask
-        rest = mask ^ low
-        if not rest:
-            continue
-        # the subset's labels: those of the rest plus its lowest tensor's
-        rep = more[rest] | more[low] | (once[rest] & once[low])
-        once[mask] = (once[rest] | once[low]) & ~rep
-        more[mask] = rep
-        prod[mask] = prods.get(once[mask]) or bits_prod(once[mask])
-        # each split once: the lowest tensor stays in s1.  Submasks are
-        # smaller integers than their mask, so both halves are done.
-        best = None
-        s2 = rest
-        while s2:
-            s1 = mask ^ s2
-            c = cost[s1] + cost[s2]
-            if best is None or c < best:    # the step itself costs >= 1
-                shared = once[s1] & once[s2]
-                c += prod[s1] * prod[s2] // (prods.get(shared)
-                                             or bits_prod(shared))
-                if best is None or c <= best:
-                    r1, r2 = rendered[s1], rendered[s2]
-                    if r1 > r2:
-                        r1, r2 = r2, r1
-                    r = f"({r1},{r2})"
-                    if best is None or c < best or r < best_r:
-                        best, best_r, best_split = c, r, (s1, s2)
-            s2 = (s2 - 1) & rest
-        s1, s2 = best_split
-        if rendered[s1] > rendered[s2]:
+class _SubsetSearch:
+    """The subset dynamic program of :func:`find_optimal_order`.
+
+    Tensor i is bit i of a subset mask and label j, numbered in order of
+    first appearance, is bit j of a label set; label sets are held as
+    uint64 words, so any number of labels works.  ``once[:, mask]`` holds
+    the subset's free labels.  The step cost of a split is a product of
+    per-byte lookups in ``tab`` over the union of both halves' free labels.
+
+    Each subset of popcount k is split as (s1, s2) over every nonempty
+    submask s2 of ``rest``, the subset without its lowest tensor, which
+    stays in s1.  Per chunk of subsets, the splits form one (subsets,
+    splits) array of float64 costs.  A split is dropped before its step is
+    computed when its halves' costs plus the subset's own free-label
+    product (the least any step of the subset costs) exceed the full cost
+    of the split with the cheapest halves.  A row with one split within
+    ``_NEAR`` of its minimum takes it; a row with several is settled in
+    :meth:`_settle` by exact cost and rendered string, as the order string
+    tie-break asks.  Only each subset's float cost and best split are
+    stored; exact costs above ``_EXACT`` and rendered strings are made on
+    demand.
+    """
+
+    def __init__(self, names, label_lists, dims):
+        n = len(names)
+        bit = {}
+        for labels in label_lists:
+            for l in labels:
+                bit.setdefault(l, len(bit))
+        self.names = names
+        self.dims = [int(dims[l]) for l in bit]
+        nwords = max(1, -(-len(bit) // 64))
+        size = 1 << n
+        # free labels (once) and labels met twice or more (more), built
+        # as subset = rest | top bit
+        once = np.zeros((nwords, size), np.uint64)
+        more = np.zeros((nwords, size), np.uint64)
+        for i, labels in enumerate(label_lists):
+            seen = rep = 0
+            for l in labels:
+                rep |= seen & (1 << bit[l])
+                seen |= 1 << bit[l]
+            once[:, 1 << i] = _words(seen & ~rep, nwords)
+            more[:, 1 << i] = _words(rep, nwords)
+        for i in range(1, n):
+            top = 1 << i
+            o, m = once[:, 1:top], more[:, 1:top]
+            o_top, m_top = once[:, top:top + 1], more[:, top:top + 1]
+            rep = m | m_top | (o & o_top)
+            once[:, top + 1:2 * top] = (o | o_top) & ~rep
+            more[:, top + 1:2 * top] = rep
+        self.once = once
+        # tab[b, v]: product of the dimensions of the labels of byte b in v
+        self.tab = np.ones((max(1, -(-len(bit) // 8)), 256))
+        values = np.arange(256)
+        for j, d in enumerate(self.dims):
+            self.tab[j // 8, values >> j % 8 & 1 == 1] *= _as_float(d)
+        self.fcost = np.zeros(size)
+        self.best = np.zeros(size, np.intp)      # each subset's best s2
+        self.exact = {}                           # exact costs >= _EXACT
+        self.prods = {}                           # label set -> exact product
+        self.rendered = [None] * size
+        for i, name in enumerate(names):
+            self.rendered[1 << i] = name
+        popcount = np.zeros(size, np.int8)
+        for i in range(n):
+            popcount[1 << i:2 << i] = popcount[:1 << i] + 1
+        by_count = np.argsort(popcount, kind="stable")
+        ends = np.cumsum(np.bincount(popcount))
+        # work buffers for the largest chunk: a chunk holds whole subsets
+        width = min(_SPLIT_CHUNK, max(math.comb(n, k) << (k - 1)
+                                      for k in range(2, n + 1)))
+        self.ibuf = np.empty((2, max(width, 1 << (n - 1))), np.intp)
+        self.fbuf = np.empty(self.ibuf.shape)
+        for k in range(2, n + 1):
+            self._layer(by_count[ends[k - 1]:ends[k]], k)
+
+    def _layer(self, masks, k):
+        rest = masks ^ (masks & -masks)
+        bits = np.empty((len(masks), k - 1), np.intp)   # rest's bits
+        for j in range(k - 1):
+            bits[:, j] = rest & -rest
+            rest = rest ^ bits[:, j]
+        rows = max(1, _SPLIT_CHUNK >> (k - 1))
+        for lo in range(0, len(masks), rows):
+            self._chunk(masks[lo:lo + rows], bits[lo:lo + rows])
+
+    def _chunk(self, masks, bits):
+        m, w = len(masks), 1 << bits.shape[1]
+        # every submask of rest by doubling over its bits: column c holds
+        # the submask whose bits are c's, so s2 ascends along a row
+        subs = self.ibuf[0, :m * w].reshape(m, w)
+        subs[:, 0] = 0
+        for j in range(bits.shape[1]):
+            h = 1 << j
+            np.bitwise_or(subs[:, :h], bits[:, j:j + 1], out=subs[:, h:2 * h])
+        s2 = subs[:, 1:]
+        s1, base, tmp = (b[:m * (w - 1)].reshape(m, w - 1)
+                         for b in (self.ibuf[1], *self.fbuf))
+        np.bitwise_xor(s2, masks[:, None], out=s1)
+        np.take(self.fcost, s1, out=base)
+        base += np.take(self.fcost, s2, out=tmp)
+        # the split with the cheapest halves bounds the row's minimum from
+        # above; a step costs at least the subset's own free labels
+        r = np.arange(m)
+        a0 = base.argmin(axis=1)
+        upper = base[r, a0] + self._steps(s1[r, a0], s2[r, a0])
+        lower = self._steps(masks, np.zeros_like(masks))
+        np.add(base, lower[:, None], out=tmp)
+        keep = tmp <= (upper * (1 + 4 * _NEAR))[:, None]
+        keep[r, a0] = True        # so that every row keeps a split
+        rows, cols = np.nonzero(keep)
+        c2 = s2[rows, cols]
+        fc = base[rows, cols] + self._steps(s1[rows, cols], c2)
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        fmin = np.minimum.reduceat(fc, starts)
+        near = fc <= fmin[rows] * (1 + _NEAR)
+        count = np.add.reduceat(near, starts)
+        hits = np.flatnonzero(near)
+        self.fcost[masks] = fmin
+        self.best[masks[rows[hits]]] = c2[hits]
+        ties = hits[count[rows[hits]] > 1]
+        if len(ties):
+            self._settle(masks[rows[ties]].tolist(), c2[ties].tolist(),
+                         fc[ties].tolist())
+
+    def _steps(self, s1, s2):
+        """Float step costs of the splits (s1, s2), two index arrays."""
+        step = None
+        for w, once in enumerate(self.once):
+            union = np.take(once, s1)
+            union |= np.take(once, s2)
+            byte = union.view(np.uint8).reshape(*union.shape, 8)
+            for j, tab in enumerate(self.tab[8 * w:8 * w + 8]):
+                f = np.take(tab, byte[..., j].astype(np.intp))
+                step = f if step is None else np.multiply(step, f, out=step)
+        return step
+
+    def _settle(self, masks, s2s, fcs):
+        """Choose among the near-minimal splits of each subset, given as
+        parallel lists grouped by subset with s2 ascending: the least exact
+        cost, then the least rendered string, then the largest s2."""
+        i = len(masks)
+        while i:
+            mask, best = masks[i - 1], None
+            while i and masks[i - 1] == mask:
+                i -= 1
+                s2, c = s2s[i], fcs[i]
+                s1 = mask ^ s2
+                if not c < _EXACT:
+                    c = self._cost(s1) + self._cost(s2) + self._step(s1, s2)
+                if best is None or c <= best[0]:
+                    r1, r2 = self._render(s1), self._render(s2)
+                    r = f"({r1},{r2})" if r1 <= r2 else f"({r2},{r1})"
+                    if best is None or c < best[0] or r < best[1]:
+                        best = (c, r, s2)
+            c, self.rendered[mask], self.best[mask] = best
+            if not c < _EXACT:
+                self.fcost[mask] = _as_float(c)
+                self.exact[mask] = c
+
+    def _split(self, mask):
+        s2 = int(self.best[mask])
+        return mask ^ s2, s2
+
+    def _cost(self, mask):
+        """The exact cost of a subset's best tree, a Python int."""
+        if self.fcost[mask] < _EXACT:
+            return int(self.fcost[mask])
+        if mask not in self.exact:
+            s1, s2 = self._split(mask)
+            self.exact[mask] = (self._cost(s1) + self._cost(s2)
+                                + self._step(s1, s2))
+        return self.exact[mask]
+
+    def _step(self, s1, s2):
+        """The exact step cost of the split (s1, s2), a Python int."""
+        union = 0
+        for w, word in enumerate(self.once[:, s1] | self.once[:, s2]):
+            union |= int(word) << 64 * w
+        if union not in self.prods:
+            self.prods[union] = math.prod(d for j, d in enumerate(self.dims)
+                                          if union >> j & 1)
+        return self.prods[union]
+
+    def _render(self, mask):
+        if self.rendered[mask] is None:
+            r1, r2 = sorted(map(self._render, self._split(mask)))
+            self.rendered[mask] = f"({r1},{r2})"
+        return self.rendered[mask]
+
+    def tree(self, mask=None):
+        """The best tree of the subset ``mask`` (default: all tensors), each
+        pair ordered by its rendered strings."""
+        if mask is None:
+            mask = (1 << len(self.names)) - 1
+        if mask & (mask - 1) == 0:
+            return self.names[mask.bit_length() - 1]
+        s1, s2 = self._split(mask)
+        if self._render(s1) > self._render(s2):
             s1, s2 = s2, s1
-        cost[mask], rendered[mask] = best, best_r
-        tree[mask] = (tree[s1], tree[s2])
-    return tree[size - 1]
+        return (self.tree(s1), self.tree(s2))
+
+
+def _words(x, nwords):
+    return [x >> 64 * w & (1 << 64) - 1 for w in range(nwords)]
+
+
+def _as_float(x):
+    """x as a float64, inf where it overflows."""
+    return float(x) if x < 1 << 1000 else math.inf
 
 
 def _check_dims(label_lists, dims):

@@ -35,6 +35,8 @@ MAGIC = b"TNXU\x00"
 VERSION = 1
 
 _HEADER_KEYS = ("name", "labels", "rowrank", "dtype", "bonds", "blocks")
+# what a malformed header entry raises while the tensor is built from it
+_HEADER_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 _DTYPES = {"float64": np.dtype(np.float64), "complex128": np.dtype(np.complex128),
            "int64": np.dtype(np.int64), "bool": np.dtype(np.bool_)}
@@ -120,13 +122,17 @@ def load_unitensor(path):
         dtype = _DTYPES[dtype]
         try:
             bonds = [_bond_from_json(d) for d in header["bonds"]]
-            _check_payload_size(f, path, bonds, dtype.itemsize)
+            offsets = _block_offsets(bonds)
+        except _HEADER_ERRORS as e:
+            raise ValueError(f"{path}: bad header ({e!r})") from None
+        _check_payload_size(f, path, offsets, dtype.itemsize)
+        try:
             ut = UniTensor(bonds, labels=header["labels"], name=header["name"],
                            dtype=dtype, rowrank=header["rowrank"])
             entries = [(tuple(b["shape"]),
                         None if b["qn"] is None else tuple(b["qn"]))
                        for b in header["blocks"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as e:
+        except _HEADER_ERRORS as e:
             raise ValueError(f"{path}: bad header ({e!r})") from None
         if len(entries) != ut.nblocks:
             raise ValueError(f"{path}: header lists {len(entries)} blocks, "
@@ -148,15 +154,19 @@ def load_unitensor(path):
         return ut
 
 
-def _check_payload_size(f, path, bonds, itemsize):
-    """Raise, before anything is allocated, if the rest of the file is
-    shorter than the payload the bonds imply: the zero-flux blocks of
-    charged bonds, or the full product of plain bonds' dimensions."""
-    left = os.fstat(f.fileno()).st_size - f.tell()
+def _block_offsets(bonds):
+    """Element offsets of the blocks the bonds imply: the zero-flux blocks
+    of charged bonds, or one block of the product of plain bonds'
+    dimensions."""
     if bonds and all(b.has_qnums and b.syms == bonds[0].syms for b in bonds):
-        offsets = block_structure(bonds).offsets
-    else:
-        offsets = (0, math.prod(b.dim for b in bonds))
+        return block_structure(bonds).offsets
+    return (0, math.prod(b.dim for b in bonds))
+
+
+def _check_payload_size(f, path, offsets, itemsize):
+    """Raise, before anything is allocated, if the rest of the file is
+    shorter than the payload of the blocks at ``offsets``."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
     for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
         if hi * itemsize > left:
             raise ValueError(f"{path}: payload ends inside block {i} "

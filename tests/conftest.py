@@ -4,10 +4,10 @@ The oracles here deliberately avoid the library's own code paths: dense
 Hamiltonians come from explicit Kronecker sums, contraction references
 from naive index loops, circuit references from sparse full-space gate
 matrices, and ground-state references from free-fermion single-particle
-spectra or exact diagonalization.  Two oracles keep a superseded path of
-the library as the reference for its replacement: the cost-capped order
-search, and the effective Hamiltonian contracted through a ``Network``
-blueprint.
+spectra or exact diagonalization.  Three oracles keep a superseded path
+of the library as the reference for its replacement: the cost-capped
+order search, the order search as a Python loop over every split, and
+the effective Hamiltonian contracted through a ``Network`` blueprint.
 """
 
 import itertools
@@ -103,6 +103,86 @@ def cap_doubling_order(label_sets, dims):
         if full in best:
             return best[full][1]
         cap *= 2
+
+
+def subset_loop_order(label_sets, dims):
+    """The subset DP as a Python loop over every split, free labels kept as
+    int bitmasks and costs as Python ints: ``find_optimal_order`` before
+    its splits were evaluated by numpy.  Same cost model and ``(cost,
+    rendered)`` tie-break; among equal pairs the first split met wins,
+    s2 running down from the subset without its lowest tensor."""
+    names = list(label_sets)
+    n = len(names)
+    if n == 1:
+        return names[0]
+    label_lists = [list(label_sets[nm]) for nm in names]
+    bit = {}                     # label -> its bit
+    for labels in label_lists:
+        for l in labels:
+            bit.setdefault(l, 1 << len(bit))
+    dim_of = {b: int(dims[l]) for l, b in bit.items()}
+    prods = {0: 1}               # label bits -> product of their dimensions
+
+    def bits_prod(x):
+        p, rest = 1, x
+        while rest:
+            low = rest & -rest
+            p *= dim_of[low]
+            rest ^= low
+        prods[x] = p
+        return p
+
+    size = 1 << n
+    once = [0] * size            # free labels: occurring exactly once
+    more = [0] * size            # labels occurring twice or more
+    prod = [1] * size            # product of the free dimensions
+    cost = [0] * size
+    rendered = [None] * size
+    tree = [None] * size
+    for i, labels in enumerate(label_lists):
+        seen = rep = 0
+        for l in labels:
+            rep |= seen & bit[l]
+            seen |= bit[l]
+        m = 1 << i
+        once[m], more[m] = seen & ~rep, rep
+        prod[m] = bits_prod(once[m])
+        rendered[m] = tree[m] = names[i]
+    for mask in range(3, size):
+        low = mask & -mask
+        rest = mask ^ low
+        if not rest:
+            continue
+        # the subset's labels: those of the rest plus its lowest tensor's
+        rep = more[rest] | more[low] | (once[rest] & once[low])
+        once[mask] = (once[rest] | once[low]) & ~rep
+        more[mask] = rep
+        prod[mask] = prods.get(once[mask]) or bits_prod(once[mask])
+        # each split once: the lowest tensor stays in s1.  Submasks are
+        # smaller integers than their mask, so both halves are done.
+        best = None
+        s2 = rest
+        while s2:
+            s1 = mask ^ s2
+            c = cost[s1] + cost[s2]
+            if best is None or c < best:    # the step itself costs >= 1
+                shared = once[s1] & once[s2]
+                c += prod[s1] * prod[s2] // (prods.get(shared)
+                                             or bits_prod(shared))
+                if best is None or c <= best:
+                    r1, r2 = rendered[s1], rendered[s2]
+                    if r1 > r2:
+                        r1, r2 = r2, r1
+                    r = f"({r1},{r2})"
+                    if best is None or c < best or r < best_r:
+                        best, best_r, best_split = c, r, (s1, s2)
+            s2 = (s2 - 1) & rest
+        s1, s2 = best_split
+        if rendered[s1] > rendered[s2]:
+            s1, s2 = s2, s1
+        cost[mask], rendered[mask] = best, best_r
+        tree[mask] = (tree[s1], tree[s2])
+    return tree[size - 1]
 
 
 # -- effective-Hamiltonian oracle ----------------------------------------------
@@ -221,11 +301,18 @@ MALFORMED_UTN = {
     "unknown dtype": "unsupported dtype 'float32'",
     "missing keys": "header lacks keys ['rowrank', 'blocks']",
     "cut in fixed header": "file ends inside the fixed header",
-    "truncated payload": "payload ends inside block",
+    "truncated payload": "payload ends inside block 0 (45 of 48 bytes)",
     "integer-valued float shape": "block 0 has shape (2.0, 3.0), expected (2, 3)",
     "bonds beyond the payload": "payload ends inside block 0 (48 of "
                                 "24000000000000 bytes)",
 }
+
+
+def assert_malformed_message(kind, message):
+    """``message`` names damage ``kind`` as what it is: every kind here
+    lies outside the header's entries, so none reads as a bad header."""
+    assert MALFORMED_UTN[kind] in message
+    assert "bad header" not in message
 
 
 def write_malformed_utn(kind, path):

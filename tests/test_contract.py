@@ -1,3 +1,4 @@
+import gc
 import importlib
 import re
 import tracemalloc
@@ -14,7 +15,8 @@ from tnkit import random as trandom
 from tnkit import unitensor
 from tnkit.symmetry import combine_qnums, identity_qnum, reverse_qnums
 from tests.conftest import (PEPS_SLOTS, cap_doubling_order, loop_contract,
-                            peps_dim, random_u1_tensor, to_dense)
+                            peps_dim, random_u1_tensor, subset_loop_order,
+                            to_dense)
 
 # the module, which the package's ``contract`` function shadows
 contract_module = importlib.import_module("tnkit.contract")
@@ -810,12 +812,12 @@ def test_dp_matches_brute_force_on_random_networks(rng):
 
 
 @st.composite
-def _networks(draw):
-    """Up to 9 tensors over labels held by one to three owners.  An owner
-    drawn twice repeats the label within one tensor; three distinct owners
-    make a hyperedge.  Dimensions 1-3 make many ties; 50 lets an outer
-    product win."""
-    n = draw(st.integers(2, 9))
+def _networks(draw, fewest=2, most=9):
+    """``fewest`` to ``most`` tensors over labels held by one to three
+    owners.  An owner drawn twice repeats the label within one tensor;
+    three distinct owners make a hyperedge.  Dimensions 1-3 make many ties;
+    50 lets an outer product win."""
+    n = draw(st.integers(fewest, most))
     sets = {f"T{i}": [] for i in range(n)}
     dims = {}
     for k in range(draw(st.integers(1, 2 * n))):
@@ -834,6 +836,121 @@ def test_search_equals_cap_doubling_dp(network):
             == render_order(cap_doubling_order(sets, dims)))
 
 
+
+
+def _ring(n, bond, free):
+    sets = {f"T{i}": [f"r{i}", f"r{(i + 1) % n}", f"o{i}"] for i in range(n)}
+    dims = {**{f"r{i}": bond for i in range(n)},
+            **{f"o{i}": free for i in range(n)}}
+    return sets, dims
+
+
+def _assert_same_order_as_subset_loop(sets, dims):
+    assert (render_order(find_optimal_order(sets, dims))
+            == render_order(subset_loop_order(sets, dims)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_networks(10, 13))
+def test_search_equals_subset_loop_on_large_networks(network):
+    _assert_same_order_as_subset_loop(*network)
+
+
+def test_search_over_more_than_64_labels_equals_subset_loop(rng):
+    # a ring of 9 tensors with 8 dangling legs each: 81 labels, two words
+    sets = {f"T{i}": ([f"f{i}.{j}" for j in range(8)]
+                      + [f"r{i}", f"r{(i + 1) % 9}"]) for i in range(9)}
+    dims = {l: int(rng.integers(1, 3)) for ls in sets.values() for l in ls
+            if l[0] == "f"}
+    dims.update({f"r{i}": int(rng.integers(2, 7)) for i in range(9)})
+    assert len(dims) == 81
+    _assert_same_order_as_subset_loop(sets, dims)
+
+
+def test_costs_one_apart_above_2_53_are_told_apart():
+    # three outer products: ((A,C),B) costs J + J(J+1) and ((A,B),C) one
+    # more.  Both are 2^54 + 2^28 in float64, and as a tie the order string
+    # would pick ((A,B),C).
+    j = 1 << 27
+    sets = {"A": ["a"], "B": ["b"], "C": ["c"]}
+    dims = {"a": 1, "b": j + 1, "c": j}
+    best = find_optimal_order(sets, dims)
+    assert render_order(best) == "((A,C),B)"
+    other = parse_order("((A,B),C)")
+    costs = [contraction_cost(t, sets, dims) for t in (best, other)]
+    assert costs[0] > 2 ** 53 and costs[1] == costs[0] + 1
+    assert float(costs[0]) == float(costs[1])
+    _assert_same_order_as_subset_loop(sets, dims)
+
+
+def test_exact_tie_above_2_53_goes_to_the_order_string():
+    # ((A,B),C) and ((B,C),A) cost exactly the same, above 2^53, but their
+    # float64 costs round apart: the float minimum alone is ((B,C),A)
+    sets = {"A": ["x", "p"], "B": ["p", "y"], "C": ["y", "z"]}
+    dims = {"x": 3541, "p": 16801836081, "y": 2949, "z": 1609}
+    trees = [parse_order(o) for o in ("((A,B),C)", "((B,C),A)")]
+    costs = {contraction_cost(t, sets, dims) for t in trees}
+    assert len(costs) == 1 and costs.pop() > 2 ** 53
+    assert render_order(find_optimal_order(sets, dims)) == "((A,B),C)"
+    _assert_same_order_as_subset_loop(sets, dims)
+
+
+def test_dimensions_beyond_float_range_equal_subset_loop():
+    # float64 costs overflow to inf and every split is settled exactly
+    sets, dims = _ring(6, 10 ** 200, 3)
+    dims["o2"] = 10 ** 400
+    _assert_same_order_as_subset_loop(sets, dims)
+
+
+def test_all_tied_ring_equals_subset_loop():
+    # with every dimension 1, each tree costs n - 1: the order string decides
+    _assert_same_order_as_subset_loop(*_ring(10, 1, 1))
+
+
+def test_search_over_17_tensors_fails_before_any_work():
+    sets, dims = _ring(17, 2, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"17 tensors .*\(limit 16\)"):
+            find_optimal_order(sets, dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_search_memory_is_one_chunk_over_the_subset_tables():
+    # both searches fill whole chunks, so their peaks differ by the O(2^n)
+    # tables; evaluated whole, one layer of 15 tensors holds 1.5M splits
+    peaks = {}
+    for n in (13, 15):
+        tracemalloc.start()
+        try:
+            find_optimal_order(*_ring(n, 8, 2))
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a chunk of 2^16 splits holds four 8-byte work arrays and the arrays
+    # of the splits kept after pruning: under 64 bytes a split.  A subset
+    # holds its label words, cost, best split, layer index and rendered
+    # string: under 256 bytes for 15 tensors.
+    chunk = (1 << 16) * 64
+    tables = (1 << 15) * 256
+    assert peaks[15] - peaks[13] <= chunk + tables
+
+
+def test_search_frees_its_tables_on_return():
+    # no reference cycle keeps the search's arrays for the garbage collector
+    sets, dims = _ring(12, 8, 2)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        tree = find_optimal_order(sets, dims)
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert tree and left < 1 << 16
 
 
 def test_pinned_orders_of_peps_and_ring():

@@ -4,7 +4,8 @@ import pytest
 from tnkit import (Bond, Complex128, IN, Int64, OUT, Symmetry, UniTensor,
                    load_unitensor, save_unitensor, storage)
 from tnkit import random as trandom
-from tests.conftest import MALFORMED_UTN, write_malformed_utn
+from tests.conftest import (MALFORMED_UTN, assert_malformed_message,
+                            write_malformed_utn)
 
 
 def test_dense_round_trip(tmp_path):
@@ -99,5 +100,6 @@ def test_malformed_file_raises_value_error_naming_it(tmp_path, kind):
     p = write_malformed_utn(kind, tmp_path / "bad.utn")
     with pytest.raises(ValueError) as info:
         load_unitensor(p)
-    assert str(p) in str(info.value)
-    assert MALFORMED_UTN[kind] in str(info.value)
+    assert str(info.value).startswith(f"{p}: ")
+    assert str(info.value).count(str(p)) == 1
+    assert_malformed_message(kind, str(info.value))
