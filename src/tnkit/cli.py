@@ -91,9 +91,8 @@ def _cmd_contract(args):
     net = Network(args.netfile)
     for spec in args.tensor:
         if "=" not in spec:
-            print(f"bad --tensor spec {spec!r}; expected SLOT=PATH[:labels]",
-                  file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError(f"bad --tensor spec {spec!r}; expected "
+                             f"SLOT=PATH[:labels]")
         slot, rhs = spec.split("=", 1)
         labels = None
         if ":" in rhs:
@@ -159,9 +158,7 @@ def _cmd_netopt(args):
     dims = {}
     for item in args.dims.split(","):
         if "=" not in item:
-            print(f"bad --dims entry {item!r}; expected label=dim",
-                  file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError(f"bad --dims entry {item!r}; expected label=dim")
         label, d = (part.strip() for part in item.split("=", 1))
         if label in dims:
             raise ValueError(f"--dims gives label {label!r} more than once")

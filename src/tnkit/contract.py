@@ -3,9 +3,10 @@
 ``contract`` sums over every index label shared by its operands.  Directed
 bonds contract only against the opposite direction, and quantum-number
 bonds must agree sector by sector.  A block-sparse pair is contracted as
-one matrix product per charge group of the contracted legs, through a
+one matrix product per charge sector of the contracted legs, through a
 plan computed once per pair of block structures (:class:`_PairPlan`) that
-reads and writes the tensors' flat buffers directly.
+reads both operands and the output as block-diagonal matrices
+(:meth:`BlockStructure.sectors`) in their flat buffers.
 Multi-tensor calls either follow an explicit parenthesized order string
 such as ``"((A,B),C)"`` or search for a cost-optimal order with a dynamic
 program over tensor subsets.  Every bond of a list is checked
@@ -169,7 +170,7 @@ def contract_pair(a, b):
     no shared labels this is the outer product.  A dense output keeps the
     memory order of its matrix product and may be lazily permuted (see
     :func:`storage.contract_axes`).  A block-sparse pair is one matrix
-    product per charge group (see :class:`_PairPlan`), written into the
+    product per charge sector (see :class:`_PairPlan`), written into the
     output's buffer; a lazily permuted operand is gathered once first.  A
     fully contracted result is returned as a rank-0 tensor (read it with
     ``.item()``).
@@ -240,28 +241,27 @@ def pair_plan(a, b):
 
 class _PairPlan:
     """How to contract the blocks of two structures over given axes, as
-    one matrix product per charge group.
+    one matrix product per charge sector.
 
     Operands and output are flat buffers in the layout of a contiguous
-    tensor (``UniTensor._flat``).  a's blocks are grouped into rows by
-    their free Qn tuple, and each row is keyed by the set of contracted Qn
-    tuples it meets; b's blocks form columns the same way (see
-    :meth:`BlockStructure.line_groups`).  Both operands have zero
-    flux, so the contracted tuples a row meets are exactly those of one
-    total charge: a row and a column meet the same set or disjoint ones.
-    Rows and columns with equal keys make one dense (rows x K) @ (K x
+    tensor (``UniTensor._flat``), each read as a block-diagonal matrix
+    (:meth:`BlockStructure.sectors`): a as (free, contracted), b as
+    (contracted, free) and the output as (a's free, b's free).  Both
+    operands have zero flux, so a row of a meets every contracted tuple of
+    the opposite charge, and so does a column of b: a sector of a and one
+    of b with the same contracted tuples make one dense (rows x K) @ (K x
     cols) product, whose entries are whole output blocks and whose sum
-    over K is exactly the sum over their block pairs.  Each output block
-    lies in one group only, so the product is assigned, not accumulated;
-    output blocks no group reaches stay zero.
+    over K is exactly the sum over their block pairs.  Its rows and
+    columns are those of one output sector, found by its rows.  Each
+    output block lies in one sector only, so the product is assigned, not
+    accumulated; output blocks no pair of sectors reaches stay zero.
 
-    ``groups`` holds per group three index arrays into the flat buffers:
-    a's (free, contracted) matrix, b's (contracted, free) matrix and the
-    output's (rows, cols) matrix.  The plan depends only on the two
-    structures and the axes, so it is computed once and reused by every
-    contraction of that shape.  ``out`` is the output structure and
-    ``out_bonds`` its bonds (None and [] for a scalar result), and
-    ``size`` the output's element count.
+    ``groups`` holds per product three index arrays into the flat buffers:
+    a's, b's and the output's sector matrices, shared with the structures'
+    memos.  The plan depends only on the two structures and the axes, so
+    it is computed once and reused by every contraction of that shape.
+    ``out`` is the output structure and ``out_bonds`` its bonds (None and
+    [] for a scalar result), and ``size`` the output's element count.
     """
 
     __slots__ = ("out", "out_bonds", "size", "groups")
@@ -269,28 +269,21 @@ class _PairPlan:
     def __init__(self, sa, sb, a_pos, b_pos, a_free, b_free, out_bonds):
         self.out_bonds = out_bonds
         self.out = block_structure(out_bonds) if out_bonds else None
-        if self.out is not None and not self.out.qns:
+        if self.out is None:
+            self.size = 1
+            out_sectors = {((),): np.zeros((1, 1), np.intp)}
+        elif not self.out.qns:
             raise ValueError("no valid blocks: no output block of this "
                              "contraction has zero flux")
-        out_off = self.out.offsets if self.out is not None else (0, 1)
-        self.size = out_off[-1]
-        col_groups = sb.line_groups(b_free, b_pos)
-        self.groups = []
-        for key, rows in sa.line_groups(a_free, a_pos).items():
-            cols = col_groups.get(key)
-            if cols is None:
-                continue
-            ks = sorted(key)
-            a_idx = np.block([[blocks[c] for c in ks] for _, blocks, _ in rows])
-            b_idx = np.block([[blocks[c].T for _, blocks, _ in cols]
-                              for c in ks])
-            out_idx = np.block([[self._out_matrix(r + s, out_off, nr, nc)
-                                 for s, _, nc in cols] for r, _, nr in rows])
-            self.groups.append((a_idx, b_idx, out_idx))
-
-    def _out_matrix(self, qn, out_off, nrow, ncol):
-        k = self.out.lookup[qn] if self.out is not None else 0
-        return np.arange(out_off[k], out_off[k + 1]).reshape(nrow, ncol)
+        else:
+            self.size = self.out.offsets[-1]
+            n = len(a_free)
+            out_sectors = {rows: idx for rows, _, idx in self.out.sectors(
+                range(n), range(n, len(out_bonds)))}
+        b_sectors = {ks: idx for ks, _, idx in sb.sectors(b_pos, b_free)}
+        self.groups = [(a_idx, b_sectors[ks], out_sectors[rows])
+                       for rows, ks, a_idx in sa.sectors(a_free, a_pos)
+                       if ks in b_sectors]
 
     def gather_a(self, flat):
         """a's group matrices, read from its flat buffer."""

@@ -2,10 +2,12 @@
 
 Every routine here reads its input through the ``rowrank`` split: the
 first ``rowrank`` indices are flattened into the matrix row, the rest into
-the column.  Block-sparse tensors are handled sector by sector: grouping
-the blocks by the total charge of their row indices, as contraction groups
-them, makes the matrix block-diagonal.  Each sector matrix is one gather
-from the tensor's buffer, and each factor is one scatter per sector.
+the column.  Block-sparse tensors are handled sector by sector: read as
+contraction reads them (:meth:`BlockStructure.sectors`), the matrix is
+block-diagonal, one sector per total charge of the row indices.  Each
+sector matrix is one gather from the tensor's buffer, and each factor is
+one scatter per sector, through index matrices memoized on the block
+structures.
 
 The factor conventions follow one pattern: the left factor inherits the
 row labels and gains a new bond labeled ``_aux_L``; the right factor
@@ -77,7 +79,7 @@ def _matricize(ut, require_square=False):
         m.charges = [None]
         m.sectors = None
     else:
-        m.sectors = ut._struct.memo(("matricize", r), _sectors, ut._struct, r)
+        m.sectors = ut._struct.sectors(range(r), range(r, ut.rank))
         buf = ut._flat()
         m.mats = [buf[idx] for _, _, idx in m.sectors]
         m.charges = [_row_charge(m.row_bonds, rows[0])
@@ -91,24 +93,6 @@ def _matricize(ut, require_square=False):
     return m
 
 
-def _sectors(struct, r):
-    """The charge sectors of ``struct`` read as a matrix with its first
-    ``r`` axes as rows, grouped as contraction groups lines: per sector,
-    its row and column Qn tuples, in sorted (dense-matrix) order, and its
-    elements' positions in a contiguous buffer.  Sectors come in the order
-    their charge first appears in block order.
-    """
-    rank = len(struct.qns[0])
-    sectors = []
-    for key, lines in struct.line_groups(list(range(r)),
-                                         list(range(r, rank))).items():
-        lines.sort()            # by row tuple; each row tuple is one line
-        cols = sorted(key)
-        idx = np.block([[blocks[c] for c in cols] for _, blocks, _ in lines])
-        sectors.append(([f for f, _, _ in lines], cols, idx))
-    return sectors
-
-
 def _row_charge(bonds, qn):
     syms = bonds[0].syms
     charge = identity_qnum(syms)
@@ -120,14 +104,17 @@ def _row_charge(bonds, qn):
     return charge
 
 
-def _new_bond(m, keeps, btype):
-    """The bond created between factors; one sector per surviving charge."""
+def _new_bonds(m, keeps):
+    """The bond created between factors, one sector per surviving charge,
+    as its IN and its OUT form (one bond when it is REGULAR)."""
     if m.ut.is_sym:
         sectors = [(c, k) for c, k in zip(m.charges, keeps) if k > 0]
-        return Bond(btype=btype, sectors=sectors, syms=m.ut.bonds[0].syms)
-    if any(b.btype != REGULAR for b in m.ut.bonds):
-        return Bond(int(keeps[0]), btype)
-    return Bond(int(keeps[0]))
+        new = Bond(btype=IN, sectors=sectors, syms=m.ut.bonds[0].syms)
+    elif any(b.btype != REGULAR for b in m.ut.bonds):
+        new = Bond(int(keeps[0]), IN)
+    else:
+        new = Bond(int(keeps[0]))
+    return new, new.redirect()
 
 
 def _factor(bonds, labels, rowrank, name, kept, new_axis):
@@ -140,30 +127,30 @@ def _factor(bonds, labels, rowrank, name, kept, new_axis):
         return UniTensor._assemble(bonds, labels, rowrank, name, data, None)
     struct = block_structure(bonds)
     buf = np.zeros(struct.offsets[-1], dtype=np.result_type(*kept))
-    for rows, cols, idx in _sectors(struct, rowrank):
+    for rows, cols, idx in struct.sectors(range(rowrank),
+                                          range(rowrank, len(bonds))):
         buf[idx] = kept[(rows[0] + cols[0])[new_axis]]
     return UniTensor._assemble(bonds, labels, rowrank, name,
                                DenseTensor._wrap(buf), struct)
 
 
-def _build_left(m, mats, keeps, label, name):
-    """Left factor: row bonds + one new OUT bond; inherits row labels."""
-    return _factor(m.row_bonds + [_new_bond(m, keeps, OUT)],
-                   m.row_labels + [label], len(m.row_bonds), name,
+def _build_left(m, mats, keeps, new, label, name):
+    """Left factor: row bonds + the new bond, OUT; inherits row labels."""
+    return _factor(m.row_bonds + [new[1]], m.row_labels + [label],
+                   len(m.row_bonds), name,
                    [mat[:, :k] for mat, k in zip(mats, keeps) if k], -1)
 
 
-def _build_right(m, mats, keeps, label, name):
-    """Right factor: one new IN bond + column bonds; inherits column labels."""
-    return _factor([_new_bond(m, keeps, IN)] + m.col_bonds,
-                   [label] + m.col_labels, 1, name,
+def _build_right(m, mats, keeps, new, label, name):
+    """Right factor: the new bond, IN, + column bonds; inherits column
+    labels."""
+    return _factor([new[0]] + m.col_bonds, [label] + m.col_labels, 1, name,
                    [mat[:k] for mat, k in zip(mats, keeps) if k], 0)
 
 
-def _build_middle(m, diags, keeps, labels, name):
+def _build_middle(m, diags, keeps, new, name):
     """Square diagonal middle factor on the new bond (IN left, OUT right)."""
-    return _factor([_new_bond(m, keeps, IN), _new_bond(m, keeps, OUT)],
-                   labels, 1, name,
+    return _factor(list(new), [m.aux_l, m.aux_r], 1, name,
                    [np.diag(np.asarray(d)[:k]) for d, k in zip(diags, keeps)
                     if k], 0)
 
@@ -198,19 +185,24 @@ def svd(ut, compute_uv=True):
     nonnegative and sorted descending within each charge sector.
     """
     m = _matricize(ut)
-    us, ss, vhs, keeps = [], [], [], []
-    for mat in m.mats:
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        us.append(u)
-        ss.append(s)
-        vhs.append(vh)
-        keeps.append(len(s))
-    s_t = _build_middle(m, ss, keeps, [m.aux_l, m.aux_r], "S")
+    us, ss, vhs = _sector_svds(m)
+    return _svd_factors(m, us, ss, vhs, [len(s) for s in ss], compute_uv)
+
+
+def _sector_svds(m):
+    """The thin SVD of every sector matrix: the u, s and vh of each."""
+    return zip(*(np.linalg.svd(mat, full_matrices=False) for mat in m.mats))
+
+
+def _svd_factors(m, us, ss, vhs, keeps, compute_uv=True):
+    """``(s, u, vdag)`` keeping the leading ``keeps[i]`` singular values of
+    sector i, or ``s`` alone; the new bond is built once for all three."""
+    new = _new_bonds(m, keeps)
+    s_t = _build_middle(m, ss, keeps, new, "S")
     if not compute_uv:
         return s_t
-    u_t = _build_left(m, us, keeps, m.aux_l, "U")
-    v_t = _build_right(m, vhs, keeps, m.aux_r, "Vdag")
-    return s_t, u_t, v_t
+    return (s_t, _build_left(m, us, keeps, new, m.aux_l, "U"),
+            _build_right(m, vhs, keeps, new, m.aux_r, "Vdag"))
 
 
 def svd_truncate(ut, keepdim, err=0.0, return_err=0, min_blockdim=None):
@@ -256,12 +248,7 @@ def svd_truncate(ut, keepdim, err=0.0, return_err=0, min_blockdim=None):
                                                               m.mats)]
     else:
         keeps = [0] * nsec
-    us, ss, vhs = [], [], []
-    for mat in m.mats:
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        us.append(u)
-        ss.append(s)
-        vhs.append(vh)
+    us, ss, vhs = _sector_svds(m)
     slots = keepdim - sum(keeps)
     if slots > 0:
         ranked = sorted(
@@ -277,9 +264,7 @@ def svd_truncate(ut, keepdim, err=0.0, return_err=0, min_blockdim=None):
     discarded = sorted(
         (s[pos] for i, s in enumerate(ss) for pos in range(keeps[i], len(s))),
         reverse=True)
-    s_t = _build_middle(m, ss, keeps, [m.aux_l, m.aux_r], "S")
-    u_t = _build_left(m, us, keeps, m.aux_l, "U")
-    v_t = _build_right(m, vhs, keeps, m.aux_r, "Vdag")
+    s_t, u_t, v_t = _svd_factors(m, us, ss, vhs, keeps)
     if return_err == 0:
         return s_t, u_t, v_t
     if return_err == 1:
@@ -326,11 +311,11 @@ def eigh(ut, compute_v=True):
         ws.append(w)
         vs.append(v)
         keeps.append(len(w))
-    d_t = _build_middle(m, ws, keeps, [m.aux_l, m.aux_r], "D")
+    new = _new_bonds(m, keeps)
+    d_t = _build_middle(m, ws, keeps, new, "D")
     if not compute_v:
         return d_t
-    v_t = _build_left(m, vs, keeps, m.aux_l, "V")
-    return d_t, v_t
+    return d_t, _build_left(m, vs, keeps, new, m.aux_l, "V")
 
 
 def eig(ut, compute_v=True):
@@ -347,11 +332,11 @@ def eig(ut, compute_v=True):
         ws.append(w[idx])
         vs.append(v[:, idx])
         keeps.append(len(w))
-    d_t = _build_middle(m, ws, keeps, [m.aux_l, m.aux_r], "D")
+    new = _new_bonds(m, keeps)
+    d_t = _build_middle(m, ws, keeps, new, "D")
     if not compute_v:
         return d_t
-    v_t = _build_left(m, vs, keeps, m.aux_l, "V")
-    return d_t, v_t
+    return d_t, _build_left(m, vs, keeps, new, m.aux_l, "V")
 
 
 def qr(ut):
@@ -368,9 +353,9 @@ def qr(ut):
         qs.append(q)
         rs.append(r)
         keeps.append(q.shape[1])
-    q_t = _build_left(m, qs, keeps, m.aux_l, "Q")
-    r_t = _build_right(m, rs, keeps, m.aux_l, "R")
-    return q_t, r_t
+    new = _new_bonds(m, keeps)
+    return (_build_left(m, qs, keeps, new, m.aux_l, "Q"),
+            _build_right(m, rs, keeps, new, m.aux_l, "R"))
 
 
 def expm(ut, a=1.0, b=0.0):

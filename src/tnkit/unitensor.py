@@ -12,9 +12,12 @@ Which blocks exist, their Qn-index tuples, shapes and offsets form a
 :class:`BlockStructure`.  It is computed once per distinct bond tuple, by
 merging charges one bond at a time, and shared by every tensor and handle
 over those bonds, following the block bookkeeping of Singh, Pfeifer &
-Vidal, PRB 83, 115125 (2011).  What is computed from a structure alone
-(permuted and transposed structures, contraction plans, matricizations)
-is memoized on it, so every DMRG sweep reuses its index arrays.
+Vidal, PRB 83, 115125 (2011).  Contraction and the decompositions both
+read a tensor as a block-diagonal matrix with one sector per charge, and
+:meth:`BlockStructure.sectors` is the one place that lays blocks out so.
+What is computed from a structure alone (permuted and transposed
+structures, charge sectors, contraction plans) is memoized on it, so every
+DMRG sweep reuses its index arrays.
 
 A block-sparse tensor keeps its elements in one flat buffer, as ITensor's
 BlockSparse storage does (Fishman, White & Stoudenmire, SciPost Phys.
@@ -134,27 +137,46 @@ class BlockStructure:
                             .transpose(perm).ravel())
         return np.concatenate(segments)
 
-    def line_groups(self, free, summed):
-        """The blocks as the lines of a matrix, grouped by key.
+    def sectors(self, rows, cols):
+        """The blocks read as a block-diagonal matrix, one sector per charge.
 
-        A line is a ``free`` Qn tuple with the blocks it meets, as ``(free
-        tuple, {summed tuple: index matrix}, free element count)``; an
-        index matrix holds a block's positions in a contiguous buffer as a
-        (free, summed) matrix.  Lines come in the order their free tuple
-        first appears.  A line's key is the set of summed tuples it meets,
-        which under zero flux is fixed by the line's total charge.
+        ``rows`` and ``cols`` split the axes between the matrix's rows and
+        columns.  Per sector: its row Qn tuples and its column Qn tuples,
+        each sorted (the order of a dense matrix), and the (rows, cols)
+        matrix of its elements' positions in a contiguous buffer.  Under
+        zero flux a row tuple meets every column tuple of the opposite
+        charge, so each row tuple of a sector makes one block with each of
+        its column tuples.  Sectors come in the order their charge first
+        appears in block order.  The index matrices are C-ordered and
+        read-only: every caller shares them.
         """
-        lines = {}
-        for i, (qn, shape) in enumerate(zip(self.qns, self.shapes)):
-            f = tuple(qn[p] for p in free)
-            nf = math.prod(shape[p] for p in free)
-            idx = np.arange(self.offsets[i], self.offsets[i + 1])\
-                    .reshape(shape).transpose(free + summed).reshape(nf, -1)
-            lines.setdefault(f, (f, {}, nf))[1][tuple(qn[p] for p in summed)] = idx
-        groups = {}
-        for line in lines.values():
-            groups.setdefault(frozenset(line[1]), []).append(line)
-        return groups
+        rows, cols = tuple(rows), tuple(cols)
+        return self.memo(("sectors", rows, cols), self._sectors, rows, cols)
+
+    def _sectors(self, rows, cols):
+        # a block's row tuple and its column tuple each fix its charge
+        row_sector, col_sector, grids = {}, {}, []
+        for i, qn in enumerate(self.qns):
+            r, c = tuple(qn[p] for p in rows), tuple(qn[p] for p in cols)
+            k = row_sector.get(r, col_sector.get(c))
+            if k is None:
+                k = len(grids)
+                grids.append({})
+            row_sector[r] = col_sector[c] = k
+            grids[k][r, c] = np.arange(self.offsets[i], self.offsets[i + 1])\
+                .reshape(self.shapes[i]).transpose(rows + cols)\
+                .reshape(math.prod(self.shapes[i][p] for p in rows), -1)
+        sectors = []
+        for grid in grids:
+            rs = tuple(sorted({r for r, _ in grid}))
+            cs = tuple(sorted({c for _, c in grid}))
+            # C order whatever the blocks' strides: a matrix gathered
+            # through it takes its layout, and GEMM reads it so
+            idx = np.ascontiguousarray(np.concatenate(
+                [np.concatenate([grid[r, c] for c in cs], 1) for r in rs]))
+            idx.flags.writeable = False
+            sectors.append((rs, cs, idx))
+        return sectors
 
 
 def block_structure(bonds):

@@ -4,13 +4,15 @@ The oracles here deliberately avoid the library's own code paths: dense
 Hamiltonians come from explicit Kronecker sums, contraction references
 from naive index loops, circuit references from sparse full-space gate
 matrices, and ground-state references from free-fermion single-particle
-spectra or exact diagonalization.  Three oracles keep a superseded path
+spectra or exact diagonalization.  Four oracles keep a superseded path
 of the library as the reference for its replacement: the cost-capped
-order search, the order search as a Python loop over every split, and
-the effective Hamiltonian contracted through a ``Network`` blueprint.
+order search, the order search as a Python loop over every split, the
+effective Hamiltonian contracted through a ``Network`` blueprint, and
+the block-sparse matrix layout assembled line by line with ``np.block``.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -183,6 +185,75 @@ def subset_loop_order(label_sets, dims):
         cost[mask], rendered[mask] = best, best_r
         tree[mask] = (tree[s1], tree[s2])
     return tree[size - 1]
+
+
+# -- block-sparse layout oracle ------------------------------------------------
+
+def line_groups(struct, free, summed):
+    """The blocks of ``struct`` as the lines of a matrix, grouped by key,
+    as ``BlockStructure.line_groups`` computed them before the memoized
+    sector builder replaced it.
+
+    A line is a ``free`` Qn tuple with the blocks it meets, as ``(free
+    tuple, {summed tuple: index matrix}, free element count)``; an index
+    matrix holds a block's positions in a contiguous buffer as a (free,
+    summed) matrix.  Lines come in the order their free tuple first
+    appears.  A line's key is the set of summed tuples it meets.
+    """
+    lines = {}
+    for i, (qn, shape) in enumerate(zip(struct.qns, struct.shapes)):
+        f = tuple(qn[p] for p in free)
+        nf = math.prod(shape[p] for p in free)
+        idx = np.arange(struct.offsets[i], struct.offsets[i + 1])\
+                .reshape(shape).transpose(free + summed).reshape(nf, -1)
+        lines.setdefault(f, (f, {}, nf))[1][tuple(qn[p] for p in summed)] = idx
+    groups = {}
+    for line in lines.values():
+        groups.setdefault(frozenset(line[1]), []).append(line)
+    return groups
+
+
+def _sorted_lines(lines):
+    return sorted(lines, key=lambda line: line[0])
+
+
+def np_block_sectors(struct, rows, cols):
+    """The charge sectors of ``struct`` read as a (rows, cols) matrix, as
+    ``linalg`` assembled them: per line group, its sorted row tuples, its
+    sorted column tuples and ``np.block`` of its blocks' index matrices."""
+    sectors = []
+    for key, lines in line_groups(struct, list(rows), list(cols)).items():
+        lines, ks = _sorted_lines(lines), sorted(key)
+        idx = np.block([[blocks[c] for c in ks] for _, blocks, _ in lines])
+        sectors.append(([f for f, _, _ in lines], ks, idx))
+    return sectors
+
+
+def np_block_plan(sa, sb, a_pos, b_pos, a_free, b_free, out):
+    """The (a, b, output) index matrices of every product of a block-sparse
+    pair, as the pair plan assembled them with ``np.block``, each line
+    group put in sorted order: a's row groups and b's column groups
+    matched by their contracted-tuple set, b's matrix built from its
+    transposed blocks and the output's from whole output blocks."""
+    col_groups = line_groups(sb, b_free, b_pos)
+    groups = []
+    for key, rows in line_groups(sa, a_free, a_pos).items():
+        if key not in col_groups:
+            continue
+        rows, cols, ks = (_sorted_lines(rows), _sorted_lines(col_groups[key]),
+                          sorted(key))
+        a_idx = np.block([[blocks[c] for c in ks] for _, blocks, _ in rows])
+        b_idx = np.block([[blocks[c].T for _, blocks, _ in cols] for c in ks])
+        out_idx = np.block([[_out_block(out, r + s, nr, nc)
+                             for s, _, nc in cols] for r, _, nr in rows])
+        groups.append((a_idx, b_idx, out_idx))
+    return groups
+
+
+def _out_block(out, qn, nrow, ncol):
+    k = out.lookup[qn] if out is not None else 0
+    offsets = out.offsets if out is not None else (0, 1)
+    return np.arange(offsets[k], offsets[k + 1]).reshape(nrow, ncol)
 
 
 # -- effective-Hamiltonian oracle ----------------------------------------------

@@ -16,7 +16,7 @@ from tnkit import Bond, IN, OUT, Symmetry, UniTensor, contract
 from tnkit import random as trandom
 from tnkit import unitensor
 from tnkit.symmetry import combine_qnums, identity_qnum, reverse_qnums
-from tests.conftest import random_u1_tensor, to_dense
+from tests.conftest import np_block_sectors, random_u1_tensor, to_dense
 
 
 def zero_flux_combos(bonds):
@@ -79,6 +79,29 @@ def test_structure_matches_product_oracle(bonds):
     assert [t.block_qn_indices(i) for i in range(t.nblocks)] == combos
     assert [blk.shape for blk in t.get_blocks_()] == expected_shapes(bonds,
                                                                      combos)
+
+
+# -- charge sectors against the np.block oracle -----------------------------------
+
+@given(_bond_lists(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_sectors_match_the_np_block_oracle(bonds, data):
+    struct = unitensor.block_structure(bonds)
+    if not struct.qns:
+        return
+    rank = len(bonds)
+    struct = struct.permuted(data.draw(st.permutations(range(rank))))
+    axes = data.draw(st.permutations(range(rank)))
+    split = data.draw(st.integers(0, rank))
+    rows, cols = axes[:split], axes[split:]
+    got = struct.sectors(rows, cols)
+    want = np_block_sectors(struct, rows, cols)
+    assert len(got) == len(want)
+    for (rs, cs, idx), (want_rs, want_cs, want_idx) in zip(got, want):
+        assert list(rs) == want_rs and list(cs) == want_cs
+        assert idx.dtype == np.intp and np.array_equal(idx, want_idx)
+        assert idx.flags.c_contiguous and not idx.flags.writeable
+    assert struct.sectors(tuple(rows), tuple(cols)) is got
 
 
 # -- sharing and aliasing ----------------------------------------------------------

@@ -203,6 +203,19 @@ def test_bad_tensor_spec_is_usage_error(tmp_path, capsys):
     net = tmp_path / "m.net"
     net.write_text("M1: i\nTOUT: i\n")
     assert main(["contract", str(net), "--tensor", "M1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: bad --tensor spec 'M1'; expected "
+                            "SLOT=PATH[:labels]\n")
+
+
+def test_netopt_dims_entry_without_equals_is_usage_error(tmp_path, capsys):
+    p = tmp_path / "m.net"
+    p.write_text("A: a, b\nB: b, c\nTOUT: a, c\n")
+    assert main(["netopt", str(p), "--dims", "a=2,b3,c=2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad --dims entry 'b3'; expected label=dim\n"
 
 
 @pytest.mark.parametrize("kind", sorted(MALFORMED_UTN))

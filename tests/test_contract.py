@@ -15,8 +15,8 @@ from tnkit import random as trandom
 from tnkit import unitensor
 from tnkit.symmetry import combine_qnums, identity_qnum, reverse_qnums
 from tests.conftest import (PEPS_SLOTS, cap_doubling_order, loop_contract,
-                            peps_dim, random_u1_tensor, subset_loop_order,
-                            to_dense)
+                            np_block_plan, peps_dim, random_u1_tensor,
+                            subset_loop_order, to_dense)
 
 # the module, which the package's ``contract`` function shadows
 contract_module = importlib.import_module("tnkit.contract")
@@ -608,6 +608,43 @@ def test_block_sparse_pair_loop_cases(case):
         row_charges = {a.block_qn_indices(i)[1] for i in range(a.nblocks)}
         assert len(row_charges) == 2 and len(plan.groups) == 1
     _assert_matches_pair_loop(a, b)
+
+
+@given(_block_pairs())
+@settings(max_examples=100, deadline=None)
+def test_plan_groups_are_the_memoized_sectors(pair):
+    """Each product of a plan reads the structures' own sector arrays, and
+    they equal the np.block assembly they replaced."""
+    a, b = pair
+    a_pos, b_pos, a_free, b_free, _ = contract_module._pair_axes(a.labels,
+                                                                 b.labels)
+    try:
+        plan, _ = contract_module.pair_plan((a.labels, a.bonds, a._struct),
+                                            (b.labels, b.bonds, b._struct))
+    except ValueError as e:
+        assert "no valid blocks" in str(e)
+        return
+    b_sectors = {ks: idx for ks, _, idx in b._struct.sectors(b_pos, b_free)}
+    if plan.out is not None:
+        n = len(a_free)
+        out_sectors = {rows: idx for rows, _, idx in plan.out.sectors(
+            range(n), range(n, len(plan.out_bonds)))}
+    matched = [(rows, ks, idx) for rows, ks, idx
+               in a._struct.sectors(a_free, a_pos) if ks in b_sectors]
+    assert len(plan.groups) == len(matched)
+    for (a_idx, b_idx, out_idx), (rows, ks, idx) in zip(plan.groups, matched):
+        assert a_idx is idx and b_idx is b_sectors[ks]
+        # b is read as (K, cols), no transpose; every matrix is C-ordered
+        assert all(x.flags.c_contiguous for x in (a_idx, b_idx, out_idx))
+        if plan.out is None:
+            assert out_idx.tolist() == [[0]]
+        else:
+            assert out_idx is out_sectors[rows]
+    want = np_block_plan(a._struct, b._struct, a_pos, b_pos, a_free, b_free,
+                         plan.out)
+    assert len(want) == len(plan.groups)
+    for got, ref in zip(plan.groups, want):
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
 def test_duplicate_free_labels_rejected():

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tnkit import Bond, IN, OUT, Symmetry, UniTensor, linalg, storage
+from tnkit import (Bond, IN, OUT, Symmetry, UniTensor, linalg, storage,
+                   unitensor)
 from tnkit import random as trandom
 from tnkit.symmetry import combine_qnums, identity_qnum, reverse_qnums
 from tests.conftest import to_dense
@@ -263,6 +264,30 @@ def test_truncation_sectors_are_pinned(sym, seed):
     s, _, _ = linalg.svd_truncate(t, keepdim=6,
                                   min_blockdim=[1] * len(_row_sectors(t)))
     assert list(s.bonds[0].sectors) == min_sectors
+
+
+@pytest.mark.parametrize("sym", sorted(_SYMS))
+def test_repeated_truncation_builds_no_sectors(sym, monkeypatch):
+    # DMRG truncates tensors of the same structure sweep after sweep: the
+    # input's sectors and those of its factors are built once
+    t = _random_tensor(sym, 4, 57, np.float64, True).set_rowrank(2)
+    first = linalg.svd_truncate(t, keepdim=6)
+    built = []
+    build = unitensor.BlockStructure._sectors
+
+    def spy(struct, rows, cols):
+        built.append((rows, cols))
+        return build(struct, rows, cols)
+
+    monkeypatch.setattr(unitensor.BlockStructure, "_sectors", spy)
+    again = linalg.svd_truncate(t, keepdim=6)
+    assert built == []
+    for x, y in zip(first, again):
+        assert x.bonds == y.bonds and np.array_equal(x._flat(), y._flat())
+    # the spy sees a structure that has not built its sectors yet
+    fresh = unitensor.BlockStructure(t._struct.qns, t._struct.shapes)
+    fresh.sectors([0, 1], [2, 3])
+    assert built == [((0, 1), (2, 3))]
 
 
 # -- buffer aliasing ---------------------------------------------------------------
