@@ -190,13 +190,16 @@ def _apply_gate(state, gate):
 
 
 def _central_sz(state, n):
-    """(<sz> of the central site, <psi|psi>), read in storage order."""
+    """(<sz> of the central site, <psi|psi>), read in storage order: sums
+    of squares over a float64 view of the up and down slabs, with no
+    temporary array."""
     axis = state.labels.index(f"q{(n + 1) // 2 - 1}")  # site ceil(n/2)
     block = state.get_block_()
-    view = block.view()
-    v = block.storage().reshape(-1, 2, view.strides[axis] // view.itemsize)
-    up = np.sum(np.abs(v[:, 0, :]) ** 2)
-    down = np.sum(np.abs(v[:, 1, :]) ** 2)
+    flat = block.storage()
+    if np.iscomplexobj(flat):
+        flat = flat.view(np.float64)
+    v = flat.reshape(-1, 2, block.view().strides[axis] // flat.itemsize)
+    up, down = (np.einsum("ij,ij->", s, s) for s in (v[:, 0], v[:, 1]))
     return float(up - down), float(up + down)
 
 

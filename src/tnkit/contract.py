@@ -11,11 +11,13 @@ Multi-tensor calls either follow an explicit parenthesized order string
 such as ``"((A,B),C)"`` or search for a cost-optimal order with a dynamic
 program over tensor subsets.  Every bond of a list is checked
 (:func:`check_bonds`) before the first pair is contracted, and
-:func:`execute_tree` runs the tree, storing each dense intermediate so
-that the next pair reads it without a copy; ``Network`` blueprints go
-through the same two functions.
+:func:`execute_tree` runs the tree under a layout plan made once for the
+whole tree (:func:`plan_layouts`), which stores each dense intermediate so
+that later pairs read it without a copy; ``Network`` blueprints go through
+the same two functions.
 """
 
+import collections
 import contextvars
 import itertools
 import math
@@ -24,13 +26,13 @@ import re
 import numpy as np
 
 from .bond import REGULAR
-from .storage import DenseTensor, contract_axes
+from .storage import DenseTensor, contract_axes, memory_order
 from .unitensor import UniTensor, block_structure
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_*'+\-]+")
 MAX_ORDER_DEPTH = 500
-# label -> the step that sums it, of the tree execute_tree is running
-_TREE_STEPS = contextvars.ContextVar("tree_steps", default=None)
+# the layout requests still to come of the tree execute_tree is running
+_TREE_PLAN = contextvars.ContextVar("tree_plan", default=None)
 
 
 # -- contraction trees -------------------------------------------------------
@@ -175,10 +177,11 @@ def contract_pair(a, b):
     fully contracted result is returned as a rank-0 tensor (read it with
     ``.item()``).
 
-    Inside :func:`execute_tree`, a dense output is stored so that the next
-    pair of the tree reads it in place: the tree's steps tell
-    :func:`storage.contract_axes` when each output label will be summed.
-    Only strides depend on them.
+    Inside :func:`execute_tree`, a dense pair runs the request that the
+    tree's layout plan made for it (:func:`plan_layouts`): the storage
+    order of its output and the form of its product, which
+    :func:`storage.contract_axes` carries out.  Only strides depend on it;
+    outside a tree there is no request.
     """
     if not isinstance(a, UniTensor) or not isinstance(b, UniTensor):
         raise TypeError("contract expects UniTensors")
@@ -189,11 +192,8 @@ def contract_pair(a, b):
     for pa, pb in zip(a_pos, b_pos):
         _check_pair_bond(a.labels[pa], a.bonds[pa], b.bonds[pb])
     if not a.is_sym:
-        pending = _TREE_STEPS.get()
-        steps = (None if pending is None
-                 else [pending.get(l) for l in out_labels])
         block = contract_axes(a.get_block_(), b.get_block_(), a_pos, b_pos,
-                              sum_steps=steps)
+                              layout=_planned(out_labels))
         if block.rank == 0:
             return UniTensor.scalar(block.item())
         out_bonds = [a.bonds[i] for i in a_free] + [b.bonds[i] for i in b_free]
@@ -207,6 +207,20 @@ def contract_pair(a, b):
         return UniTensor.scalar(flat[0].item())
     return UniTensor._assemble(plan.out_bonds, out_labels, len(a_free), "",
                                DenseTensor._wrap(flat), plan.out)
+
+
+def _planned(out_labels):
+    """The next layout request of the tree being run, as :func:`storage.
+    contract_axes` takes it, or None outside a tree (or if the request is
+    for other labels)."""
+    plan = _TREE_PLAN.get()
+    if not plan:
+        return None
+    labels, batch = plan.popleft()
+    at = {l: i for i, l in enumerate(out_labels)}
+    if sorted(labels) != sorted(out_labels):
+        return None
+    return [at[l] for l in labels], batch
 
 
 def _pair_axes(a_labels, b_labels):
@@ -352,22 +366,28 @@ def contract(first, *rest, order=None, optimal=True):
 def execute_tree(tree, by_name):
     """Contract the named tensors pair by pair along ``tree``.
 
-    Each pair is told at which later step of the tree every label of its
-    output is summed, so that a dense intermediate is stored with the
-    labels of the next step in one run of memory and that step reads it in
-    place (see :func:`storage.contract_axes`).  The steps travel in a
-    context variable, not as an argument, so that every pair stays a call
+    For dense tensors the storage order of every intermediate and the form
+    of every product are planned once, over the whole tree, before the
+    first pair (:func:`plan_layouts`), so that later steps read the
+    intermediates in place.  Each pair takes its request from a context
+    variable, not an argument, so that every pair stays a call
     ``contract_pair(left, right)`` on this module's attribute, which
     wrappers of that two-operand signature (tracers, test spies) replace.
+    The plan changes strides only, never labels, values or dtypes.
     """
-    label_sets = {name: t.labels for name, t in by_name.items()}
-    steps = {l: i for i, (summed, _) in enumerate(tree_steps(tree, label_sets))
-             for l in summed}
-    token = _TREE_STEPS.set(steps)
+    tensors = by_name.values()
+    if any(t.is_sym for t in tensors):
+        return fold_tree(tree, by_name.__getitem__, contract_pair)
+    orders = {name: [t.labels[k] for k in memory_order(t.get_block_().view())]
+              for name, t in by_name.items()}
+    dims = {l: d for t in tensors for l, d in zip(t.labels, t.shape)}
+    plan = plan_layouts(tree, {n: t.labels for n, t in by_name.items()},
+                        dims, orders)
+    token = _TREE_PLAN.set(collections.deque(plan))
     try:
         return fold_tree(tree, by_name.__getitem__, contract_pair)
     finally:
-        _TREE_STEPS.reset(token)
+        _TREE_PLAN.reset(token)
 
 
 def check_bonds(tensors):
@@ -406,6 +426,253 @@ def check_bonds(tensors):
 def _tensor_ref(tensors, i):
     name = tensors[i].name
     return repr(name) if name else f"#{i}"
+
+
+# -- layout planning -----------------------------------------------------------
+#
+# A dense pair reads an operand in place when its summed labels lead or trail
+# its storage order (one GEMM) or are one run inside it (one matmul batched
+# over the labels before the run); any other operand is copied.  So the order
+# in which each intermediate is stored decides what later steps copy, and
+# how many products a batched step makes.  plan_layouts chooses all of them
+# at once, by a beam search over the steps in execution order.
+
+_CALL = 1024      # the cost of one product call of a batch, in elements
+_BEAM = 32        # output orders each step keeps for the steps after it
+
+
+def plan_layouts(tree, label_sets, dims, orders):
+    """The layout request of every pair step of ``tree``, in execution
+    order: ``(labels, batch)``, the output labels in the storage order the
+    step writes and the number of leading ones its product is batched over
+    (0 for one GEMM; see :func:`storage.contract_axes`).
+
+    ``label_sets`` maps each leaf name to its labels, ``dims`` each label
+    to its dimension and ``orders`` each leaf name to its labels in storage
+    order.  A plan costs the elements it copies plus, for each batched
+    step, the batch count times the elements of the copied operand plus
+    ``_CALL``; a leaf may be copied into any order, and an intermediate is
+    copied only at a step that no candidate reads it in place at.  Each
+    step offers output orders built from its operands' candidate orders and
+    from copies whose free labels are grouped by the step that sums them,
+    and keeps the ``_BEAM`` cheapest by cost plus a look-ahead: the copy or
+    batch that each later step would need.  The plan depends only on the
+    labels, their dimensions and the leaves' storage orders, never on
+    timing, so the same tree is always planned the same way.
+    """
+    return _LayoutPlan(tree, label_sets, dims, orders).requests
+
+
+class _LayoutPlan:
+    """The beam search of :func:`plan_layouts`.
+
+    A node is a leaf name or a step number.  ``cands[node]`` holds the
+    node's candidate storage orders as (cost, labels, how), best first,
+    where cost is that of the node's subtree and ``how`` is (batch,
+    left candidate, right candidate), a candidate being None when that
+    operand is copied (from its cheapest candidate).
+    """
+
+    def __init__(self, tree, label_sets, dims, orders):
+        self.label_sets, self.labels, self.steps = label_sets, {}, []
+        self.span = {}  # node -> its first and last leaf, in fold order
+        self.memo = {}
+        fold_tree(tree, self._leaf, self._join)
+        n = len(self.steps)
+        self.key = {l: n for ls in self.labels.values() for l in ls}
+        for i, (_, _, summed) in enumerate(self.steps):
+            for l in summed:
+                self.key[l] = i
+        self.idx = {l: i for i, l in enumerate(self.key)}
+        self.dims = dims
+        self.size = {node: math.prod(dims[l] for l in ls)
+                     for node, ls in self.labels.items()}
+        self.cands = {name: [(0, tuple(order), None)]
+                      for name, order in orders.items()}
+        for i in range(n):
+            self._step(i)
+        self.requests = [None] * n
+        todo = [(n - 1, 0)] if n else []
+        while todo:
+            i, c = todo.pop()
+            _, order, (batch, *used) = self.cands[i][c]
+            self.requests[i] = (order, batch)
+            for node, c in zip(self.steps[i][:2], used):
+                if isinstance(node, int):
+                    todo.append((node, self._cheapest(node) if c is None
+                                 else c))
+
+    def _leaf(self, name):
+        self.labels[name] = tuple(self.label_sets[name])
+        self.span[name] = (len(self.span), len(self.span))
+        return name
+
+    def _join(self, left, right):
+        ll, lr = self.labels[left], self.labels[right]
+        self.steps.append((left, right, frozenset(ll) & frozenset(lr)))
+        i = len(self.steps) - 1
+        self.span[i] = (self.span[left][0], self.span[right][1])
+        self.labels[i] = (tuple(l for l in ll if l not in lr)
+                          + tuple(l for l in lr if l not in ll))
+        return i
+
+    def _cheapest(self, node):
+        cands = self.cands[node]
+        return min(range(len(cands)), key=lambda c: cands[c][0])
+
+    def _orders(self, labels, left=None, right=None):
+        """Orders of ``labels`` grouped by the step that sums them, sooner
+        steps first or last, with the group of step ``left`` moved to the
+        front and that of ``right`` to the back, to join the neighbours."""
+        memo = (labels, left, right)
+        if memo not in self.memo:
+            self.memo[memo] = self._group_orders(labels, left, right)
+        return self.memo[memo]
+
+    def _group_orders(self, labels, left, right):
+        key, idx = self.key, self.idx
+        out = []
+        for sign in (1, -1):
+            base = sorted(labels, key=lambda l: (sign * key[l], idx[l]))
+            o = tuple([l for l in base if key[l] == left]
+                      + [l for l in base if key[l] not in (left, right)]
+                      + [l for l in base if key[l] == right != left])
+            if o not in out:
+                out.append(o)
+        return out
+
+    def _splits(self, labels):
+        """(F1, F2) splits of a copied operand's free ``labels`` for a
+        batched product: F1 a set of its step groups, latest first, and F2
+        the rest, sooner first or last."""
+        key, idx = self.key, self.idx
+        groups = sorted({key[l] for l in labels})
+        if len(groups) <= 4:
+            subsets = [set(c) for r in range(1, len(groups))
+                       for c in itertools.combinations(groups, r)]
+        else:
+            subsets = [set(groups[:t]) for t in range(1, len(groups))] \
+                + [set(groups[t:]) for t in range(1, len(groups))]
+        for sub in subsets:
+            f1 = tuple(sorted((l for l in labels if key[l] in sub),
+                              key=lambda l: (-key[l], idx[l])))
+            for sign in (1, -1):
+                yield f1, tuple(sorted((l for l in labels if key[l] not in sub),
+                                       key=lambda l: (sign * key[l], idx[l])))
+
+    def _step(self, i):
+        left, right, summed = self.steps[i]
+        key, dims, size, cands = self.key, self.dims, self.size, self.cands
+        found = {}      # order -> (cost, copies an intermediate, wide, how)
+
+        def offer(cost, order, copied, rows, how):
+            # wide: the product's rows are the larger operand's labels, a
+            # tie lost to the other orientation
+            wide = size[rows] > size[left if rows == right else right]
+            new = (cost, copied, wide, how)
+            if order not in found or new[:3] < found[order][:3]:
+                found[order] = new
+
+        def first(o):
+            return key[o[0]] if o else None
+
+        def last(o):
+            return key[o[-1]] if o else None
+
+        copy = {node: cands[node][self._cheapest(node)][0] + size[node]
+                for node in (left, right)}
+        inter = {node: isinstance(node, int) for node in (left, right)}
+        free = {node: tuple(l for l in self.labels[node] if l not in summed)
+                for node in (left, right)}
+        for x, y in ((left, right), (right, left)):
+            def how(batch, cx, cy):
+                return (batch, cx, cy) if x == left else (batch, cy, cx)
+            for cx, (cost, lx, _) in enumerate(cands[x]):
+                at = [p for p, l in enumerate(lx) if l in summed]
+                lo, hi = (at[0], at[-1] + 1) if at else (0, 0)
+                if hi - lo != len(at):
+                    continue
+                f1, f2, k = lx[:lo], lx[hi:], lx[lo:hi]
+                if f1 and f2:           # batched over F1, y copied
+                    c = (cost + copy[y] + math.prod(dims[l] for l in f1)
+                         * (size[y] + _CALL))
+                    b = how(len(f1), cx, None)
+                    for fy in self._orders(free[y], last(f1), first(f2)):
+                        offer(c, f1 + fy + f2, inter[y], y, b)
+                    for fy in self._orders(free[y], last(f2)):
+                        offer(c, f1 + f2 + fy, inter[y], x, b)
+                    continue
+                fx = f1 + f2            # one GEMM, x in place
+                for cy, (cost_y, ly, _) in enumerate(cands[y]):
+                    if ly[:len(k)] == k:
+                        fy = ly[len(k):]
+                    elif ly[len(ly) - len(k):] == k:
+                        fy = ly[:len(ly) - len(k)]
+                    else:
+                        continue
+                    offer(cost + cost_y, fx + fy, False, x, how(0, cx, cy))
+                    offer(cost + cost_y, fy + fx, False, y, how(0, cx, cy))
+                b = how(0, cx, None)
+                for fy in self._orders(free[y], last(fx)):
+                    offer(cost + copy[y], fx + fy, inter[y], x, b)
+                for fy in self._orders(free[y], None, first(fx)):
+                    offer(cost + copy[y], fy + fx, inter[y], y, b)
+        both = copy[left] + copy[right]
+        copied = inter[left] or inter[right]
+        for x, y in ((left, right), (right, left)):
+            for fx in self._orders(free[x]):
+                for fy in self._orders(free[y], last(fx)):
+                    offer(both, fx + fy, copied, x, (0, None, None))
+            if not summed:
+                continue
+            for f1, f2 in self._splits(free[x]):
+                c = both + math.prod(dims[l] for l in f1) * (size[y] + _CALL)
+                b = (len(f1), None, None)
+                for fy in self._orders(free[y], last(f1), first(f2)):
+                    offer(c, f1 + fy + f2, copied, y, b)
+                for fy in self._orders(free[y], last(f2)):
+                    offer(c, f1 + f2 + fy, copied, x, b)
+        if not all(v[1] for v in found.values()):
+            found = {o: v for o, v in found.items() if not v[1]}
+        ahead = self._ahead(i)
+        ranked = sorted(found.items(), key=lambda item: (
+            item[1][0] + ahead(item[0]), item[1][0], item[1][2],
+            [self.idx[l] for l in item[0]]))
+        kept, seen = [], set()
+        for order, (cost, _, _, how) in ranked:
+            groups = tuple(key[l] for l in order)
+            if groups not in seen:
+                seen.add(groups)
+                kept.append((cost, order, how))
+        self.cands[i] = kept[:_BEAM if i < len(self.steps) - 1 else 1]
+
+    def _ahead(self, i):
+        """The look-ahead of step i's output orders: at each later step
+        that sums some of its labels, in step order, the batch cost if that
+        step can read this lineage only batched, until the first step whose
+        labels from it cannot form one run, which costs a copy of its
+        operand."""
+        key, dims, size, span = self.key, self.dims, self.size, self.span
+        lo, hi = span[i]
+        path = []
+        for step in sorted({key[l] for l in self.labels[i]} - {len(self.steps)}):
+            own, other = self.steps[step][:2]
+            if not span[own][0] <= lo <= hi <= span[own][1]:
+                own, other = other, own
+            path.append((step, size[own], size[other]))
+
+        def ahead(order):
+            total = 0
+            for step, own, other in path:
+                at = [p for p, l in enumerate(order) if key[l] == step]
+                if any(key[l] > step for l in order[at[0]:at[-1] + 1]):
+                    return total + own
+                before = [l for l in order[:at[0]] if key[l] > step]
+                if before and any(key[l] > step for l in order[at[-1] + 1:]):
+                    total += min(own, math.prod(dims[l] for l in before)
+                                 * (other + _CALL))
+            return total
+        return ahead
 
 
 # -- optimal order search ----------------------------------------------------------

@@ -9,11 +9,12 @@ that shares the element buffer with the original.
 
 :func:`contract_axes` contracts two tensors as one matrix product.  It
 reads an operand in place, with no copy, when the contracted axes lead or
-trail its storage order, and the larger operand also when they are one
-run inside it (one product batched over the axes before the run).  Its
-result keeps the storage order of that product and may therefore come
-back as a transposed view; a contraction tree can ask for the order that
-its next product reads in place.
+trail its storage order, or when they are one run inside it and the
+product is batched over the axes before the run.  Its result keeps the
+storage order of that product and may therefore come back as a
+transposed view.  A caller can request the result's storage order and the
+form of the product explicitly, as a contraction tree's layout plan does;
+without a request the larger operand's layout decides.
 
 Supported dtypes are float64, complex128, int64 and bool.
 """
@@ -277,135 +278,155 @@ class DenseTensor(Arithmetic):
         return t
 
 
-def contract_axes(a, b, a_axes, b_axes, *, sum_steps=None):
+def contract_axes(a, b, a_axes, b_axes, *, layout=None):
     """Sum ``a`` and ``b`` over the paired logical axes in one matrix product.
 
     The result's logical axes are a's free axes, then b's, each in logical
-    order; a full contraction gives a rank-0 tensor.  Its storage order is
-    that of the product, so it may come back as a transposed view.
+    order; a full contraction gives a rank-0 tensor.  ``layout``, a pair
+    ``(order, batch)``, says how the product runs: ``order`` lists the
+    result axes in the storage order the result is written in, and
+    ``batch`` is the number of its leading axes that the product is
+    batched over.
 
-    Each operand is read as a matrix over (free, contracted) elements.  When
-    its contracted axes lead or trail its storage order, that matrix is a
-    reshape of the buffer, possibly transposed, which BLAS reads without a
-    copy.  Otherwise the operand is copied into a fresh buffer, as
-    ``np.tensordot`` does.  Both matrices run over the contracted elements in
-    one order: the storage order of the larger operand if it can be read in
-    place, else that of the smaller one if it can, else the listed order.
-    The result's storage order is then (a's free axes, b's free axes), each
-    as its matrix holds them.
+    With ``batch`` 0 the product is one GEMM, and ``order`` holds the free
+    axes of one operand, then those of the other.  Each operand is read as
+    a matrix over (free, contracted) elements, its free axes in ``order``.
+    When its storage order is (contracted, free) or (free, contracted),
+    that matrix is a reshape of the buffer, possibly transposed, which BLAS
+    reads without a copy; otherwise the operand is copied into a fresh
+    buffer, as ``np.tensordot`` does.  Both matrices run over the
+    contracted elements in one order: the storage order of the larger
+    operand if it is read in place, else that of the smaller one if it is,
+    else the listed order.
 
-    One more case is read in place: when the larger operand's contracted
-    axes are one run inside its storage order, (F1, K, F2).  That operand is
-    viewed as a stack of (K, F2) matrices and multiplied by the copied
-    smaller operand in one ``np.matmul`` batched over F1, and the result is
-    stored as (F1, F2, Fs) or (F1, Fs, F2), Fs the smaller operand's free
-    axes.
+    With ``batch`` > 0 the operand X that holds ``order[0]`` is read as
+    (F1, K, F2): F1 its first ``batch`` axes of ``order``, K its contracted
+    axes and F2 its other free axes, in ``order``.  It is read in place
+    when that is its storage order, for some order of K, and copied into
+    it otherwise.  The other operand is copied as a (K, Fs) matrix, Fs its
+    free axes in ``order``, and one ``np.matmul`` batched over F1 writes
+    (F1, Fs, F2) or (F1, F2, Fs), as ``order`` has them.  X is thus read
+    without a transposition copy, as TBLIS reads strided operands.
 
-    ``sum_steps``, one entry per result axis, gives the step of a
-    contraction tree that sums that axis (a smaller step is sooner; None
-    for never), and asks for a storage order that the next product can read
-    in place.  Copied free axes are then placed by step, the soonest nearest
-    the other operand: descending along a's side, ascending along b's.  In
-    the batched case the arrangement and the order of Fs are chosen so that
-    the axes of the soonest step lie in one run, if any choice does; else
-    (F1, F2, Fs) is written.  When both operands together hold at most a
-    quarter of the result's elements, both are copied, so that the result
-    can take that order whatever the operands' layouts; otherwise an
-    operand read in place without ``sum_steps`` is read in place with it.
-    Only strides depend on ``sum_steps``.
+    Without ``layout``, the larger operand is read in place when its
+    contracted axes are one run inside its storage order: the product is
+    batched over the axes before the run and writes (F1, F2, Fs), Fs in
+    logical order.  Otherwise it is a GEMM writing a's free axes, then
+    b's, each in storage order if that operand is read in place and in
+    logical order if it is copied.  Only strides depend on ``layout``.
     """
-    (arr_a, pos_a), (arr_b, pos_b) = _stored(a), _stored(b)
-    ids_a = _free_ids(pos_a, a_axes, 0)
-    ids_b = _free_ids(pos_b, b_axes, len(ids_a))
-    big = (arr_a, pos_a, a_axes, ids_a)
-    small = (arr_b, pos_b, b_axes, ids_b)
-    if a.size < b.size:
-        big, small = small, big
-    step = key_a = key_b = None
-    if sum_steps is not None:
-        def step(i):
-            return math.inf if sum_steps[i] is None else sum_steps[i]
-
-        def key_a(s):
-            return -step(ids_a[s])
-
-        def key_b(s):
-            return step(ids_b[s])
-    summed = math.prod(a.shape[k] for k in a_axes)
-    copy = (step is not None
-            and 4 * (a.size + b.size) * summed ** 2 <= a.size * b.size)
-    run = None if copy else _inner_run(big[1], big[2])
-    if run is not None:
-        return _batched(big, small, run, step)
-    order = range(len(a_axes))
-    if not copy:
-        for _, pos, axes, _ in (big, small):
-            if _at_an_end(pos, axes):
-                order = sorted(range(len(axes)), key=lambda i: pos[axes[i]])
-                break
-    mat_a, free_a = _matrix(arr_a, pos_a, a_axes, order, False, key_a, copy)
-    mat_b, free_b = _matrix(arr_b, pos_b, b_axes, order, True, key_b, copy)
-    dims = [arr_a.shape[s] for s in free_a] + [arr_b.shape[s] for s in free_b]
-    return _logical((mat_a @ mat_b).reshape(dims),
-                    [ids_a[s] for s in free_a] + [ids_b[s] for s in free_b])
+    x, y = a._array, b._array
+    mems = memory_order(x), memory_order(y)
+    free_a = [k for k in range(x.ndim) if k not in a_axes]
+    free_b = [k for k in range(y.ndim) if k not in b_axes]
+    na = len(free_a)
+    order, batch = layout or _default_layout(
+        [(x, mems[0], a_axes, free_a, 0), (y, mems[1], b_axes, free_b, na)])
+    ops = [(x, mems[0], a_axes, [free_a[r] for r in order if r < na]),
+           (y, mems[1], b_axes, [free_b[r - na] for r in order if r >= na])]
+    if order and order[0] >= na and (batch or ops[0][3]):
+        ops.reverse()               # b's axes lead the result
+    if batch:
+        fs_first = batch < len(order) and \
+            (order[batch] >= na) != (order[0] >= na)
+        return _batched(ops[0], ops[1], batch, fs_first, order)
+    keys = _k_order(ops)
+    out = _matrix(*ops[0], keys, False) @ _matrix(*ops[1], keys, True)
+    return _logical(out.reshape(_dims(ops[0][0], ops[0][3])
+                                + _dims(ops[1][0], ops[1][3])), order)
 
 
-def _batched(big, small, run, step):
-    """:func:`contract_axes` when the larger operand holds its contracted
-    axes at memory positions ``run`` = (lo, hi), inside its storage order:
-    one matmul batched over the axes before the run.  ``step`` is the
-    summing step of each result axis, or None."""
-    arr_x, pos_x, axes_x, ids_x = big
-    arr_y, pos_y, axes_y, ids_y = small
-    lo, hi = run
-    order = sorted(range(len(axes_x)), key=lambda i: pos_x[axes_x[i]])
-    f1 = [ids_x[s] for s in range(lo)]
-    f2 = [ids_x[s] for s in range(hi, arr_x.ndim)]
-    fs_first, key = False, None
-    if step is not None:
-        def arranged(fs_first, key):
-            fs = [ids_y[s] for s in _free_axes(pos_y, axes_y, key)]
-            return f1 + fs + f2 if fs_first else f1 + f2 + fs
+def _default_layout(ops):
+    """The ``(order, batch)`` that :func:`contract_axes` takes when it is
+    given none; ``ops`` holds per operand (array, storage order, contracted
+    axes, free axes, first result axis)."""
+    big, small = ops[::-1] if ops[0][0].size < ops[1][0].size else ops
+    _, mem, axes, free, start = big
+    stored = sorted(mem.index(k) for k in axes)
+    if (stored and 0 < stored[0] and stored[-1] < len(mem) - 1
+            and stored[-1] - stored[0] == len(stored) - 1):
+        lead = [start + free.index(k) for k in mem[:stored[0]]]
+        rest = [start + free.index(k) for k in mem[stored[-1] + 1:]]
+        fs = range(small[4], small[4] + len(small[3]))
+        return lead + rest + list(fs), len(lead)
+    stored = [(arr, mem, axes, [k for k in mem if k not in axes])
+              for arr, mem, axes, _, _ in ops]
+    keys = _k_order(stored)
+    order = []
+    for (_, mem, axes, free, start), (*_, mem_free) in zip(ops, stored):
+        in_place = _reads_in_place(mem, [axes[i] for i in keys], mem_free)
+        order += [start + free.index(k) for k in (mem_free if in_place
+                                                  else free)]
+    return order, 0
 
-        # Fs after F2, soonest first; or before F2, its soonest axes next
-        # to F2's or next to F1's
-        choices = [(False, lambda s: step(ids_y[s])),
-                   (True, lambda s: -step(ids_y[s])),
-                   (True, lambda s: step(ids_y[s]))]
-        fs_first, key = next((c for c in choices
-                              if _one_run(arranged(*c), step)), choices[0])
-    mat_y, free_y = _matrix(arr_y, pos_y, axes_y, order, True, key, True)
-    x = arr_x.reshape(math.prod(arr_x.shape[:lo]),
-                      math.prod(arr_x.shape[lo:hi]), -1)
-    fs = [ids_y[s] for s in free_y]
-    dims_fs = [arr_y.shape[s] for s in free_y]
+
+def _k_order(ops):
+    """The order of the contracted pairs: the storage order of the first
+    of ``ops`` (array, storage order, contracted axes, free axes), larger
+    first, that is read in place with its free axes in the given order,
+    else the listed order."""
+    for _, mem, axes, free in sorted(ops, key=lambda o: -o[0].size):
+        keys = sorted(range(len(axes)), key=lambda i: mem.index(axes[i]))
+        if _reads_in_place(mem, [axes[i] for i in keys], free):
+            return keys
+    return list(range(len(ops[0][2])))
+
+
+def _reads_in_place(mem, k, free):
+    """Whether the storage order ``mem`` is (``k``, ``free``) or
+    (``free``, ``k``)."""
+    return mem == k + free or mem == free + k
+
+
+def _matrix(arr, mem, axes, free, keys, k_first):
+    """An operand as a (K, F) matrix if ``k_first``, else (F, K): its
+    contracted ``axes`` in the order ``keys``, its ``free`` axes in the
+    given order.  It is read in place when its storage order ``mem`` is
+    (K, F) or (F, K), else copied."""
+    k = [axes[i] for i in keys]
+    size_k = math.prod(_dims(arr, k))
+    for lead, trail in ((k, free), (free, k)):
+        if mem == lead + trail:
+            m = arr.transpose(mem).reshape(math.prod(_dims(arr, lead)), -1)
+            return m if (lead is k) == k_first else m.T
+    if k_first:
+        return np.ascontiguousarray(arr.transpose(k + free)).reshape(size_k, -1)
+    return np.ascontiguousarray(arr.transpose(free + k)).reshape(-1, size_k)
+
+
+def _batched(xs, ys, batch, fs_first, order):
+    """:func:`contract_axes` batched over the first ``batch`` free axes of
+    x: x is read as (F1, K, F2), in place when that is its storage order,
+    and y is copied as a (K, Fs) matrix.  ``xs`` and ``ys`` are each
+    (array, storage order, contracted axes, free axes in result order)."""
+    (x, mem, x_axes, f), (y, _, y_axes, fs) = xs, ys
+    f1, f2 = f[:batch], f[batch:]
+    keys = sorted(range(len(x_axes)), key=lambda i: mem.index(x_axes[i]))
+    if mem != f1 + [x_axes[i] for i in keys] + f2:
+        keys = list(range(len(x_axes)))
+        mem = f1 + list(x_axes) + f2
+    k_y = [y_axes[i] for i in keys]
+    mat_y = np.ascontiguousarray(y.transpose(k_y + fs))
+    mat_y = mat_y.reshape(math.prod(_dims(y, k_y)), -1)
+    xv = np.asarray(x.transpose(mem), order="C").reshape(
+        math.prod(_dims(x, f1)), mat_y.shape[0], -1)
     if fs_first:
-        out = np.matmul(mat_y.T, x)
-        dims = [*arr_x.shape[:lo], *dims_fs, *arr_x.shape[hi:]]
-        return _logical(out.reshape(dims), f1 + fs + f2)
-    out = np.matmul(x.transpose(0, 2, 1), mat_y)
-    dims = [*arr_x.shape[:lo], *arr_x.shape[hi:], *dims_fs]
-    return _logical(out.reshape(dims), f1 + f2 + fs)
+        out = np.matmul(mat_y.T, xv)
+        dims = _dims(x, f1) + _dims(y, fs) + _dims(x, f2)
+    else:
+        out = np.matmul(xv.transpose(0, 2, 1), mat_y)
+        dims = _dims(x, f1) + _dims(x, f2) + _dims(y, fs)
+    return _logical(out.reshape(dims), order)
 
 
-def _stored(t):
-    """t's buffer with axes in memory order, read from the strides, and the
-    memory position of each logical axis."""
-    order = sorted(range(t.rank), key=lambda k: -t._array.strides[k])
-    return t._array.transpose(order), sorted(range(t.rank), key=order.__getitem__)
+def memory_order(arr):
+    """The axes of a numpy array from the largest stride to the smallest,
+    tied axes in axis order."""
+    return sorted(range(arr.ndim), key=arr.strides.__getitem__, reverse=True)
 
 
-def _free_ids(pos, axes, start):
-    """Result axis of each free memory axis: the free logical axes, in
-    logical order, are result axes ``start``, ``start + 1``, ..."""
-    free = [k for k in range(len(pos)) if k not in axes]
-    return {pos[k]: start + i for i, k in enumerate(free)}
-
-
-def _free_axes(pos, axes, key=None):
-    """The free memory axes, in logical order or sorted by ``key``."""
-    free = [pos[k] for k in range(len(pos)) if k not in axes]
-    return sorted(free, key=key) if key else free
+def _dims(arr, axes):
+    return [arr.shape[k] for k in axes]
 
 
 def _logical(out, ids):
@@ -413,59 +434,6 @@ def _logical(out, ids):
     axis order."""
     return DenseTensor._wrap(out.transpose(sorted(range(len(ids)),
                                                   key=ids.__getitem__)))
-
-
-def _at_an_end(pos, axes):
-    """Whether the logical ``axes``, at memory positions ``pos``, lead or
-    trail the storage order."""
-    stored = sorted(pos[k] for k in axes)
-    return stored in (list(range(len(axes))),
-                      list(range(len(pos) - len(axes), len(pos))))
-
-
-def _inner_run(pos, axes):
-    """The memory positions (lo, hi) of the logical ``axes`` if they are one
-    run with free axes on both sides, else None."""
-    stored = sorted(pos[k] for k in axes)
-    if (stored and 0 < stored[0] and stored[-1] < len(pos) - 1
-            and stored[-1] - stored[0] == len(stored) - 1):
-        return stored[0], stored[-1] + 1
-    return None
-
-
-def _one_run(ids, step):
-    """Whether the result axes ``ids`` that the soonest step sums lie in one
-    run."""
-    steps = [step(i) for i in ids]
-    soonest = min(steps)
-    at = [p for p, s in enumerate(steps) if s == soonest]
-    return soonest == math.inf or at[-1] - at[0] == len(at) - 1
-
-
-def _matrix(arr, pos, axes, order, k_first, key=None, copy=False):
-    """An operand, ``arr`` and ``pos`` from :func:`_stored`, as a (K, F)
-    matrix if ``k_first``, else (F, K), its contracted elements running over
-    ``axes`` in ``order``; also its free memory axes in the matrix's order.
-    It is read in place when its contracted axes lead or trail, unless
-    ``copy``; a copy holds its free axes in logical order, or sorted by
-    ``key``."""
-    contracted = [pos[axes[i]] for i in order]
-    k = math.prod(arr.shape[s] for s in contracted)
-    if not copy:
-        in_place = list(range(arr.ndim))
-        free = [s for s in in_place if s not in contracted]
-        if contracted + free == in_place:
-            m = arr.reshape(k, -1)
-            return (m if k_first else m.T), free
-        if free + contracted == in_place:
-            m = arr.reshape(-1, k)
-            return (m.T if k_first else m), free
-    free = _free_axes(pos, axes, key)
-    if k_first:
-        m = np.ascontiguousarray(arr.transpose(contracted + free))
-        return m.reshape(k, -1), free
-    m = np.ascontiguousarray(arr.transpose(free + contracted))
-    return m.reshape(-1, k), free
 
 
 def _flatten_axes(order, rank):

@@ -153,14 +153,19 @@ def test_reading_the_norm_leaves_sz_bit_identical(monkeypatch):
     monkeypatch.setattr(circuit, "_central_sz", recording)
     res = simulate_circuit(cfg)
     site = (cfg.n_sites + 1) // 2 - 1
-    sz_only = []
+    sz_only, sz_abs = [], []
     for state in states:
         block = state.get_block_()
         axis = _memory_position(block, state.labels.index(f"q{site}"))
+        v = block.storage().view(np.float64).reshape(2 ** axis, 2, -1)
+        sz_only.append(float(np.einsum("ij,ij->", v[:, 0], v[:, 0])
+                             - np.einsum("ij,ij->", v[:, 1], v[:, 1])))
         v = block.storage().reshape(2 ** axis, 2, -1)
-        sz_only.append(float(np.sum(np.abs(v[:, 0, :]) ** 2)
-                             - np.sum(np.abs(v[:, 1, :]) ** 2)))
+        sz_abs.append(float(np.sum(np.abs(v[:, 0, :]) ** 2)
+                            - np.sum(np.abs(v[:, 1, :]) ** 2)))
     assert res.sz.tolist() == sz_only
+    # the sums of squares agree with sums of |amplitude|^2
+    assert np.max(np.abs(res.sz - sz_abs)) <= 1e-14
     # the storage-order read agrees with a read in logical qubit order
     labels = [f"q{i}" for i in range(cfg.n_sites)]
     logical = [read(s.permute(labels).contiguous_(), cfg.n_sites)[0]

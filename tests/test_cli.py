@@ -1,9 +1,12 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tnkit import UniTensor, load_unitensor, save_unitensor
+from tnkit import Network, UniTensor, load_unitensor, save_unitensor
+from tnkit import network
 from tnkit.cli import main
 from tests.conftest import (MALFORMED_UTN, PEPS_SLOTS,
                             assert_malformed_message, circuit_reference,
@@ -139,6 +142,40 @@ def test_contract_subcommand(tmp_path, capsys):
     r = load_unitensor(out)
     assert r.labels == ["i", "k"]
     assert np.allclose(r.get_block_().view(), 2.0)
+
+
+def test_contract_too_large_for_memory_exits_1_before_any_pair(tmp_path,
+                                                               capsys):
+    # the outer product of two 100,000-element vectors is 80 GB; longer
+    # vectors where that would fit
+    memory = network._physical_memory()
+    if memory is None:
+        pytest.skip("os.sysconf cannot tell the physical memory here")
+    n = max(100_000, math.isqrt(memory // 8) + 1)
+    a = UniTensor.ones([n], labels=["x"], name="A")
+    save_unitensor(a, tmp_path / "a.utn")
+    net = tmp_path / "outer.net"
+    net.write_text("A: a\nB: b\nTOUT: a; b\n")
+    rc = main(["contract", str(net), "--tensor", f"A={tmp_path}/a.utn:x",
+               "--tensor", f"B={tmp_path}/a.utn:x"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(
+        f"error: contraction step 1 of 1, (A,B), would write {8 * n * n} "
+        f"bytes, more than the {memory} bytes of physical memory")
+    assert "Traceback" not in captured.err
+    blueprint = Network(net.read_text())
+    blueprint.put_tensor("A", a, ["x"]).put_tensor("B", a, ["x"])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(ValueError, match="physical memory"):
+            blueprint.launch()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_contract_default_output_path(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,13 @@
 import gc
 import importlib
+import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -196,6 +202,18 @@ def _memory_order(arr):
     return sorted(range(arr.ndim), key=lambda k: -arr.strides[k])
 
 
+def _traced_peak(f):
+    """f() and the peak of the memory it allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = f()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_inner_run_is_read_in_place_by_one_batched_product(dtype):
     rng = np.random.default_rng(11)
@@ -210,19 +228,14 @@ def test_inner_run_is_read_in_place_by_one_batched_product(dtype):
     b = draw((8, 7, 8))
     want = np.einsum("abcde,cfb->adef", a, b)
     ta, tb = storage.from_numpy(a), storage.from_numpy(b)
-    # result axes 0 (F1), 1 and 2 (F2), 3 (b's free axis); the axes of the
-    # soonest step: none, F2's first with b's, F1's with F2's last
-    for steps, memory in [(None, [0, 1, 2, 3]),
-                          ([5, 1, None, 1], [0, 3, 1, 2]),
-                          ([1, None, 1, None], [0, 1, 2, 3])]:
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            out = storage.contract_axes(ta, tb, [1, 2], [2, 0], sum_steps=steps)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+    # result axes 0 (F1), 1 and 2 (F2), 3 (b's free axis): no request
+    # (batched, Fs last), then explicit (F1, Fs, F2) and (F1, F2, Fs)
+    for layout, memory in [(None, [0, 1, 2, 3]),
+                           (([0, 3, 1, 2], 1), [0, 3, 1, 2]),
+                           (([0, 1, 2, 3], 1), [0, 1, 2, 3])]:
+        out, peak = _traced_peak(
+            lambda: storage.contract_axes(ta, tb, [1, 2], [2, 0],
+                                          layout=layout))
         view = out.view()
         # a itself (1 or 2 MB) is never copied: only the output and b
         assert peak <= view.nbytes + b.nbytes + 64 * 1024
@@ -232,19 +245,42 @@ def test_inner_run_is_read_in_place_by_one_batched_product(dtype):
         assert np.max(np.abs(view - want)) <= 1e-12 * np.abs(want).max()
 
 
+def test_a_batched_request_copies_an_operand_not_stored_for_it():
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((32, 8, 8, 4, 16))
+    b = rng.standard_normal((8, 7, 8))
+    ta, tb = storage.from_numpy(a), storage.from_numpy(b)
+    # batched over a's axis 3 (result axis 1): a is copied into
+    # (a3, K, a0, a4), and the result is stored (1, 3, 0, 2)
+    out, peak = _traced_peak(
+        lambda: storage.contract_axes(ta, tb, [1, 2], [2, 0],
+                                      layout=([1, 3, 0, 2], 1)))
+    view = out.view()
+    assert peak >= a.nbytes
+    assert _memory_order(view) == [1, 3, 0, 2]
+    want = np.einsum("abcde,cfb->adef", a, b)
+    assert np.max(np.abs(view - want)) <= 1e-12 * np.abs(want).max()
+
+
 def test_a_request_never_copies_an_operand_read_in_place_at_an_end():
     rng = np.random.default_rng(12)
-    a = rng.standard_normal((6, 5, 4))         # K = 6 leads a's memory
-    b = rng.standard_normal((3, 6))            # copied: K trails b's memory
+    a = rng.standard_normal((64, 50, 40))      # K = 64 leads a's memory
+    b = rng.standard_normal((3, 64))           # K trails b's memory
     ta, tb = storage.from_numpy(a), storage.from_numpy(b)
-    plain = storage.contract_axes(ta, tb, [0], [1]).view()
-    asked = storage.contract_axes(ta, tb, [0], [1],
-                                  sum_steps=[1, None, 1]).view()
     want = np.einsum("kij,lk->ijl", a, b)
-    assert np.array_equal(plain, asked)
-    assert np.max(np.abs(asked - want)) <= 1e-12
-    # a's free axes stay in a's memory order: the request is not met
-    assert _memory_order(plain) == _memory_order(asked) == [0, 1, 2]
+    # result axes 0, 1 (a's free), 2 (b's free); a GEMM request with a's
+    # free axes in its storage order reads a in place whichever operand's
+    # axes lead the result, and one that reorders them copies a
+    for layout, memory, copied in [(None, [0, 1, 2], False),
+                                   (([2, 0, 1], 0), [2, 0, 1], False),
+                                   (([0, 1, 2], 0), [0, 1, 2], False),
+                                   (([1, 0, 2], 0), [1, 0, 2], True)]:
+        out, peak = _traced_peak(
+            lambda: storage.contract_axes(ta, tb, [0], [1], layout=layout))
+        view = out.view()
+        assert _memory_order(view) == memory
+        assert (peak >= a.nbytes) == copied
+        assert np.max(np.abs(view - want)) <= 1e-12 * np.abs(want).max()
 
 
 # -- contraction trees with planned layouts -----------------------------------
@@ -309,11 +345,35 @@ def test_tree_with_planned_layouts_matches_einsum(network):
     before = {nm: (list(t.labels), t.get_block_().numpy(),
                    t.get_block_().view().strides)
               for nm, t in tensors.items()}
-    got = contract_module.execute_tree(tree, tensors)
+    plans, calls = [], []
+    real_plan, real_axes = contract_module.plan_layouts, \
+        contract_module.contract_axes
+
+    def planning(*args):
+        plans.append(real_plan(*args))
+        return plans[-1]
+
+    def contracting(a, b, a_axes, b_axes, layout=None):
+        out = real_axes(a, b, a_axes, b_axes, layout=layout)
+        calls.append((layout, out.view()))
+        return out
+
+    with mock.patch.object(contract_module, "plan_layouts", planning), \
+            mock.patch.object(contract_module, "contract_axes", contracting):
+        got = contract_module.execute_tree(tree, tensors)
     want = _einsum_network(tensors, got.labels)
     scale = _einsum_network(tensors, got.labels, absolute=True)
     value = got.item() if got.rank == 0 else got.get_block_().view()
     assert np.all(np.abs(value - want) <= 1e-12 * np.maximum(scale, 1.0))
+    # every pair ran the planned request and stored its output in the
+    # planned order (axes of size 1 have no place of their own)
+    [plan] = plans
+    assert len(calls) == len(plan) == len(tensors) - 1
+    for (layout, view), (labels, batch) in zip(calls, plan):
+        order, got_batch = layout
+        assert got_batch == batch and len(order) == len(labels) == view.ndim
+        memory = [k for k in _memory_order(view) if view.shape[k] > 1]
+        assert memory == [k for k in order if view.shape[k] > 1]
     # no operand is relabeled, rewritten or re-laid out
     for nm, t in tensors.items():
         labels, arr, strides = before[nm]
@@ -376,6 +436,99 @@ def test_peps_half_chain_never_copies_an_intermediate():
     assert out.labels == free
     assert np.max(np.abs(out.get_block_().view() - want)) <= \
         1e-12 * np.abs(want).max()
+
+
+def _copied(request, left, right):
+    """The operands (0 for left, 1 for right) that a planned pair copies,
+    by the rule of ``storage.contract_axes``, given each operand's labels
+    in storage order and the pair's request."""
+    order, batch = request
+    summed = [l for l in left if l in right]
+    sides = (left, right)
+    if batch:
+        x = 0 if order[0] in left else 1
+        f1 = list(order[:batch])
+        f2 = [l for l in order[batch:] if l in sides[x]]
+        k = [l for l in sides[x] if l in summed]
+        return {1 - x} | ({x} if list(sides[x]) != f1 + k + f2 else set())
+    ks, copied = {}, set()
+    for side, labels in enumerate(sides):
+        seg = [l for l in order if l in labels]
+        k = [l for l in labels if l in summed]
+        if list(labels) in (k + seg, seg + k):
+            ks[side] = k
+        else:
+            copied.add(side)
+    if len(ks) == 2 and ks[0] != ks[1]:
+        copied.add(0 if len(left) < len(right) else 1)
+    return copied
+
+
+def _walk_plan(tree, slots, plan):
+    """(step, left, right, request, copied sides) for every step of a
+    plan over leaves stored in slot label order; left and right are
+    (is an intermediate, name, labels in storage order)."""
+    requests, steps = iter(plan), []
+
+    def join(left, right):
+        request = next(requests)
+        steps.append((left, right, request,
+                      _copied(request, left[2], right[2])))
+        return True, f"({left[1]},{right[1]})", request[0]
+
+    contract_module.fold_tree(tree, lambda nm: (False, nm, slots[nm]), join)
+    return steps
+
+
+def test_peps_plan_at_boundary_64_copies_no_intermediate():
+    # the benchmark's PEPS: planned, not run (the half chain's largest
+    # intermediate is 170 MB)
+    dims = {l: peps_dim(l) for ls in PEPS_SLOTS.values() for l in ls}
+    tree = find_optimal_order(PEPS_SLOTS, dims)
+    plan = contract_module.plan_layouts(tree, PEPS_SLOTS, dims, PEPS_SLOTS)
+    steps = _walk_plan(tree, PEPS_SLOTS, plan)
+    assert len(steps) == 10
+    b2_steps = 0
+    for left, right, (order, batch), copied in steps:
+        for side in copied:
+            # only the join of the two half chains may copy (both halves:
+            # no single product keeps op-t0 and op-t0* out of the labels
+            # it sums) and only a 4.7 MB half
+            is_step, name, labels = (left, right)[side]
+            if is_step:
+                assert math.prod(dims[l] for l in labels) == 589_824
+        if right[1] in ("b2", "b5"):
+            b2_steps += 1
+            assert math.prod(dims[l] for l in order[:batch]) <= 12
+    assert b2_steps == 2
+    joins = [s for s in steps if s[0][0] and s[1][0]]
+    assert len(joins) == 1
+
+
+def test_planning_the_same_tree_twice_gives_the_same_orders():
+    dims = {l: peps_dim(l, boundary=16) for ls in PEPS_SLOTS.values()
+            for l in ls}
+    tree = find_optimal_order(PEPS_SLOTS, dims)
+    shuffled = {nm: PEPS_SLOTS[nm][::-1] for nm in reversed(PEPS_SLOTS)}
+    first = contract_module.plan_layouts(tree, PEPS_SLOTS, dims, shuffled)
+    again = contract_module.plan_layouts(tree, PEPS_SLOTS, dims, shuffled)
+    assert first == again
+    # nor does it follow the process's string hashes
+    code = ("from tnkit.contract import plan_layouts, find_optimal_order\n"
+            "from tests.conftest import PEPS_SLOTS, peps_dim\n"
+            "dims = {l: peps_dim(l, boundary=16) for ls in PEPS_SLOTS.values()"
+            " for l in ls}\n"
+            "print(plan_layouts(find_optimal_order(PEPS_SLOTS, dims),"
+            " PEPS_SLOTS, dims, {n: PEPS_SLOTS[n][::-1] for n in"
+            " reversed(PEPS_SLOTS)}))\n")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")])}
+    printed = [subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True, cwd=root,
+                              env={**env, "PYTHONHASHSEED": seed}).stdout
+               for seed in ("1", "2")]
+    assert printed == [repr(first) + "\n"] * 2
 
 
 def test_direction_rules(u1):
