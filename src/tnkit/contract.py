@@ -14,7 +14,9 @@ program over tensor subsets.  Every bond of a list is checked
 :func:`execute_tree` runs the tree under a layout plan made once for the
 whole tree (:func:`plan_layouts`), which stores each dense intermediate so
 that later pairs read it without a copy; ``Network`` blueprints go through
-the same two functions.
+the same two functions.  A dense chain of steps whose intermediates are
+too large runs in slices over a label the chain keeps
+(:func:`plan_slices`).
 """
 
 import collections
@@ -25,7 +27,7 @@ import re
 
 import numpy as np
 
-from .bond import REGULAR
+from .bond import REGULAR, Bond
 from .storage import DenseTensor, contract_axes, memory_order
 from .unitensor import UniTensor, block_structure
 
@@ -374,18 +376,44 @@ def execute_tree(tree, by_name):
     ``contract_pair(left, right)`` on this module's attribute, which
     wrappers of that two-operand signature (tracers, test spies) replace.
     The plan changes strides only, never labels, values or dtypes.
+
+    A dense path found by :func:`plan_slices` runs in slices: the subtrees
+    off the path are contracted once, then each slice of the path's leaf
+    runs the path's steps, with the requests planned over the full
+    dimensions, and is written into its slice of the path's last output,
+    allocated once.  A one-leaf tree returns a copy of its tensor.
     """
     tensors = by_name.values()
+    if isinstance(tree, str):
+        return by_name[tree].clone()
     if any(t.is_sym for t in tensors):
         return fold_tree(tree, by_name.__getitem__, contract_pair)
     orders = {name: [t.labels[k] for k in memory_order(t.get_block_().view())]
               for name, t in by_name.items()}
     dims = {l: d for t in tensors for l, d in zip(t.labels, t.shape)}
-    plan = plan_layouts(tree, {n: t.labels for n, t in by_name.items()},
-                        dims, orders)
-    token = _TREE_PLAN.set(collections.deque(plan))
+    label_sets = {n: t.labels for n, t in by_name.items()}
+    plan = plan_layouts(tree, label_sets, dims, orders)
+    paths = {p.leaf: p for p in plan_slices(tree, label_sets, dims)}
+    queue = collections.deque()
+    steps = itertools.count()
+
+    def leaf(name):
+        t = by_name[name]
+        return _Sliced(t, paths[name]) if name in paths else t
+
+    def join(left, right):
+        i = next(steps)
+        sliced = left if isinstance(left, _Sliced) else right
+        if not isinstance(sliced, _Sliced):
+            queue.append(plan[i])
+            return contract_pair(left, right)
+        other = right if sliced is left else left
+        sliced.ops.append((plan[i], other, sliced is left))
+        return sliced if i < sliced.path.steps[-1] else sliced.run(queue)
+
+    token = _TREE_PLAN.set(queue)
     try:
-        return fold_tree(tree, by_name.__getitem__, contract_pair)
+        return fold_tree(tree, leaf, join)
     finally:
         _TREE_PLAN.reset(token)
 
@@ -439,6 +467,8 @@ def _tensor_ref(tensors, i):
 
 _CALL = 1024      # the cost of one product call of a batch, in elements
 _BEAM = 32        # output orders each step keeps for the steps after it
+# a dense step writing more elements (32 MB of float64) runs in slices
+_SLICE_ELEMENTS = 1 << 22
 
 
 def plan_layouts(tree, label_sets, dims, orders):
@@ -673,6 +703,132 @@ class _LayoutPlan:
                                  * (other + _CALL))
             return total
         return ahead
+
+
+# -- slicing -------------------------------------------------------------------
+#
+# A label that a chain of steps keeps from one leaf to the chain's last step
+# splits that chain into independent slices: each slice of the leaf along the
+# label runs the chain's steps against the same other operands and gives one
+# slice of the last step's output.  execute_tree runs such a chain one slice
+# at a time, so its large intermediates are never alive in full, at no extra
+# flop.
+
+SlicePath = collections.namedtuple("SlicePath", "leaf label steps chunks")
+
+
+def plan_slices(tree, label_sets, dims):
+    """The paths of ``tree`` that :func:`execute_tree` runs in slices, as
+    :class:`SlicePath` tuples ``(leaf, label, steps, chunks)``.
+
+    Each step whose output has more than ``_SLICE_ELEMENTS`` elements, the
+    largest first, is covered by one path: the output's label of largest
+    dimension (the first in label order among equals), the leaf that
+    carries it and the steps from that leaf up to the last one whose
+    output still has the label, in execution order.  ``chunks`` is the
+    least divisor of the label's dimension that brings the path's largest
+    output within ``_SLICE_ELEMENTS``, or the dimension itself.  The
+    operands off the path do not carry the label.  A path that would share
+    a step with a path found before it is dropped, and its steps run
+    whole.  The result depends only on the tree, the labels and their
+    dimensions.
+    """
+    labels, parent, kids = {}, {}, []
+
+    def leaf(name):
+        labels[name] = list(label_sets[name])
+        return name
+
+    def join(left, right):
+        i = len(kids)
+        kids.append((left, right))
+        parent[left] = parent[right] = i
+        labels[i] = ([l for l in labels[left] if l not in labels[right]]
+                     + [l for l in labels[right] if l not in labels[left]])
+        return i
+
+    fold_tree(tree, leaf, join)
+    size = [math.prod(dims[l] for l in labels[i]) for i in range(len(kids))]
+    paths, taken = [], set()
+    for i in sorted(range(len(kids)), key=lambda i: (-size[i], i)):
+        if size[i] <= _SLICE_ELEMENTS:
+            break
+        if i in taken:
+            continue
+        label = max(labels[i], key=dims.__getitem__)
+        node, steps = i, []
+        while not isinstance(node, str):    # down to the leaf carrying it
+            steps.insert(0, node)
+            left, right = kids[node]
+            node = left if label in labels[left] else right
+        up = parent.get(i)
+        while up is not None and label in labels[up]:
+            steps.append(up)
+            up = parent.get(up)
+        if taken.intersection(steps):
+            continue
+        taken.update(steps)
+        dim, big = dims[label], max(size[s] for s in steps)
+        chunks = next(c for c in range(2, dim + 1)
+                      if dim % c == 0 and big <= c * _SLICE_ELEMENTS
+                      or c == dim)
+        paths.append(SlicePath(node, label, steps, chunks))
+    return paths
+
+
+def step_writes(tree, label_sets, dims):
+    """The elements each step of ``tree`` writes at a time when
+    :func:`execute_tree` runs it densely, in execution order: its whole
+    output, or one slice of it on a sliced path below the path's last
+    step, whose output is allocated whole."""
+    sizes = [math.prod(dims[l] for l in free)
+             for _, free in tree_steps(tree, label_sets)]
+    for path in plan_slices(tree, label_sets, dims):
+        for i in path.steps[:-1]:
+            sizes[i] //= path.chunks
+    return sizes
+
+
+class _Sliced:
+    """A sliced path of :func:`execute_tree` while the tree is folded: the
+    path's leaf tensor, its :class:`SlicePath`, and per path step so far
+    ``(request, other operand, whether the path is the left operand)``."""
+
+    __slots__ = ("tensor", "path", "ops")
+
+    def __init__(self, tensor, path):
+        self.tensor, self.path, self.ops = tensor, path, []
+
+    def run(self, queue):
+        """Run the path slice by slice and return its last step's output,
+        allocated once in that step's requested storage order; each
+        slice's pairs take the path's requests through ``queue``."""
+        t, label, chunks = self.tensor, self.path.label, self.path.chunks
+        axis = t.labels.index(label)
+        width = t.shape[axis] // chunks
+        bonds = list(t.bonds)
+        bonds[axis] = Bond(width, bonds[axis].btype)
+        block, out = t.get_block_().view(), None
+        for j in range(chunks):
+            part = block[(slice(None),) * axis
+                         + (slice(j * width, (j + 1) * width),)]
+            x = UniTensor._assemble(bonds, t.labels, t.rowrank, t.name,
+                                    DenseTensor._wrap(part), None)
+            for request, other, first in self.ops:
+                queue.append(request)
+                x = contract_pair(x, other) if first else contract_pair(other, x)
+            at = x.labels.index(label)
+            if out is None:
+                stored = [x.labels.index(l) for l in self.ops[-1][0][0]]
+                shape = [x.shape[k] * (chunks if k == at else 1)
+                         for k in stored]
+                out = np.empty(shape, x.dtype).transpose(np.argsort(stored))
+            out[(slice(None),) * at
+                + (slice(j * width, (j + 1) * width),)] = x.get_block_().view()
+        out_bonds = list(x.bonds)
+        out_bonds[at] = t.bonds[axis]
+        return UniTensor._assemble(out_bonds, x.labels, x.rowrank, "",
+                                   DenseTensor._wrap(out), None)
 
 
 # -- optimal order search ----------------------------------------------------------

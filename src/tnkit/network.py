@@ -29,7 +29,6 @@ is checked by :func:`contract.check_bonds` before the first pair is
 contracted, and :func:`contract.execute_tree` runs the order.
 """
 
-import math
 import os
 import re
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from .contract import (check_bonds, contraction_cost, contraction_peak,
                        execute_tree, find_optimal_order, fold_tree,
-                       order_tree, render_order, tree_steps)
+                       order_tree, render_order, step_writes)
 
 _TOKEN = re.compile(r"^[A-Za-z0-9_*'+\-]+$")
 
@@ -226,10 +225,14 @@ class Network:
 
         The output's indices follow the TOUT specification (row labels
         then column labels, rowrank = number of row labels); a network
-        with empty TOUT returns a rank-0 tensor.  A dense network whose
-        order has a step writing more bytes than the machine's physical
-        memory raises ``ValueError`` naming that step, before any pair is
-        contracted.
+        with empty TOUT returns a rank-0 tensor, and a one-slot network a
+        copy of its tensor.  A dense chain of steps whose outputs exceed
+        ``contract._SLICE_ELEMENTS`` elements runs in slices (see
+        :func:`contract.execute_tree`), so its intermediates are never held
+        whole.  A dense network whose order has a step writing more bytes
+        than the machine's physical memory, counting a sliced step at its
+        slice size, raises ``ValueError`` naming that step, before any pair
+        is contracted.
         """
         tensors = self._relabeled()
         dims = check_bonds(tensors)
@@ -296,12 +299,13 @@ def _physical_memory():
 
 def _check_memory(tree, label_sets, dims, itemsize):
     """Raise ``ValueError`` if a step of ``tree`` writes an output of more
-    bytes than the machine's physical memory."""
+    bytes than the machine's physical memory; a step that runs in slices
+    counts one slice (:func:`contract.step_writes`)."""
     limit = _physical_memory()
     if limit is None:
         return
-    for i, (_, free) in enumerate(tree_steps(tree, label_sets)):
-        nbytes = math.prod(dims[l] for l in free) * itemsize
+    for i, size in enumerate(step_writes(tree, label_sets, dims)):
+        nbytes = size * itemsize
         if nbytes > limit:
             pairs = []      # each step's subtree, in execution order
 

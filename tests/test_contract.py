@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from tnkit import (Bond, IN, OUT, Network, Symmetry, UniTensor,
                    brute_force_order, contract, contract_pair,
@@ -287,10 +287,11 @@ def test_a_request_never_copies_an_operand_read_in_place_at_an_end():
 
 
 @st.composite
-def _dense_networks(draw):
-    """3-6 dense tensors, each label on one (free) or two of them, each
-    tensor built in a drawn storage order and lazily permuted to a drawn
-    logical order, and a drawn contraction tree."""
+def _dense_networks(draw, sizes=(1, 2, 2, 3, 3)):
+    """3-6 dense tensors, each label on one (free) or two of them and of a
+    dimension drawn from ``sizes``, each tensor built in a drawn storage
+    order and lazily permuted to a drawn logical order, and a drawn
+    contraction tree."""
     n = draw(st.integers(3, 6))
     names = [f"T{i}" for i in range(n)]
     labels = {nm: [] for nm in names}
@@ -302,7 +303,7 @@ def _dense_networks(draw):
     for i, nm in enumerate(names):      # no tensor without a leg
         if not labels[nm]:
             labels[nm].append(f"own{i}")
-    dims = {l: draw(st.sampled_from([1, 2, 2, 3, 3]))
+    dims = {l: draw(st.sampled_from(sizes))
             for ls in labels.values() for l in ls}
     complex_ = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
@@ -396,10 +397,13 @@ def test_tree_steps_number_the_pairs_in_execution_order():
 _HALF = ("b0", "b1", "t0", "t0*", "b2")
 
 
-def test_peps_half_chain_never_copies_an_intermediate():
-    # the benchmark's PEPS half chain at boundary dimension 16: X1 =
-    # (b0,b1) is 2.7 MB, X2 = (X1,t0) 5.3 MB and X3 = (X2,t0*) 10.6 MB.
-    # A copy of X2 or X3 while it is alive would add 5.3 or 10.6 MB.
+_HALF_ORDER = "((((b0,b1),t0),t0*),b2)"
+
+
+def _launch_peps_half():
+    """The benchmark's PEPS half chain at boundary dimension 16, launched
+    under tracemalloc: (the output, the launch's peak bytes above the
+    bound tensors, each step's output elements, the einsum oracle)."""
     slots = {nm: PEPS_SLOTS[nm] for nm in _HALF}
     count = {}
     for ls in slots.values():
@@ -407,9 +411,8 @@ def test_peps_half_chain_never_copies_an_intermediate():
             count[l] = count.get(l, 0) + 1
     free = [l for l, c in count.items() if c == 1]
     dims = {l: peps_dim(l, boundary=16) for l in count}
-    order = "((((b0,b1),t0),t0*),b2)"
     net = Network([f"{nm}: {', '.join(ls)}" for nm, ls in slots.items()]
-                  + [f"TOUT: {', '.join(free)}", f"ORDER: {order}"])
+                  + [f"TOUT: {', '.join(free)}", f"ORDER: {_HALF_ORDER}"])
     rng = np.random.default_rng(16)
     arrays = {nm: rng.standard_normal([dims[l] for l in ls])
               for nm, ls in slots.items()}
@@ -423,19 +426,43 @@ def test_peps_half_chain_never_copies_an_intermediate():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    # each step holds its left operand and its output; right operands are
-    # leaves, allocated before the launch
-    sizes = [int(np.prod([dims[l] for l in f]))
-             for _, f in contract_module.tree_steps(parse_order(order), slots)]
-    lefts = [arrays["b0"].size] + sizes[:-1]
-    bound = 8 * max(l + o for l, o in zip(lefts, sizes))
-    assert bound == 8 * (663_552 + 1_327_104)
-    assert peak <= bound + 512 * 1024
+    sizes = [int(np.prod([dims[l] for l in f])) for _, f in
+             contract_module.tree_steps(parse_order(_HALF_ORDER), slots)]
     want = _einsum([arrays[nm] for nm in _HALF], [slots[nm] for nm in _HALF],
                    free)
     assert out.labels == free
     assert np.max(np.abs(out.get_block_().view() - want)) <= \
         1e-12 * np.abs(want).max()
+    return peak, [arrays["b0"].size] + sizes
+
+
+def test_peps_half_chain_never_copies_an_intermediate():
+    # X1 = (b0,b1) is 2.7 MB, X2 = (X1,t0) 5.3 MB and X3 = (X2,t0*)
+    # 10.6 MB. A copy of X2 or X3 while it is alive would add 5.3 or 10.6 MB.
+    peak, sizes = _launch_peps_half()
+    # each step holds its left operand and its output; right operands are
+    # leaves, allocated before the launch
+    bound = 8 * max(l + o for l, o in zip(sizes, sizes[1:]))
+    assert bound == 8 * (663_552 + 1_327_104)
+    assert peak <= bound + 512 * 1024
+
+
+def test_sliced_peps_half_chain_holds_one_slice_of_each_intermediate(
+        monkeypatch):
+    # with a 2**18-element budget the half runs in 8 slices of b0-b5
+    # (dimension 16), its open label, and holds one slice of X2 and X3
+    # (0.7 and 1.3 MB) and the whole 0.3 MB output
+    monkeypatch.setattr(contract_module, "_SLICE_ELEMENTS", 1 << 18)
+    slots = {nm: PEPS_SLOTS[nm] for nm in _HALF}
+    dims = {l: peps_dim(l, boundary=16) for ls in slots.values() for l in ls}
+    assert contract_module.plan_slices(parse_order(_HALF_ORDER), slots,
+                                       dims) == [("b0", "b0-b5",
+                                                  [0, 1, 2, 3], 8)]
+    peak, sizes = _launch_peps_half()
+    bound = 8 * (max(l + o for l, o in zip(sizes, sizes[1:])) // 8
+                 + sizes[-1])
+    assert bound == 8 * ((663_552 + 1_327_104) // 8 + 36_864)
+    assert peak <= bound + 512 * 1024
 
 
 def _copied(request, left, right):
@@ -529,6 +556,136 @@ def test_planning_the_same_tree_twice_gives_the_same_orders():
                               env={**env, "PYTHONHASHSEED": seed}).stdout
                for seed in ("1", "2")]
     assert printed == [repr(first) + "\n"] * 2
+
+
+# -- sliced paths ------------------------------------------------------------------
+
+
+def _counting_pairs(calls):
+    """A contract_pair that records the labels of each operand pair."""
+    def spy(a, b):
+        calls.append((tuple(a.labels), tuple(b.labels)))
+        return contract_pair(a, b)
+    return spy
+
+
+def _check_slice_paths(paths, tree, label_sets, dims):
+    """Check that each path is a chain of steps from its leaf up to the
+    last step that keeps its label, that its chunks divide the label's
+    dimension and that no step lies on two paths; return each step's two
+    operands (leaf names or step numbers)."""
+    parent, outputs, kids = {}, {}, []
+
+    def join(left, right):
+        kids.append((left, right))
+        parent[left] = parent[right] = len(kids) - 1
+        return len(kids) - 1
+
+    contract_module.fold_tree(tree, lambda nm: nm, join)
+    for i, (_, free) in enumerate(contract_module.tree_steps(tree,
+                                                             label_sets)):
+        outputs[i] = free
+    on_path = [s for p in paths for s in p.steps]
+    assert len(on_path) == len(set(on_path))
+    for leaf, label, steps, chunks in paths:
+        assert label in label_sets[leaf]
+        assert dims[label] % chunks == 0 and chunks > 1
+        assert steps[0] == parent[leaf]
+        for below, above in zip(steps, steps[1:]):
+            assert parent[below] == above
+        assert all(label in outputs[s] for s in steps)
+        top = parent.get(steps[-1])
+        assert top is None or label not in outputs[top]
+    return kids
+
+
+@given(_dense_networks(sizes=(1, 2, 3, 4, 6)), st.sampled_from([1, 4, 16, 64]))
+@settings(max_examples=200, deadline=None)
+def test_sliced_tree_matches_the_unsliced_one(network, budget):
+    tensors, tree = network
+    label_sets = {nm: t.labels for nm, t in tensors.items()}
+    dims = {l: d for t in tensors.values() for l, d in zip(t.labels, t.shape)}
+    assume(contraction_peak(tree, label_sets, dims) <= 20_000)
+    want = contract_module.execute_tree(tree, tensors)
+    calls = []
+    with mock.patch.object(contract_module, "_SLICE_ELEMENTS", budget), \
+            mock.patch.object(contract_module, "contract_pair",
+                              _counting_pairs(calls)):
+        paths = contract_module.plan_slices(tree, label_sets, dims)
+        got = contract_module.execute_tree(tree, tensors)
+    kids = _check_slice_paths(paths, tree, label_sets, dims)
+    for p in paths:
+        event("a path's label is open" if p.steps[-1] == len(tensors) - 2
+              else "a path's label is summed above it")
+        if any(isinstance(k, int) and k not in p.steps
+               for s in p.steps for k in kids[s]):
+            event("a subtree off a path")
+    # off-path steps run once, path steps once per slice
+    assert len(calls) == len(tensors) - 1 + sum(
+        (p.chunks - 1) * len(p.steps) for p in paths)
+    assert got.labels == want.labels and got.dtype == want.dtype
+    assert [b.dim for b in got.bonds] == [b.dim for b in want.bonds]
+    scale = _einsum_network(tensors, got.labels, absolute=True)
+    if got.rank == 0:
+        got, want = got.item(), want.item()
+    else:
+        got, want = got.get_block_().view(), want.get_block_().view()
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_off_path_steps_run_once(monkeypatch):
+    # ((A,(B,C)),D): x (8) stays open from A to the root, so the path is
+    # A's two steps; (B,C) hangs off it and D is a leaf off it
+    rng = np.random.default_rng(5)
+    shapes = {"A": {"x": 8, "i": 2}, "B": {"i": 2, "j": 3},
+              "C": {"j": 3, "k": 4}, "D": {"k": 4, "y": 5}}
+    tensors = {nm: UniTensor(storage.from_numpy(rng.standard_normal(
+        list(s.values()))), labels=list(s), name=nm)
+        for nm, s in shapes.items()}
+    tree = parse_order("((A,(B,C)),D)")
+    want = contract_module.execute_tree(tree, tensors)
+    calls = []
+    monkeypatch.setattr(contract_module, "_SLICE_ELEMENTS", 10)
+    monkeypatch.setattr(contract_module, "contract_pair",
+                        _counting_pairs(calls))
+    dims = {l: d for s in shapes.values() for l, d in s.items()}
+    assert contract_module.plan_slices(
+        tree, {nm: list(s) for nm, s in shapes.items()}, dims) == \
+        [("A", "x", [1, 2], 4)]
+    got = contract_module.execute_tree(tree, tensors)
+    assert calls == [(("i", "j"), ("j", "k"))] + [
+        (("x", "i"), ("i", "k")), (("x", "k"), ("k", "y"))] * 4
+    assert got.labels == ["x", "y"] and got.shape == (8, 5)
+    assert np.max(np.abs(got.get_block_().view()
+                         - want.get_block_().view())) <= \
+        1e-12 * np.abs(want.get_block_().view()).max()
+
+
+def test_peps_slices_each_half_on_its_boundary_label(monkeypatch):
+    # at boundary 64 each half's X2 and X3 (85 and 170 MB) exceed the 32 MB
+    # budget: each half runs in 8 slices of the label it keeps to its root;
+    # at boundary 16 (X3 is 1.33 M elements) nothing is sliced
+    dims = {l: peps_dim(l) for ls in PEPS_SLOTS.values() for l in ls}
+    tree = find_optimal_order(PEPS_SLOTS, dims)
+    paths = contract_module.plan_slices(tree, PEPS_SLOTS, dims)
+    assert paths == [("b0", "b0-b5", [0, 1, 2, 3], 8),
+                     ("b3", "b2-b3", [4, 5, 6, 7], 8)]
+    _check_slice_paths(paths, tree, PEPS_SLOTS, dims)
+    dims = {l: peps_dim(l, boundary=16) for l in dims}
+    tree = find_optimal_order(PEPS_SLOTS, dims)
+    assert contract_module.plan_slices(tree, PEPS_SLOTS, dims) == []
+    # the same tree with the budget patched: the halves are sliced and the
+    # scalar agrees with the unsliced one
+    rng = np.random.default_rng(16)
+    tensors = {nm: UniTensor(storage.from_numpy(rng.standard_normal(
+        [dims[l] for l in ls])), labels=ls, name=nm)
+        for nm, ls in PEPS_SLOTS.items()}
+    want = contract_module.execute_tree(tree, tensors).item()
+    monkeypatch.setattr(contract_module, "_SLICE_ELEMENTS", 1 << 18)
+    assert [p[:2] for p in contract_module.plan_slices(
+        tree, PEPS_SLOTS, dims)] == [("b0", "b0-b5"), ("b3", "b2-b3")]
+    got = contract_module.execute_tree(tree, tensors).item()
+    assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_direction_rules(u1):

@@ -376,3 +376,42 @@ def test_deep_appearance_order_launches_without_recursion():
     assert order.startswith("(" * (n - 1) + "T0,T1)")
     assert order.endswith(f",T{n - 1})")
     assert net.get_cost() == n - 1
+
+
+def test_one_slot_launch_returns_a_copy():
+    # as contract([t]) does: writing to the result leaves the input alone
+    net = Network(["A: i, j", "TOUT: i ; j"])
+    t = UniTensor(storage.arange(6).reshape(2, 3), labels=["a", "b"])
+    net.put_tensor("A", t)
+    out = net.launch()
+    assert out.labels == ["i", "j"] and not out.same_data(t)
+    out.get_block_().view()[...] = -1.0
+    assert np.array_equal(t.get_block_().view(), np.arange(6).reshape(2, 3))
+
+
+def test_memory_check_counts_a_sliced_step_at_its_slice(monkeypatch):
+    # (A,B) writes x by y, 4,096 elements (32 KB); with a 512-element
+    # budget it runs in 8 slices of x, 4 KB each, and ((A,B),C) keeps x
+    network = importlib.import_module("tnkit.network")
+    contract_module = importlib.import_module("tnkit.contract")
+    net = Network(["A: x, i", "B: i, y", "C: y", "TOUT: x",
+                   "ORDER: ((A,B),C)"])
+    rng = np.random.default_rng(3)
+    arrays = {"A": rng.standard_normal((64, 4)),
+              "B": rng.standard_normal((4, 64)), "C": rng.standard_normal(64)}
+    labels = {"A": ["x", "i"], "B": ["i", "y"], "C": ["y"]}
+    for name, arr in arrays.items():
+        net.put_tensor(name, UniTensor(storage.from_numpy(arr),
+                                       labels=labels[name]))
+    monkeypatch.setattr(network, "_physical_memory", lambda: 8_000)
+    with pytest.raises(ValueError, match="step 1 of 2, \\(A,B\\), would "
+                                         "write 32768 bytes"):
+        net.launch()
+    monkeypatch.setattr(contract_module, "_SLICE_ELEMENTS", 512)
+    [path] = contract_module.plan_slices(
+        net._tree(), dict(net._slots), {"x": 64, "i": 4, "y": 64})
+    assert path == ("A", "x", [0, 1], 8)
+    out = net.launch()
+    want = arrays["A"] @ arrays["B"] @ arrays["C"]
+    assert np.max(np.abs(out.get_block_().view() - want)) <= \
+        1e-12 * np.abs(want).max()
