@@ -16,9 +16,9 @@ The building blocks:
 
 from . import circuit, dmrg, linalg, physics, random, storage
 from .bond import Bond, BondType, IN, OUT, REGULAR
-from .contract import (brute_force_order, contract, contract_pair,
-                       contraction_cost, contraction_peak, find_optimal_order,
-                       parse_order, render_order)
+from .contract import (contract, contract_pair, contraction_cost,
+                       contraction_peak, find_optimal_order, parse_order,
+                       render_order)
 from .io import load_unitensor, save_unitensor
 from .network import Network
 from .storage import (Bool, Complex128, DenseTensor, Float64, Int64, arange,
@@ -32,7 +32,7 @@ __all__ = [
     "Bond", "BondType", "IN", "OUT", "REGULAR",
     "Bool", "Complex128", "DenseTensor", "ElementProxy", "Float64", "Int64",
     "Network", "Symmetry", "UniTensor",
-    "arange", "brute_force_order", "contract", "contract_pair",
+    "arange", "contract", "contract_pair",
     "contraction_cost", "contraction_peak", "circuit", "dmrg", "eye", "find_optimal_order",
     "from_numpy", "kron", "linalg", "load_unitensor", "normal", "ones",
     "parse_order", "physics", "random", "render_order", "save_unitensor",

@@ -10,19 +10,22 @@ reads both operands and the output as block-diagonal matrices
 Multi-tensor calls either follow an explicit parenthesized order string
 such as ``"((A,B),C)"`` or search for a cost-optimal order with a dynamic
 program over tensor subsets.  Every bond of a list is checked
-(:func:`check_bonds`) before the first pair is contracted, and
-:func:`execute_tree` runs the tree under a layout plan made once for the
-whole tree (:func:`plan_layouts`), which stores each dense intermediate so
-that later pairs read it without a copy; ``Network`` blueprints go through
-the same two functions.  A dense chain of steps whose intermediates are
-too large runs in slices over a label the chain keeps
-(:func:`plan_slices`).
+(:func:`check_bonds`) before the first pair is contracted.  A tree is
+walked once, into a :func:`tree_record` of its steps: their operands,
+summed and output labels, sizes and costs.  The cost, the peak, the
+physical-memory check, the layout plan (:func:`plan_layouts`, which
+stores each dense intermediate so that later pairs read it without a
+copy) and the slice plan (:func:`plan_slices`, which runs a dense chain
+of steps whose intermediates are too large in slices over a label the
+chain keeps) all read that record, and :func:`execute_tree` runs its
+steps; ``Network`` blueprints go through the same functions.
 """
 
 import collections
 import contextvars
 import itertools
 import math
+import os
 import re
 
 import numpy as np
@@ -147,6 +150,51 @@ def order_tree(order, names):
         raise ValueError(f"order {render_order(tree)!r} must reference "
                          f"every tensor {list(names)} exactly once")
     return tree
+
+
+TreeNode = collections.namedtuple(
+    "TreeNode", "labels size span tree left right summed cost")
+TreeRecord = collections.namedtuple("TreeRecord", "steps nodes parent dims")
+
+
+def tree_record(tree, label_sets, dims):
+    """The steps of ``tree`` as one :class:`TreeRecord`, made by the only
+    walk over it; everything that plans, checks or runs the tree reads it.
+
+    ``steps`` lists the pair steps in execution order, step i being node i;
+    ``nodes`` maps each node (leaf name or step number) to its
+    :class:`TreeNode`, in fold order; ``parent`` maps each node but the
+    root to the step it feeds.  A node has its labels (for a step: the
+    left operand's free labels, then the right's), element count, first
+    and last leaf in fold order and subtree; a step also its operands, the
+    labels it sums (in left-operand order) and its cost, the product of the
+    dimensions of its summed and output labels (a leaf: None, None, (), 0).
+    """
+    nodes, parent, steps = {}, {}, []
+
+    def leaf(name):
+        labels = tuple(dict.fromkeys(label_sets[name]))
+        k = len(nodes) - len(steps)
+        nodes[name] = TreeNode(labels, math.prod(dims[l] for l in labels),
+                               (k, k), name, None, None, (), 0)
+        return name
+
+    def join(left, right):
+        a, b = nodes[left], nodes[right]
+        labels = (tuple(l for l in a.labels if l not in b.labels)
+                  + tuple(l for l in b.labels if l not in a.labels))
+        summed = tuple(l for l in a.labels if l in b.labels)
+        size = math.prod(dims[l] for l in labels)
+        i = len(steps)
+        nodes[i] = TreeNode(labels, size, (a.span[0], b.span[1]),
+                            (a.tree, b.tree), left, right, summed,
+                            size * math.prod(dims[l] for l in summed))
+        steps.append(nodes[i])
+        parent[left] = parent[right] = i
+        return i
+
+    fold_tree(tree, leaf, join)
+    return TreeRecord(steps, nodes, parent, dims)
 
 
 # -- pairwise contraction -----------------------------------------------------
@@ -368,52 +416,65 @@ def contract(first, *rest, order=None, optimal=True):
 def execute_tree(tree, by_name):
     """Contract the named tensors pair by pair along ``tree``.
 
-    For dense tensors the storage order of every intermediate and the form
-    of every product are planned once, over the whole tree, before the
-    first pair (:func:`plan_layouts`), so that later steps read the
-    intermediates in place.  Each pair takes its request from a context
-    variable, not an argument, so that every pair stays a call
-    ``contract_pair(left, right)`` on this module's attribute, which
-    wrappers of that two-operand signature (tracers, test spies) replace.
-    The plan changes strides only, never labels, values or dtypes.
+    The steps of the tree's :func:`tree_record` run in one loop, for dense
+    and block-sparse tensors alike; a one-leaf tree returns a copy of its
+    tensor.  A dense tree is first planned from the record: its slice plan
+    (:func:`plan_slices`), then the memory check, which raises
+    ``ValueError`` naming the first step that writes more bytes at a time
+    than the machine's physical memory (see :func:`step_writes`), then the
+    storage order of every intermediate and the form of every product
+    (:func:`plan_layouts`), so that later steps read the intermediates in
+    place.  Each pair takes its request from a context variable, not an
+    argument, so that every pair stays a call ``contract_pair(left,
+    right)`` on this module's attribute, which wrappers of that
+    two-operand signature (tracers, test spies) replace.  The plan changes
+    strides only, never labels, values or dtypes.
 
-    A dense path found by :func:`plan_slices` runs in slices: the subtrees
-    off the path are contracted once, then each slice of the path's leaf
-    runs the path's steps, with the requests planned over the full
-    dimensions, and is written into its slice of the path's last output,
-    allocated once.  A one-leaf tree returns a copy of its tensor.
+    A sliced path runs in slices: the subtrees off the path are contracted
+    once, then each slice of the path's leaf runs the path's steps, with
+    the requests planned over the full dimensions, and is written into its
+    slice of the path's last output, allocated once.
     """
-    tensors = by_name.values()
     if isinstance(tree, str):
         return by_name[tree].clone()
-    if any(t.is_sym for t in tensors):
-        return fold_tree(tree, by_name.__getitem__, contract_pair)
-    orders = {name: [t.labels[k] for k in memory_order(t.get_block_().view())]
-              for name, t in by_name.items()}
-    dims = {l: d for t in tensors for l, d in zip(t.labels, t.shape)}
-    label_sets = {n: t.labels for n, t in by_name.items()}
-    plan = plan_layouts(tree, label_sets, dims, orders)
-    paths = {p.leaf: p for p in plan_slices(tree, label_sets, dims)}
-    queue = collections.deque()
-    steps = itertools.count()
+    tensors = by_name.values()
+    record = tree_record(
+        tree, {n: t.labels for n, t in by_name.items()},
+        {l: d for t in tensors for l, d in zip(t.labels, t.shape)})
+    paths, requests = [], []
+    if not any(t.is_sym for t in tensors):
+        paths = plan_slices(record)
+        _check_memory(record, paths, np.result_type(
+            *(t.dtype for t in tensors)).itemsize)
+        requests = plan_layouts(record, {
+            name: [t.labels[k] for k in memory_order(t.get_block_().view())]
+            for name, t in by_name.items()})
+    ends = {p.steps[-1]: p for p in paths}  # a path runs at its last step
+    waiting = {s for p in paths for s in p.steps[:-1]}
+    queue, done = collections.deque(), {}
 
-    def leaf(name):
-        t = by_name[name]
-        return _Sliced(t, paths[name]) if name in paths else t
+    def operand(node):
+        return done.pop(node) if isinstance(node, int) else by_name[node]
 
-    def join(left, right):
-        i = next(steps)
-        sliced = left if isinstance(left, _Sliced) else right
-        if not isinstance(sliced, _Sliced):
-            queue.append(plan[i])
-            return contract_pair(left, right)
-        other = right if sliced is left else left
-        sliced.ops.append((plan[i], other, sliced is left))
-        return sliced if i < sliced.path.steps[-1] else sliced.run(queue)
+    def run_path(path):
+        ops = []    # per path step: request, other operand, path is left
+        for s in path.steps:
+            left, right = record.steps[s].left, record.steps[s].right
+            first = path.label in record.nodes[left].labels
+            ops.append((requests[s], operand(right if first else left), first))
+        return _run_sliced(by_name[path.leaf], path, ops, queue)
 
     token = _TREE_PLAN.set(queue)
     try:
-        return fold_tree(tree, leaf, join)
+        for i, step in enumerate(record.steps):
+            if i in ends:
+                done[i] = run_path(ends[i])
+            elif i not in waiting:
+                if requests:            # block-sparse pairs take none
+                    queue.append(requests[i])
+                done[i] = contract_pair(operand(step.left),
+                                        operand(step.right))
+        return done.pop(i)
     finally:
         _TREE_PLAN.reset(token)
 
@@ -471,26 +532,26 @@ _BEAM = 32        # output orders each step keeps for the steps after it
 _SLICE_ELEMENTS = 1 << 22
 
 
-def plan_layouts(tree, label_sets, dims, orders):
-    """The layout request of every pair step of ``tree``, in execution
+def plan_layouts(record, orders):
+    """The layout request of every pair step of a tree, in execution
     order: ``(labels, batch)``, the output labels in the storage order the
     step writes and the number of leading ones its product is batched over
     (0 for one GEMM; see :func:`storage.contract_axes`).
 
-    ``label_sets`` maps each leaf name to its labels, ``dims`` each label
-    to its dimension and ``orders`` each leaf name to its labels in storage
-    order.  A plan costs the elements it copies plus, for each batched
-    step, the batch count times the elements of the copied operand plus
-    ``_CALL``; a leaf may be copied into any order, and an intermediate is
-    copied only at a step that no candidate reads it in place at.  Each
-    step offers output orders built from its operands' candidate orders and
-    from copies whose free labels are grouped by the step that sums them,
-    and keeps the ``_BEAM`` cheapest by cost plus a look-ahead: the copy or
-    batch that each later step would need.  The plan depends only on the
-    labels, their dimensions and the leaves' storage orders, never on
-    timing, so the same tree is always planned the same way.
+    ``record`` is the tree's :func:`tree_record` and ``orders`` maps each
+    leaf name to its labels in storage order.  A plan costs the elements
+    it copies plus, for each batched step, the batch count times the
+    elements of the copied operand plus ``_CALL``; a leaf may be copied
+    into any order, and an intermediate is copied only at a step that no
+    candidate reads it in place at.  Each step offers output orders built
+    from its operands' candidate orders and from copies whose free labels
+    are grouped by the step that sums them, and keeps the ``_BEAM``
+    cheapest by cost plus a look-ahead: the copy or batch that each later
+    step would need.  The plan depends only on the labels, their
+    dimensions and the leaves' storage orders, never on timing, so the
+    same tree is always planned the same way.
     """
-    return _LayoutPlan(tree, label_sets, dims, orders).requests
+    return _LayoutPlan(record, orders).requests
 
 
 class _LayoutPlan:
@@ -503,20 +564,15 @@ class _LayoutPlan:
     operand is copied (from its cheapest candidate).
     """
 
-    def __init__(self, tree, label_sets, dims, orders):
-        self.label_sets, self.labels, self.steps = label_sets, {}, []
-        self.span = {}  # node -> its first and last leaf, in fold order
+    def __init__(self, record, orders):
+        self.steps, self.nodes, _, self.dims = record
         self.memo = {}
-        fold_tree(tree, self._leaf, self._join)
         n = len(self.steps)
-        self.key = {l: n for ls in self.labels.values() for l in ls}
-        for i, (_, _, summed) in enumerate(self.steps):
-            for l in summed:
+        self.key = {l: n for node in self.nodes.values() for l in node.labels}
+        for i, step in enumerate(self.steps):
+            for l in step.summed:
                 self.key[l] = i
         self.idx = {l: i for i, l in enumerate(self.key)}
-        self.dims = dims
-        self.size = {node: math.prod(dims[l] for l in ls)
-                     for node, ls in self.labels.items()}
         self.cands = {name: [(0, tuple(order), None)]
                       for name, order in orders.items()}
         for i in range(n):
@@ -527,24 +583,11 @@ class _LayoutPlan:
             i, c = todo.pop()
             _, order, (batch, *used) = self.cands[i][c]
             self.requests[i] = (order, batch)
-            for node, c in zip(self.steps[i][:2], used):
+            step = self.steps[i]
+            for node, c in zip((step.left, step.right), used):
                 if isinstance(node, int):
                     todo.append((node, self._cheapest(node) if c is None
                                  else c))
-
-    def _leaf(self, name):
-        self.labels[name] = tuple(self.label_sets[name])
-        self.span[name] = (len(self.span), len(self.span))
-        return name
-
-    def _join(self, left, right):
-        ll, lr = self.labels[left], self.labels[right]
-        self.steps.append((left, right, frozenset(ll) & frozenset(lr)))
-        i = len(self.steps) - 1
-        self.span[i] = (self.span[left][0], self.span[right][1])
-        self.labels[i] = (tuple(l for l in ll if l not in lr)
-                          + tuple(l for l in lr if l not in ll))
-        return i
 
     def _cheapest(self, node):
         cands = self.cands[node]
@@ -591,8 +634,10 @@ class _LayoutPlan:
                                        key=lambda l: (sign * key[l], idx[l])))
 
     def _step(self, i):
-        left, right, summed = self.steps[i]
-        key, dims, size, cands = self.key, self.dims, self.size, self.cands
+        step, nodes = self.steps[i], self.nodes
+        left, right, summed = step.left, step.right, step.summed
+        key, dims, cands = self.key, self.dims, self.cands
+        size = {node: nodes[node].size for node in (left, right)}
         found = {}      # order -> (cost, copies an intermediate, wide, how)
 
         def offer(cost, order, copied, rows, how):
@@ -612,7 +657,7 @@ class _LayoutPlan:
         copy = {node: cands[node][self._cheapest(node)][0] + size[node]
                 for node in (left, right)}
         inter = {node: isinstance(node, int) for node in (left, right)}
-        free = {node: tuple(l for l in self.labels[node] if l not in summed)
+        free = {node: tuple(l for l in nodes[node].labels if l not in summed)
                 for node in (left, right)}
         for x, y in ((left, right), (right, left)):
             def how(batch, cx, cy):
@@ -682,14 +727,14 @@ class _LayoutPlan:
         step can read this lineage only batched, until the first step whose
         labels from it cannot form one run, which costs a copy of its
         operand."""
-        key, dims, size, span = self.key, self.dims, self.size, self.span
-        lo, hi = span[i]
+        key, dims, nodes, n = self.key, self.dims, self.nodes, len(self.steps)
+        lo, hi = nodes[i].span
         path = []
-        for step in sorted({key[l] for l in self.labels[i]} - {len(self.steps)}):
-            own, other = self.steps[step][:2]
-            if not span[own][0] <= lo <= hi <= span[own][1]:
+        for step in sorted({key[l] for l in nodes[i].labels} - {n}):
+            own, other = self.steps[step].left, self.steps[step].right
+            if not nodes[own].span[0] <= lo <= hi <= nodes[own].span[1]:
                 own, other = other, own
-            path.append((step, size[own], size[other]))
+            path.append((step, nodes[own].size, nodes[other].size))
 
         def ahead(order):
             total = 0
@@ -717,9 +762,10 @@ class _LayoutPlan:
 SlicePath = collections.namedtuple("SlicePath", "leaf label steps chunks")
 
 
-def plan_slices(tree, label_sets, dims):
-    """The paths of ``tree`` that :func:`execute_tree` runs in slices, as
-    :class:`SlicePath` tuples ``(leaf, label, steps, chunks)``.
+def plan_slices(record):
+    """The paths of a tree that :func:`execute_tree` runs in slices, as
+    :class:`SlicePath` tuples ``(leaf, label, steps, chunks)``, from the
+    tree's :func:`tree_record`.
 
     Each step whose output has more than ``_SLICE_ELEMENTS`` elements, the
     largest first, is covered by one path: the output's label of largest
@@ -733,46 +779,31 @@ def plan_slices(tree, label_sets, dims):
     whole.  The result depends only on the tree, the labels and their
     dimensions.
     """
-    labels, parent, kids = {}, {}, []
-
-    def leaf(name):
-        labels[name] = list(label_sets[name])
-        return name
-
-    def join(left, right):
-        i = len(kids)
-        kids.append((left, right))
-        parent[left] = parent[right] = i
-        labels[i] = ([l for l in labels[left] if l not in labels[right]]
-                     + [l for l in labels[right] if l not in labels[left]])
-        return i
-
-    fold_tree(tree, leaf, join)
-    size = [math.prod(dims[l] for l in labels[i]) for i in range(len(kids))]
+    steps, nodes, parent, dims = record
     paths, taken = [], set()
-    for i in sorted(range(len(kids)), key=lambda i: (-size[i], i)):
-        if size[i] <= _SLICE_ELEMENTS:
+    for i in sorted(range(len(steps)), key=lambda i: (-steps[i].size, i)):
+        if steps[i].size <= _SLICE_ELEMENTS:
             break
         if i in taken:
             continue
-        label = max(labels[i], key=dims.__getitem__)
-        node, steps = i, []
-        while not isinstance(node, str):    # down to the leaf carrying it
-            steps.insert(0, node)
-            left, right = kids[node]
-            node = left if label in labels[left] else right
+        label = max(steps[i].labels, key=dims.__getitem__)
+        node, path = i, []
+        while isinstance(node, int):        # down to the leaf carrying it
+            path.insert(0, node)
+            left, right = steps[node].left, steps[node].right
+            node = left if label in nodes[left].labels else right
         up = parent.get(i)
-        while up is not None and label in labels[up]:
-            steps.append(up)
+        while up is not None and label in steps[up].labels:
+            path.append(up)
             up = parent.get(up)
-        if taken.intersection(steps):
+        if taken.intersection(path):
             continue
-        taken.update(steps)
-        dim, big = dims[label], max(size[s] for s in steps)
+        taken.update(path)
+        dim, big = dims[label], max(steps[s].size for s in path)
         chunks = next(c for c in range(2, dim + 1)
                       if dim % c == 0 and big <= c * _SLICE_ELEMENTS
                       or c == dim)
-        paths.append(SlicePath(node, label, steps, chunks))
+        paths.append(SlicePath(node, label, path, chunks))
     return paths
 
 
@@ -781,84 +812,91 @@ def step_writes(tree, label_sets, dims):
     :func:`execute_tree` runs it densely, in execution order: its whole
     output, or one slice of it on a sliced path below the path's last
     step, whose output is allocated whole."""
-    sizes = [math.prod(dims[l] for l in free)
-             for _, free in tree_steps(tree, label_sets)]
-    for path in plan_slices(tree, label_sets, dims):
+    record = tree_record(tree, label_sets, dims)
+    return _writes(record, plan_slices(record))
+
+
+def _writes(record, paths):
+    sizes = [step.size for step in record.steps]
+    for path in paths:
         for i in path.steps[:-1]:
             sizes[i] //= path.chunks
     return sizes
 
 
-class _Sliced:
-    """A sliced path of :func:`execute_tree` while the tree is folded: the
-    path's leaf tensor, its :class:`SlicePath`, and per path step so far
-    ``(request, other operand, whether the path is the left operand)``."""
+def _physical_memory():
+    """Bytes of physical memory, or None where ``os.sysconf`` cannot
+    tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
 
-    __slots__ = ("tensor", "path", "ops")
 
-    def __init__(self, tensor, path):
-        self.tensor, self.path, self.ops = tensor, path, []
+def _check_memory(record, paths, itemsize):
+    """Raise ``ValueError`` if a step of the tree of ``record``, run with
+    the sliced ``paths``, writes more bytes at a time than the machine's
+    physical memory (see :func:`step_writes`)."""
+    limit = _physical_memory()
+    if limit is None:
+        return
+    for i, size in enumerate(_writes(record, paths)):
+        nbytes = size * itemsize
+        if nbytes > limit:
+            step = render_order(record.steps[i].tree)
+            if len(step) > 60:
+                step = step[:57] + "..."
+            raise ValueError(f"contraction step {i + 1} of "
+                             f"{len(record.steps)}, {step}, would write "
+                             f"{nbytes} bytes, more than the {limit} bytes "
+                             f"of physical memory")
 
-    def run(self, queue):
-        """Run the path slice by slice and return its last step's output,
-        allocated once in that step's requested storage order; each
-        slice's pairs take the path's requests through ``queue``."""
-        t, label, chunks = self.tensor, self.path.label, self.path.chunks
-        axis = t.labels.index(label)
-        width = t.shape[axis] // chunks
-        bonds = list(t.bonds)
-        bonds[axis] = Bond(width, bonds[axis].btype)
-        block, out = t.get_block_().view(), None
-        for j in range(chunks):
-            part = block[(slice(None),) * axis
-                         + (slice(j * width, (j + 1) * width),)]
-            x = UniTensor._assemble(bonds, t.labels, t.rowrank, t.name,
-                                    DenseTensor._wrap(part), None)
-            for request, other, first in self.ops:
-                queue.append(request)
-                x = contract_pair(x, other) if first else contract_pair(other, x)
-            at = x.labels.index(label)
-            if out is None:
-                stored = [x.labels.index(l) for l in self.ops[-1][0][0]]
-                shape = [x.shape[k] * (chunks if k == at else 1)
-                         for k in stored]
-                out = np.empty(shape, x.dtype).transpose(np.argsort(stored))
-            out[(slice(None),) * at
-                + (slice(j * width, (j + 1) * width),)] = x.get_block_().view()
-        out_bonds = list(x.bonds)
-        out_bonds[at] = t.bonds[axis]
-        return UniTensor._assemble(out_bonds, x.labels, x.rowrank, "",
-                                   DenseTensor._wrap(out), None)
+
+def _run_sliced(t, path, ops, queue):
+    """Run a sliced path of :func:`execute_tree` slice by slice from its
+    leaf tensor ``t`` and return its last step's output, allocated once in
+    that step's requested storage order.  ``ops`` holds per path step
+    ``(request, other operand, whether the path is the left operand)``;
+    each slice's pairs take the requests through ``queue``."""
+    label, chunks = path.label, path.chunks
+    axis = t.labels.index(label)
+    width = t.shape[axis] // chunks
+    bonds = list(t.bonds)
+    bonds[axis] = Bond(width, bonds[axis].btype)
+    block, out = t.get_block_().view(), None
+    for j in range(chunks):
+        part = block[(slice(None),) * axis
+                     + (slice(j * width, (j + 1) * width),)]
+        x = UniTensor._assemble(bonds, t.labels, t.rowrank, t.name,
+                                DenseTensor._wrap(part), None)
+        for request, other, first in ops:
+            queue.append(request)
+            x = contract_pair(x, other) if first else contract_pair(other, x)
+        at = x.labels.index(label)
+        if out is None:
+            stored = [x.labels.index(l) for l in ops[-1][0][0]]
+            shape = [x.shape[k] * (chunks if k == at else 1) for k in stored]
+            out = np.empty(shape, x.dtype).transpose(np.argsort(stored))
+        out[(slice(None),) * at
+            + (slice(j * width, (j + 1) * width),)] = x.get_block_().view()
+    out_bonds = list(x.bonds)
+    out_bonds[at] = t.bonds[axis]
+    return UniTensor._assemble(out_bonds, x.labels, x.rowrank, "",
+                               DenseTensor._wrap(out), None)
 
 
 # -- optimal order search ----------------------------------------------------------
 
-def tree_steps(tree, label_sets):
-    """The pair steps of ``tree`` in execution order, each as (the labels
-    it sums, its output's free labels)."""
-    steps = []
-
-    def join(left, right):
-        summed = [l for l in left if l in right]
-        free = [l for l in {**left, **right} if (l in left) != (l in right)]
-        steps.append((summed, free))
-        return dict.fromkeys(free)
-
-    fold_tree(tree, lambda name: dict.fromkeys(label_sets[name]), join)
-    return steps
-
-
 def contraction_cost(tree, label_sets, dims):
     """Total scalar-multiplication cost of executing ``tree``."""
-    return sum(math.prod(dims[l] for l in summed + free)
-               for summed, free in tree_steps(tree, label_sets))
+    return sum(step.cost for step in tree_record(tree, label_sets, dims).steps)
 
 
 def contraction_peak(tree, label_sets, dims):
     """Element count of the largest tensor a step of ``tree`` produces (0
     for a single tensor)."""
-    return max((math.prod(dims[l] for l in free)
-                for _, free in tree_steps(tree, label_sets)), default=0)
+    steps = tree_record(tree, label_sets, dims).steps
+    return max((step.size for step in steps), default=0)
 
 
 # The order search evaluates its splits in numpy, one popcount layer of
@@ -1128,27 +1166,3 @@ def _check_dims(label_lists, dims):
                    and not isinstance(dims[l], bool) and dims[l] > 0)}
     if bad:
         raise ValueError(f"dimensions must be positive ints, got {bad}")
-
-
-def brute_force_order(label_sets, dims):
-    """Exhaustive minimum over all binary trees (test oracle; small n only)."""
-    names = list(label_sets)
-
-    def trees(items):
-        if len(items) == 1:
-            yield items[0]
-            return
-        for k in range(1, len(items)):
-            for left_set in itertools.combinations(items, k):
-                right_set = [x for x in items if x not in left_set]
-                if right_set and items[0] in left_set:  # avoid mirror duplicates
-                    for lt in trees(list(left_set)):
-                        for rt in trees(right_set):
-                            yield (lt, rt)
-
-    best = None
-    for tree in trees(names):
-        cost = contraction_cost(tree, label_sets, dims)
-        if best is None or cost < best[0]:
-            best = (cost, tree)
-    return best[1]

@@ -26,17 +26,15 @@ labels on the bound tensors, so one blueprint is reusable across many
 tensor sets.  A launch relabels the bound tensors to their slots' labels
 and hands them to the machinery of :func:`contract.contract`: every bond
 is checked by :func:`contract.check_bonds` before the first pair is
-contracted, and :func:`contract.execute_tree` runs the order.
+contracted, and :func:`contract.execute_tree` runs the order, after the
+physical-memory check that it makes for every dense tree.
 """
 
-import os
 import re
 
-import numpy as np
-
 from .contract import (check_bonds, contraction_cost, contraction_peak,
-                       execute_tree, find_optimal_order, fold_tree,
-                       order_tree, render_order, step_writes)
+                       execute_tree, find_optimal_order, order_tree,
+                       render_order)
 
 _TOKEN = re.compile(r"^[A-Za-z0-9_*'+\-]+$")
 
@@ -232,15 +230,12 @@ class Network:
         whole.  A dense network whose order has a step writing more bytes
         than the machine's physical memory, counting a sliced step at its
         slice size, raises ``ValueError`` naming that step, before any pair
-        is contracted.
+        is contracted (the check of :func:`contract.execute_tree`).
         """
         tensors = self._relabeled()
         dims = check_bonds(tensors)
         if self._optimal:
             self._order = find_optimal_order(dict(self._slots), dims)
-        if not any(t.is_sym for t in tensors):
-            itemsize = np.result_type(*(t.dtype for t in tensors)).itemsize
-            _check_memory(self._tree(), dict(self._slots), dims, itemsize)
         out = execute_tree(self._tree(), {t.name: t for t in tensors})
         tout = self._tout_row + self._tout_col
         if tout:
@@ -286,40 +281,6 @@ class Network:
     def __repr__(self):
         return (f"<Network slots={[n for n, _ in self._slots]} "
                 f"tout={self._tout_row}+{self._tout_col}>")
-
-
-def _physical_memory():
-    """Bytes of physical memory, or None where ``os.sysconf`` cannot
-    tell."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-def _check_memory(tree, label_sets, dims, itemsize):
-    """Raise ``ValueError`` if a step of ``tree`` writes an output of more
-    bytes than the machine's physical memory; a step that runs in slices
-    counts one slice (:func:`contract.step_writes`)."""
-    limit = _physical_memory()
-    if limit is None:
-        return
-    for i, size in enumerate(step_writes(tree, label_sets, dims)):
-        nbytes = size * itemsize
-        if nbytes > limit:
-            pairs = []      # each step's subtree, in execution order
-
-            def join(left, right):
-                pairs.append((left, right))
-                return pairs[-1]
-
-            fold_tree(tree, str, join)
-            step = render_order(pairs[i])
-            if len(step) > 60:
-                step = step[:57] + "..."
-            raise ValueError(f"contraction step {i + 1} of {len(pairs)}, "
-                             f"{step}, would write {nbytes} bytes, more "
-                             f"than the {limit} bytes of physical memory")
 
 
 def _parse_tout(text):

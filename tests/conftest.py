@@ -4,9 +4,11 @@ The oracles here deliberately avoid the library's own code paths: dense
 Hamiltonians come from explicit Kronecker sums, contraction references
 from naive index loops, circuit references from sparse full-space gate
 matrices, and ground-state references from free-fermion single-particle
-spectra or exact diagonalization.  Four oracles keep a superseded path
-of the library as the reference for its replacement: the cost-capped
-order search, the order search as a Python loop over every split, the
+spectra or exact diagonalization, and order-search references from an
+exhaustive search over every binary tree.  Five oracles keep a
+superseded path of the library as the reference for its replacement:
+the cost-capped order search, the order search as a Python loop over
+every split, the per-step labels of a tree folded on their own, the
 effective Hamiltonian contracted through a ``Network`` blueprint, and
 the block-sparse matrix layout assembled line by line with ``np.block``.
 """
@@ -18,7 +20,9 @@ import numpy as np
 import pytest
 
 from tnkit import Bond, IN, OUT, Network, Symmetry, UniTensor
+from tnkit import contraction_cost
 from tnkit import random as trandom
+from tnkit.contract import fold_tree
 
 
 # -- contraction oracle ------------------------------------------------------
@@ -48,7 +52,48 @@ def loop_contract(a, a_labels, b, b_labels):
     return out, out_labels
 
 
-# -- order-search oracle -----------------------------------------------------
+# -- order-search oracles ----------------------------------------------------
+
+def brute_force_order(label_sets, dims):
+    """Exhaustive minimum over all binary trees (small n only)."""
+    names = list(label_sets)
+
+    def trees(items):
+        if len(items) == 1:
+            yield items[0]
+            return
+        for k in range(1, len(items)):
+            for left_set in itertools.combinations(items, k):
+                right_set = [x for x in items if x not in left_set]
+                if right_set and items[0] in left_set:  # avoid mirror duplicates
+                    for lt in trees(list(left_set)):
+                        for rt in trees(right_set):
+                            yield (lt, rt)
+
+    best = None
+    for tree in trees(names):
+        cost = contraction_cost(tree, label_sets, dims)
+        if best is None or cost < best[0]:
+            best = (cost, tree)
+    return best[1]
+
+
+def tree_steps(tree, label_sets):
+    """The pair steps of ``tree`` in execution order, each as (the labels
+    it sums, its output's free labels), from a fold of their own: the
+    steps as cost, peak and step writes read them before the tree record
+    replaced this fold."""
+    steps = []
+
+    def join(left, right):
+        summed = [l for l in left if l in right]
+        free = [l for l in {**left, **right} if (l in left) != (l in right)]
+        steps.append((summed, free))
+        return dict.fromkeys(free)
+
+    fold_tree(tree, lambda name: dict.fromkeys(label_sets[name]), join)
+    return steps
+
 
 def cap_doubling_order(label_sets, dims):
     """The subset DP as first written: free labels kept as frozensets, every

@@ -11,16 +11,16 @@ import itertools
 import numpy as np
 import pytest
 
-from tnkit import (Bond, IN, OUT, Network, Symmetry, UniTensor,
-                   brute_force_order, contract, contract_pair,
-                   contraction_cost, find_optimal_order, linalg, storage)
+from tnkit import (Bond, IN, OUT, Network, Symmetry, UniTensor, contract,
+                   contract_pair, contraction_cost, find_optimal_order,
+                   linalg, storage)
 from tnkit import random as trandom
 from tnkit.circuit import CircuitConfig, simulate_circuit
 from tnkit.dmrg import DmrgConfig, dmrg_ground_state
 from tnkit.linalg import LinOp, lanczos
-from tests.conftest import (circuit_reference, free_fermion_ground_energy,
-                            loop_contract, random_u1_tensor, to_dense,
-                            xx_dense_hamiltonian)
+from tests.conftest import (brute_force_order, circuit_reference,
+                            free_fermion_ground_energy, loop_contract,
+                            random_u1_tensor, to_dense, xx_dense_hamiltonian)
 
 
 def _report(capsys, label, detail=""):

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tnkit import Network, UniTensor, load_unitensor, save_unitensor
-from tnkit import network
+from tnkit import (Network, UniTensor, load_unitensor, parse_order,
+                   save_unitensor)
 from tnkit.cli import main
+from tnkit.contract import _physical_memory, step_writes
 from tests.conftest import (MALFORMED_UTN, PEPS_SLOTS,
                             assert_malformed_message, circuit_reference,
                             free_fermion_ground_energy, peps_dim,
@@ -111,6 +112,16 @@ def test_netopt_peak_of_the_peps_blueprint(tmp_path, capsys):
     # boundary bonds, two operator bonds and four site bonds
     assert lines[2] == f"peak : {64 * 64 * 2 * 6 * 6 * 2 * 6 * 6}"
     assert lines[2] == "peak : 21233664"
+    assert lines[1] == "cost : 5692981264"
+    # a sliced step below its path's last writes one of its 8 slices
+    assert step_writes(parse_order(lines[0][len("order: "):]), PEPS_SLOTS,
+                       dims) == [663552, 1327104, 2654208, 589824, 663552,
+                                 1327104, 2654208, 589824, 16, 1]
+    # at boundary 16 the same order, and nothing sliced
+    assert main(["netopt", str(p), "--dims", ",".join(
+        f"{l}={peps_dim(l, boundary=16)}" for l in dims)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        lines[0], "cost : 196558864", "peak : 1327104"]
 
 
 @pytest.mark.parametrize("entry", ["a=x", "a=2.5"])
@@ -148,7 +159,7 @@ def test_contract_too_large_for_memory_exits_1_before_any_pair(tmp_path,
                                                                capsys):
     # the outer product of two 100,000-element vectors is 80 GB; longer
     # vectors where that would fit
-    memory = network._physical_memory()
+    memory = _physical_memory()
     if memory is None:
         pytest.skip("os.sysconf cannot tell the physical memory here")
     n = max(100_000, math.isqrt(memory // 8) + 1)

@@ -13,19 +13,29 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
-from tnkit import (Bond, IN, OUT, Network, Symmetry, UniTensor,
-                   brute_force_order, contract, contract_pair,
-                   contraction_cost, contraction_peak, find_optimal_order,
-                   parse_order, render_order, storage)
+from tnkit import (Bond, IN, OUT, Network, Symmetry, UniTensor, contract,
+                   contract_pair, contraction_cost, contraction_peak,
+                   find_optimal_order, parse_order, render_order, storage)
 from tnkit import random as trandom
 from tnkit import unitensor
 from tnkit.symmetry import combine_qnums, identity_qnum, reverse_qnums
-from tests.conftest import (PEPS_SLOTS, cap_doubling_order, loop_contract,
-                            np_block_plan, peps_dim, random_u1_tensor,
-                            subset_loop_order, to_dense)
+from tests.conftest import (PEPS_SLOTS, brute_force_order,
+                            cap_doubling_order, loop_contract, np_block_plan,
+                            peps_dim, random_u1_tensor, subset_loop_order,
+                            to_dense, tree_steps)
 
 # the module, which the package's ``contract`` function shadows
 contract_module = importlib.import_module("tnkit.contract")
+
+
+def _slices(tree, label_sets, dims):
+    return contract_module.plan_slices(
+        contract_module.tree_record(tree, label_sets, dims))
+
+
+def _layouts(tree, label_sets, dims, orders):
+    return contract_module.plan_layouts(
+        contract_module.tree_record(tree, label_sets, dims), orders)
 
 
 # -- pairwise ---------------------------------------------------------------
@@ -386,12 +396,32 @@ def test_tree_with_planned_layouts_matches_einsum(network):
 def test_tree_steps_number_the_pairs_in_execution_order():
     sets = {"A": ["i", "j"], "B": ["j", "k"], "C": ["k", "l"], "D": ["l", "i"]}
     tree = parse_order("((A,B),(C,D))")
-    assert contract_module.tree_steps(tree, sets) == [
-        (["j"], ["i", "k"]), (["l"], ["k", "i"]), (["i", "k"], [])]
     dims = {"i": 2, "j": 3, "k": 5, "l": 7}
+    assert [(list(s.summed), list(s.labels)) for s in
+            contract_module.tree_record(tree, sets, dims).steps] == [
+        (["j"], ["i", "k"]), (["l"], ["k", "i"]), (["i", "k"], [])]
     assert contraction_cost(tree, sets, dims) == 2 * 3 * 5 + 5 * 7 * 2 + 10
     assert contraction_peak(tree, sets, dims) == 10
     assert contraction_peak("A", sets, dims) == 0
+
+
+@given(_dense_networks(sizes=(1, 2, 3, 4, 6)))
+@settings(max_examples=200, deadline=None)
+def test_tree_record_matches_a_fold_of_its_own(network):
+    tensors, tree = network
+    label_sets = {nm: t.labels for nm, t in tensors.items()}
+    dims = {l: d for t in tensors.values() for l, d in zip(t.labels, t.shape)}
+    record = contract_module.tree_record(tree, label_sets, dims)
+    want = tree_steps(tree, label_sets)
+    assert len(record.steps) == len(want) == len(tensors) - 1
+    for step, (summed, free) in zip(record.steps, want):
+        assert list(step.summed) == summed and list(step.labels) == free
+        assert step.size == math.prod(dims[l] for l in free)
+        assert step.cost == math.prod(dims[l] for l in summed + free)
+    assert contraction_cost(tree, label_sets, dims) == sum(
+        math.prod(dims[l] for l in summed + free) for summed, free in want)
+    assert contraction_peak(tree, label_sets, dims) == max(
+        math.prod(dims[l] for l in free) for _, free in want)
 
 
 _HALF = ("b0", "b1", "t0", "t0*", "b2")
@@ -426,8 +456,8 @@ def _launch_peps_half():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    sizes = [int(np.prod([dims[l] for l in f])) for _, f in
-             contract_module.tree_steps(parse_order(_HALF_ORDER), slots)]
+    sizes = [s.size for s in contract_module.tree_record(
+        parse_order(_HALF_ORDER), slots, dims).steps]
     want = _einsum([arrays[nm] for nm in _HALF], [slots[nm] for nm in _HALF],
                    free)
     assert out.labels == free
@@ -455,9 +485,8 @@ def test_sliced_peps_half_chain_holds_one_slice_of_each_intermediate(
     monkeypatch.setattr(contract_module, "_SLICE_ELEMENTS", 1 << 18)
     slots = {nm: PEPS_SLOTS[nm] for nm in _HALF}
     dims = {l: peps_dim(l, boundary=16) for ls in slots.values() for l in ls}
-    assert contract_module.plan_slices(parse_order(_HALF_ORDER), slots,
-                                       dims) == [("b0", "b0-b5",
-                                                  [0, 1, 2, 3], 8)]
+    assert _slices(parse_order(_HALF_ORDER), slots, dims) == [
+        ("b0", "b0-b5", [0, 1, 2, 3], 8)]
     peak, sizes = _launch_peps_half()
     bound = 8 * (max(l + o for l, o in zip(sizes, sizes[1:])) // 8
                  + sizes[-1])
@@ -512,7 +541,7 @@ def test_peps_plan_at_boundary_64_copies_no_intermediate():
     # intermediate is 170 MB)
     dims = {l: peps_dim(l) for ls in PEPS_SLOTS.values() for l in ls}
     tree = find_optimal_order(PEPS_SLOTS, dims)
-    plan = contract_module.plan_layouts(tree, PEPS_SLOTS, dims, PEPS_SLOTS)
+    plan = _layouts(tree, PEPS_SLOTS, dims, PEPS_SLOTS)
     steps = _walk_plan(tree, PEPS_SLOTS, plan)
     assert len(steps) == 10
     b2_steps = 0
@@ -537,16 +566,17 @@ def test_planning_the_same_tree_twice_gives_the_same_orders():
             for l in ls}
     tree = find_optimal_order(PEPS_SLOTS, dims)
     shuffled = {nm: PEPS_SLOTS[nm][::-1] for nm in reversed(PEPS_SLOTS)}
-    first = contract_module.plan_layouts(tree, PEPS_SLOTS, dims, shuffled)
-    again = contract_module.plan_layouts(tree, PEPS_SLOTS, dims, shuffled)
+    first = _layouts(tree, PEPS_SLOTS, dims, shuffled)
+    again = _layouts(tree, PEPS_SLOTS, dims, shuffled)
     assert first == again
     # nor does it follow the process's string hashes
-    code = ("from tnkit.contract import plan_layouts, find_optimal_order\n"
+    code = ("from tnkit.contract import (find_optimal_order, plan_layouts,"
+            " tree_record)\n"
             "from tests.conftest import PEPS_SLOTS, peps_dim\n"
             "dims = {l: peps_dim(l, boundary=16) for ls in PEPS_SLOTS.values()"
             " for l in ls}\n"
-            "print(plan_layouts(find_optimal_order(PEPS_SLOTS, dims),"
-            " PEPS_SLOTS, dims, {n: PEPS_SLOTS[n][::-1] for n in"
+            "print(plan_layouts(tree_record(find_optimal_order(PEPS_SLOTS,"
+            " dims), PEPS_SLOTS, dims), {n: PEPS_SLOTS[n][::-1] for n in"
             " reversed(PEPS_SLOTS)}))\n")
     root = pathlib.Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -582,9 +612,9 @@ def _check_slice_paths(paths, tree, label_sets, dims):
         return len(kids) - 1
 
     contract_module.fold_tree(tree, lambda nm: nm, join)
-    for i, (_, free) in enumerate(contract_module.tree_steps(tree,
-                                                             label_sets)):
-        outputs[i] = free
+    for i, step in enumerate(contract_module.tree_record(tree, label_sets,
+                                                         dims).steps):
+        outputs[i] = step.labels
     on_path = [s for p in paths for s in p.steps]
     assert len(on_path) == len(set(on_path))
     for leaf, label, steps, chunks in paths:
@@ -611,7 +641,7 @@ def test_sliced_tree_matches_the_unsliced_one(network, budget):
     with mock.patch.object(contract_module, "_SLICE_ELEMENTS", budget), \
             mock.patch.object(contract_module, "contract_pair",
                               _counting_pairs(calls)):
-        paths = contract_module.plan_slices(tree, label_sets, dims)
+        paths = _slices(tree, label_sets, dims)
         got = contract_module.execute_tree(tree, tensors)
     kids = _check_slice_paths(paths, tree, label_sets, dims)
     for p in paths:
@@ -649,8 +679,7 @@ def test_off_path_steps_run_once(monkeypatch):
     monkeypatch.setattr(contract_module, "contract_pair",
                         _counting_pairs(calls))
     dims = {l: d for s in shapes.values() for l, d in s.items()}
-    assert contract_module.plan_slices(
-        tree, {nm: list(s) for nm, s in shapes.items()}, dims) == \
+    assert _slices(tree, {nm: list(s) for nm, s in shapes.items()}, dims) == \
         [("A", "x", [1, 2], 4)]
     got = contract_module.execute_tree(tree, tensors)
     assert calls == [(("i", "j"), ("j", "k"))] + [
@@ -667,13 +696,13 @@ def test_peps_slices_each_half_on_its_boundary_label(monkeypatch):
     # at boundary 16 (X3 is 1.33 M elements) nothing is sliced
     dims = {l: peps_dim(l) for ls in PEPS_SLOTS.values() for l in ls}
     tree = find_optimal_order(PEPS_SLOTS, dims)
-    paths = contract_module.plan_slices(tree, PEPS_SLOTS, dims)
+    paths = _slices(tree, PEPS_SLOTS, dims)
     assert paths == [("b0", "b0-b5", [0, 1, 2, 3], 8),
                      ("b3", "b2-b3", [4, 5, 6, 7], 8)]
     _check_slice_paths(paths, tree, PEPS_SLOTS, dims)
     dims = {l: peps_dim(l, boundary=16) for l in dims}
     tree = find_optimal_order(PEPS_SLOTS, dims)
-    assert contract_module.plan_slices(tree, PEPS_SLOTS, dims) == []
+    assert _slices(tree, PEPS_SLOTS, dims) == []
     # the same tree with the budget patched: the halves are sliced and the
     # scalar agrees with the unsliced one
     rng = np.random.default_rng(16)
@@ -682,10 +711,48 @@ def test_peps_slices_each_half_on_its_boundary_label(monkeypatch):
         for nm, ls in PEPS_SLOTS.items()}
     want = contract_module.execute_tree(tree, tensors).item()
     monkeypatch.setattr(contract_module, "_SLICE_ELEMENTS", 1 << 18)
-    assert [p[:2] for p in contract_module.plan_slices(
-        tree, PEPS_SLOTS, dims)] == [("b0", "b0-b5"), ("b3", "b2-b3")]
+    assert [p[:2] for p in _slices(tree, PEPS_SLOTS, dims)] == [
+        ("b0", "b0-b5"), ("b3", "b2-b3")]
     got = contract_module.execute_tree(tree, tensors).item()
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_list_contraction_checks_memory_before_any_pair(monkeypatch):
+    # (A,B) writes 64 x 64 float64 elements, 32 KB, with 8 KB of memory
+    rng = np.random.default_rng(3)
+    shapes = {"A": {"x": 64, "i": 4}, "B": {"i": 4, "y": 64}, "C": {"y": 64}}
+    tensors = [UniTensor(storage.from_numpy(rng.standard_normal(
+        list(s.values()))), labels=list(s), name=nm)
+        for nm, s in shapes.items()]
+    calls = []
+    monkeypatch.setattr(contract_module, "_physical_memory", lambda: 8_000)
+    monkeypatch.setattr(contract_module, "contract_pair",
+                        _counting_pairs(calls))
+    with pytest.raises(ValueError, match="step 1 of 2, \\(A,B\\), would "
+                                         "write 32768 bytes"):
+        contract(tensors, order="((A,B),C)")
+    assert calls == []
+
+
+def test_a_dense_launch_walks_its_tree_once():
+    # the walk, the layout plan and the slice plan each run once
+    dims = {l: peps_dim(l, boundary=16) for ls in PEPS_SLOTS.values()
+            for l in ls}
+    net = Network([f"{nm}: {', '.join(ls)}" for nm, ls in PEPS_SLOTS.items()]
+                  + ["TOUT:"])
+    rng = np.random.default_rng(16)
+    for nm, ls in PEPS_SLOTS.items():
+        net.put_tensor(nm, UniTensor(storage.from_numpy(rng.standard_normal(
+            [dims[l] for l in ls])), labels=ls))
+    net.set_order(optimal=True)
+    spies = {name: mock.patch.object(contract_module, name, wraps=getattr(
+        contract_module, name)) for name in ("fold_tree", "plan_layouts",
+                                             "plan_slices")}
+    with spies["fold_tree"] as fold, spies["plan_layouts"] as layouts, \
+            spies["plan_slices"] as slices:
+        net.launch()
+    assert (fold.call_count, layouts.call_count, slices.call_count) == \
+        (1, 1, 1)
 
 
 def test_direction_rules(u1):

@@ -392,7 +392,6 @@ def test_one_slot_launch_returns_a_copy():
 def test_memory_check_counts_a_sliced_step_at_its_slice(monkeypatch):
     # (A,B) writes x by y, 4,096 elements (32 KB); with a 512-element
     # budget it runs in 8 slices of x, 4 KB each, and ((A,B),C) keeps x
-    network = importlib.import_module("tnkit.network")
     contract_module = importlib.import_module("tnkit.contract")
     net = Network(["A: x, i", "B: i, y", "C: y", "TOUT: x",
                    "ORDER: ((A,B),C)"])
@@ -403,13 +402,13 @@ def test_memory_check_counts_a_sliced_step_at_its_slice(monkeypatch):
     for name, arr in arrays.items():
         net.put_tensor(name, UniTensor(storage.from_numpy(arr),
                                        labels=labels[name]))
-    monkeypatch.setattr(network, "_physical_memory", lambda: 8_000)
+    monkeypatch.setattr(contract_module, "_physical_memory", lambda: 8_000)
     with pytest.raises(ValueError, match="step 1 of 2, \\(A,B\\), would "
                                          "write 32768 bytes"):
         net.launch()
     monkeypatch.setattr(contract_module, "_SLICE_ELEMENTS", 512)
-    [path] = contract_module.plan_slices(
-        net._tree(), dict(net._slots), {"x": 64, "i": 4, "y": 64})
+    [path] = contract_module.plan_slices(contract_module.tree_record(
+        net._tree(), dict(net._slots), {"x": 64, "i": 4, "y": 64}))
     assert path == ("A", "x", [0, 1], 8)
     out = net.launch()
     want = arrays["A"] @ arrays["B"] @ arrays["C"]
