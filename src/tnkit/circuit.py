@@ -14,26 +14,38 @@ z-magnetization of the central site, site ceil(n/2) counting from one, is
 recorded.
 
 The state is held as a rank-n tensor with one labeled index per qubit and
-gates are applied by label-driven contraction.  Each brickwork layer is
-split into consecutive windows of at most ``FUSE_WIDTH`` qubits, each
-holding whole gates of the layer; a qubit no gate of the layer touches
-gets a 2x2 identity.  A window's gates commute, so their outer product is
-one fused gate, built once per run.  A layer is one left-to-right sweep of
-its fused gates.  Dense contraction reads an operand whose contracted axes
-lead its memory order without copying it, and each product writes the
-untouched qubits first and the window last, so the next window is then at
-the front; after the last window the buffer is back in qubit order.  A
-layer thus makes one pass over the state per window and never copies it
-otherwise.  The central-site readout reads the buffer in memory order.
+gates are applied by label-driven contraction, in passes over the state
+that each apply one fused gate, the product of several two-site gates, to
+a window of at most ``FUSE_WIDTH`` neighbouring qubits.  The run follows
+a causal schedule (:func:`_schedule`), planned whole, and every distinct
+fused gate built, before the first pass.  Sweeps over the chain alternate
+between two tilings into windows, offset by 2 and both anchored so that
+one window holds both bonds of the central qubit.  A window applies every
+gate on its bonds whose brickwork predecessors are done, from both layers
+and across step boundaries, so gates away from the centre run ahead of
+it; only the central qubit's bonds are held at the next step to be read.
+When they reach step s, the gates run are closed under predecessors, and
+since gates off the central qubit do not change its reduced state, sz
+and the norm read then equal those after s whole brickwork steps.
+
+Dense contraction reads an operand whose contracted axes lead its memory
+order without copying it, and each product writes the untouched qubits
+first and the window last, so the buffer's memory order is always the
+chain read around from some qubit, and the next window is at its front.
+The last window of a sweep and the first of the next share one pass when
+they fit in one window together (the chain's ends are not coupled).  So
+each pass reads the state in place; on 18 qubits a step takes 4.5
+passes.  The central-site readout reads the buffer in memory order.
 """
 
-import functools
+import collections
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import storage
+from .bond import Bond
 from .contract import contract_pair
 from .linalg import expm
 from .physics import pauli
@@ -42,13 +54,14 @@ from .unitensor import UniTensor
 
 MAX_SITES = 24  # full statevector memory guard
 
-# Qubits per fused gate.  A wider window means fewer passes over the state
-# but 2^w multiply-adds per element: on 18 qubits, 150 steps (2-vCPU host),
-# w = 2, 3, 4, 5, 6 took 2.5, 2.1, 1.6, 1.9 and 2.3 s
-# (BENCH_qsim_fusion.json).
-FUSE_WIDTH = 4
+# Qubits per window: at least 5, so that two tilings offset by 2 each have
+# a window holding the central qubit and both its neighbours.  A pass
+# costs 2^w multiply-adds per element: over 18 qubits, on a 2-vCPU host,
+# one took 0.66, 0.90, 1.23 and 1.9 ms at widths 2, 4, 5 and 6.
+FUSE_WIDTH = 5
 
 GATE_LABELS = ["in_up", "in_bottom", "out_up", "out_bottom"]
+_QUBIT = Bond(2)    # every leg of a fused gate; bonds are immutable
 
 
 @dataclass
@@ -78,6 +91,11 @@ class CircuitConfig:
             raise ValueError(
                 f"pattern must be {self.n_sites} chars of 'u'/'d', "
                 f"got {self.pattern!r}")
+
+
+# The passes of a run: per pass (qubits in memory order, bonds of its gates
+# in order); per step the passes run before it is read; the sweep count.
+Schedule = collections.namedtuple("Schedule", "passes reads sweeps")
 
 
 @dataclass
@@ -127,58 +145,204 @@ def _gate_from_weights(j, hx, hz, dt, wl, wr):
 
 
 def _bond_gates(cfg):
-    """One gate per bond; bond b couples sites (b, b+1)."""
+    """One gate per bond; bond b couples sites (b, b+1), and the bulk bonds
+    share one gate.  Raises ``ValueError`` naming ``dt`` when a gate is not
+    finite, as when ``dt`` times the bond Hamiltonian overflows."""
     n = cfg.n_sites
-    gates = []
-    for b in range(n - 1):
-        wl = 1.0 if b == 0 else 0.5
-        wr = 1.0 if b == n - 2 else 0.5
-        gates.append(_gate_from_weights(cfg.j, cfg.hx, cfg.hz, cfg.dt, wl, wr))
-    return gates
+    weights = [(1.0 if b == 0 else 0.5, 1.0 if b == n - 2 else 0.5)
+               for b in range(n - 1)]
+    built = {}
+    with np.errstate(all="ignore"):
+        for b, w in enumerate(weights):
+            if w in built:
+                continue
+            try:
+                g = _gate_from_weights(cfg.j, cfg.hx, cfg.hz, cfg.dt, *w)
+            except np.linalg.LinAlgError:
+                g = None
+            if g is None or not np.isfinite(g.get_block_().view()).all():
+                raise ValueError(f"dt={cfg.dt!r} gives a non-finite Trotter "
+                                 f"gate on bond {b}")
+            built[w] = g
+    return [built[w] for w in weights]
 
 
-def _initial_state(cfg):
+def _initial_state(cfg, first=0):
+    """The product state of ``cfg.pattern``, its qubits stored in chain
+    order from qubit ``first`` around to qubit ``first - 1``."""
+    order = [(first + i) % cfg.n_sites for i in range(cfg.n_sites)]
     arr = np.zeros([2] * cfg.n_sites, dtype=np.complex128)
-    arr[tuple(0 if c == "u" else 1 for c in cfg.pattern)] = 1.0
-    labels = [f"q{i}" for i in range(cfg.n_sites)]
-    return UniTensor(DenseTensor(arr), labels=labels, rowrank=0)
+    arr[tuple(0 if cfg.pattern[q] == "u" else 1 for q in order)] = 1.0
+    return UniTensor._assemble([_QUBIT] * cfg.n_sites,
+                               [f"q{q}" for q in order], 0, "",
+                               DenseTensor(arr), None)
 
 
-def _layer_windows(n, first):
-    """The layer whose bonds start at ``first``, as consecutive windows of
-    at most ``FUSE_WIDTH`` qubits that cover 0..n-1 in order.  A window is
-    ``(start, stop, bonds)``: qubits start..stop-1 and the layer's bonds
-    among them (bond b couples b and b+1), whole gates only."""
-    windows, start, bonds, q = [], 0, [], 0
-    while q < n:
-        width = 2 if first <= q < n - 1 and (q - first) % 2 == 0 else 1
-        if q + width - start > FUSE_WIDTH:
-            windows.append((start, q, bonds))
-            start, bonds = q, []
-        if width == 2:
-            bonds.append(q)
-        q += width
-    windows.append((start, n, bonds))
-    return windows
+def _tilings(n):
+    """The two tilings that sweeps alternate between: each a list of
+    windows ``(start, stop)`` covering qubits 0..n-1 in order, at most
+    ``FUSE_WIDTH`` wide.
+
+    Away from the chain's ends the windows are ``FUSE_WIDTH`` wide and the
+    two tilings are offset by 2, each anchored so that one of its windows
+    holds qubits c-1..c+1, c the central qubit, and with it both of c's
+    bonds.  A one-qubit window at an end holds no gate; unless the seam
+    with the other tiling's window at the opposite end absorbs it into a
+    window that holds one, its cut moves one qubit inward, and so does a
+    cut of the other tiling that this brings within one qubit of it, so
+    that no bond lies on a cut of both tilings.  The cuts of the central
+    windows never move.
+    """
+    w = FUSE_WIDTH
+    if n <= w:
+        return [[(0, n)], [(0, n)]]
+    c = (n + 1) // 2 - 1
+    anchors = (c + 2 - w, c + 4 - w)     # the central windows' first qubits
+    cuts = [[x for x in range(q % w, n, w) if x > 0] for q in anchors]
+    fixed = {x for q in anchors for x in (q, q + w)}
+
+    def edge(t, end):       # width of tiling t's window at an end
+        return cuts[t][0] if end == 0 else n - cuts[t][-1]
+
+    for end, inward in ((-1, -1), (0, 1)):
+        for t in (0, 1):
+            partner = edge(1 - t, -1 - end)
+            if edge(t, end) != 1 or 2 <= partner < w or cuts[t][end] in fixed:
+                continue
+            cuts[t][end] += inward
+            other = cuts[1 - t]
+            near = cuts[t][end] + inward
+            if near in other and near not in fixed:
+                other[other.index(near)] += inward
+    return [list(zip([0] + t, t + [n])) for t in cuts]
 
 
-def _fused_gate(gates, start, stop, bonds):
-    """One window's gate: the outer product of its bond gates and an
-    identity on each other qubit, stored contiguous with its input labels
-    q<start>..q<stop-1> leading in qubit order, then ``_n_`` output labels."""
-    mats, q = [], start
-    while q < stop:
-        if q in bonds:
-            mats.append(gates[q].get_block_().view().reshape(4, 4))
-            q += 2
-        else:
-            mats.append(np.eye(2))
-            q += 1
-    width = stop - start
-    qubits = [f"q{i}" for i in range(start, stop)]
-    arr = functools.reduce(np.kron, mats).reshape([2] * (2 * width))
-    return UniTensor(DenseTensor(arr), labels=qubits + [f"_n_{l}" for l in qubits],
-                     rowrank=width)
+def _schedule(n, steps):
+    """Plan the passes of an ``n``-qubit, ``steps``-step run.
+
+    Sweeps alternate between the two :func:`_tilings`, in the order that
+    leaves fewer passes without a gate, then fewer passes; each window of a
+    sweep is one pass over the state.  The last window of a sweep and the
+    first of the next are one pass when together at most ``FUSE_WIDTH``
+    wide (the chain's ends are not coupled).  A pass applies, in causal
+    order, every gate on a bond inside its window whose brickwork
+    predecessors are done: with ``done[b]`` gates applied on bond b, the
+    next one is ready when each neighbouring bond has ``done >= done[b] +
+    b % 2``.  The central qubit's bonds are held at the next step to be
+    read.  Step s is read after the pass that brings the central bonds to
+    s: the gates run by then are closed under predecessors, so the
+    central qubit's reduced state, which gates off it do not change, is
+    that of s whole brickwork steps.  Gates away from the centre may thus
+    run ahead of it, even past the last step, and passes after the last
+    reading are dropped.  A first window without a bond is skipped: the
+    state starts stored from the qubit after it.  A pass left without a
+    gate takes over the last gate on one of its non-central bonds from an
+    earlier pass when no gate in between depends on it.
+
+    Returns a :data:`Schedule`: per pass its qubits in memory order and
+    the bonds of its gates in order; per step s the number of passes run
+    before it is read; and the number of sweeps.
+    """
+    tilings = [[tuple(range(a, z)) for a, z in t] for t in _tilings(n)]
+    return min((_plan(n, steps, order) for order in (tilings, tilings[::-1])),
+               key=lambda plan: (sum(not bonds for _, bonds in plan.passes),
+                                 len(plan.passes)))
+
+
+def _plan(n, steps, tilings):
+    """:func:`_schedule` with sweeps alternating between ``tilings`` (each
+    a list of windows' qubits), the first swept first."""
+    c = (n + 1) // 2 - 1
+    central = {b for b in (c - 1, c) if 0 <= b < n - 1}
+    done = [0] * (n - 1) + [math.inf]    # done[-1] stands beyond both ends
+
+    def fill(qubits, s):
+        inside = [q for q in qubits[:-1] if q + 1 in qubits]
+        bonds, grew = [], True
+        while grew:
+            grew = False
+            for b in inside:
+                k = done[b]
+                need = k + b % 2
+                if (done[b - 1] >= need and done[b + 1] >= need
+                        and (k < s or b not in central)):
+                    done[b] += 1
+                    bonds.append(b)
+                    grew = True
+        return bonds
+
+    passes, reads, sweeps, carry = [], [0], 0, None
+    while len(reads) <= steps:
+        windows = list(tilings[sweeps % 2])
+        if sweeps == 0 and len(windows[0]) == 1:
+            del windows[0]
+        sweeps += 1
+        if carry and len(carry) + len(windows[0]) <= FUSE_WIDTH:
+            windows[0] = carry + windows[0]
+        elif carry:
+            windows.insert(0, carry)
+        carry = windows.pop() if len(windows) > 1 else None
+        for qubits in windows:
+            passes.append((qubits, fill(qubits, len(reads))))
+            if len(reads) <= steps and all(done[b] == len(reads)
+                                           for b in central):
+                reads.append(len(passes))
+    del passes[reads[-1]:]
+    for j, (qubits, bonds) in enumerate(passes):
+        if not bonds:
+            _take_over_a_gate(passes, j, central)
+    return Schedule(passes, reads, sweeps)
+
+
+def _take_over_a_gate(passes, j, central):
+    """Move to empty pass ``j`` the last gate on one of its non-central
+    bonds, from an earlier pass that keeps another gate, when no gate on
+    that bond or a neighbouring one runs in between."""
+    qubits, bonds = passes[j]
+    for b in (q for q in qubits[:-1] if q + 1 in qubits and q not in central):
+        for i in range(j - 1, -1, -1):
+            earlier = passes[i][1]
+            at = next((t for t in range(len(earlier) - 1, -1, -1)
+                       if abs(earlier[t] - b) <= 1), None)
+            if at is None:
+                continue
+            if earlier[at] == b and len(earlier) > 1:
+                bonds.append(earlier.pop(at))
+                return
+            break
+
+
+def _fused_gates(cfg, plan):
+    """The fused gate of each pass of ``plan``: the product of its bond
+    gates, in order, on its qubits (bond b couples b and b+1), with its
+    input labels in the order of its qubits leading, then ``_n_`` output
+    labels.  The bulk bonds share one gate, so passes whose gates sit
+    alike in their windows share one matrix, and on the same qubits one
+    tensor."""
+    n = cfg.n_sites
+    gates = _bond_gates(cfg)
+    names = [f"q{q}" for q in range(n)] + [f"_n_q{q}" for q in range(n)]
+    mats, fused, ops = {}, {}, []
+    for qubits, bonds in plan.passes:
+        width = len(qubits)
+        shape = width, tuple((qubits.index(b), b == 0, b == n - 2)
+                             for b in bonds)
+        if shape not in mats:
+            mat = np.eye(2 ** width, dtype=np.complex128)
+            for i, _, _ in shape[1]:
+                # a gate is stored (in, out), so each one multiplies from
+                # the right, on the output pair of qubits i, i+1
+                g = gates[qubits[i]].get_block_().view().reshape(4, 4)
+                mat = np.einsum("aipj,pq->aiqj",
+                                mat.reshape(2 ** width, 2 ** i, 4, -1), g)
+            mats[shape] = DenseTensor(mat.reshape([2] * (2 * width)))
+        if (qubits, shape) not in fused:
+            fused[qubits, shape] = UniTensor._assemble(
+                [_QUBIT] * (2 * width),
+                [names[q] for q in qubits] + [names[n + q] for q in qubits],
+                width, "", mats[shape], None)
+        ops.append(fused[qubits, shape])
+    return ops
 
 
 def _apply_gate(state, gate):
@@ -214,15 +378,13 @@ def simulate_circuit(cfg):
         raise ValueError(f"n_sites={cfg.n_sites} exceeds the statevector "
                          f"guard ({MAX_SITES} sites)")
     n = cfg.n_sites
-    gates = _bond_gates(cfg)
-    layers = [[_fused_gate(gates, *w) for w in _layer_windows(n, first)]
-              for first in (0, 1) if first < n - 1]
-    state = _initial_state(cfg)
+    plan = _schedule(n, cfg.steps)
+    ops = _fused_gates(cfg, plan)
+    state = _initial_state(cfg, plan.passes[0][0][0] if plan.passes else 0)
     series = [_central_sz(state, n)]
-    for _ in range(cfg.steps):
-        for layer in layers:
-            for gate in layer:
-                state = _apply_gate(state, gate)
+    for start, stop in zip(plan.reads, plan.reads[1:]):
+        for gate in ops[start:stop]:
+            state = _apply_gate(state, gate)
         series.append(_central_sz(state, n))
     sz, norm = (np.array(column) for column in zip(*series))
     times = cfg.dt * np.arange(cfg.steps + 1)

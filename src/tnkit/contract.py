@@ -377,7 +377,8 @@ def contract(first, *rest, order=None, optimal=True):
     ``optimal=False`` the tensors are folded left to right.  Three or more
     tensors with ``order`` or ``optimal`` require all names to be set and
     distinct.  A label may appear on at most two tensors.  Every shared
-    bond is checked before any pair is contracted.
+    bond is checked, and for dense tensors every step's output size
+    against physical memory, before any pair is contracted.
     """
     if isinstance(first, UniTensor):
         tensors = [first, *rest]
@@ -392,9 +393,8 @@ def contract(first, *rest, order=None, optimal=True):
     if len(tensors) == 1:
         return tensors[0].clone()
     dims = check_bonds(tensors)
-    if len(tensors) == 2:
-        return contract_pair(tensors[0], tensors[1])
-    if order is None and not optimal:
+    if len(tensors) == 2 or (order is None and not optimal):
+        _check_fold_memory(tensors, dims)
         acc = tensors[0]
         for t in tensors[1:]:
             acc = contract_pair(acc, t)
@@ -411,6 +411,24 @@ def contract(first, *rest, order=None, optimal=True):
     else:
         tree = find_optimal_order({n: t.labels for n, t in by_name.items()}, dims)
     return execute_tree(tree, by_name)
+
+
+def _check_fold_memory(tensors, dims):
+    """The physical-memory check of :func:`execute_tree` for dense
+    ``tensors`` folded left to right; steps are named by tensor name, or
+    by position where names are missing or repeated."""
+    if tensors[0].is_sym:
+        return
+    names = [t.name or f"#{i}" for i, t in enumerate(tensors)]
+    if len(set(names)) != len(names):
+        names = [f"#{i}" for i in range(len(tensors))]
+    tree = names[0]
+    for name in names[1:]:
+        tree = (tree, name)
+    record = tree_record(tree, {n: t.labels for n, t in zip(names, tensors)},
+                         dims)
+    _check_memory(record, [], np.result_type(
+        *(t.dtype for t in tensors)).itemsize)
 
 
 def execute_tree(tree, by_name):

@@ -92,17 +92,17 @@ def test_series_matches_reference_small_chain():
 
 
 def test_norm_is_preserved():
+    """Replaying the schedule pass by pass keeps the norm at every
+    reading."""
     cfg = CircuitConfig(n_sites=5, steps=10, pattern="uuddd")
-    from tnkit.circuit import (_apply_gate, _bond_gates, _fused_gate,
-                               _initial_state, _layer_windows)
-    state = _initial_state(cfg)
-    gates = _bond_gates(cfg)
-    layers = [[_fused_gate(gates, *w) for w in _layer_windows(5, first)]
-              for first in (0, 1)]
-    for _ in range(cfg.steps):
-        for layer in layers:
-            for gate in layer:
-                state = _apply_gate(state, gate)
+    from tnkit.circuit import (_apply_gate, _fused_gates, _initial_state,
+                               _schedule)
+    plan = _schedule(5, cfg.steps)
+    ops = _fused_gates(cfg, plan)
+    state = _initial_state(cfg, plan.passes[0][0][0])
+    for start, stop in zip(plan.reads, plan.reads[1:]):
+        for gate in ops[start:stop]:
+            state = _apply_gate(state, gate)
         assert abs(state.norm() - 1.0) <= 1e-10
 
 
@@ -173,9 +173,9 @@ def test_reading_the_norm_leaves_sz_bit_identical(monkeypatch):
     assert np.max(np.abs(res.sz - logical)) <= 1e-15
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 7])
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 11, 18])
 def test_every_gate_finds_its_qubits_at_the_front_of_memory(monkeypatch, n):
-    """Each window's fused gate reads its k qubits at memory positions
+    """Each pass's fused gate reads its k qubits at memory positions
     0..k-1, so every product reads the state in place."""
     fronts = []
 
@@ -188,24 +188,26 @@ def test_every_gate_finds_its_qubits_at_the_front_of_memory(monkeypatch, n):
 
     monkeypatch.setattr(circuit, "contract_pair", spying)
     simulate_circuit(CircuitConfig(n_sites=n, steps=3))
-    widths = [stop - start for first in (0, 1) if first < n - 1
-              for start, stop, _ in circuit._layer_windows(n, first)]
-    assert fronts == 3 * [list(range(k)) for k in widths]
+    widths = [len(qubits) for qubits, _ in circuit._schedule(n, 3).passes]
+    assert fronts == [list(range(k)) for k in widths]
 
 
 @pytest.mark.parametrize("n", range(2, 25))
 def test_layer_windows_tile_the_chain(n):
-    for first in (0, 1):
-        windows = circuit._layer_windows(n, first)
+    """The two tilings that sweeps alternate between tile the chain."""
+    tilings = circuit._tilings(n)
+    for windows in tilings:
         assert windows[0][0] == 0 and windows[-1][1] == n
         assert all(w[1] == nxt[0] for w, nxt in zip(windows, windows[1:]))
         assert all(0 < stop - start <= circuit.FUSE_WIDTH
-                   for start, stop, _ in windows)
-        for b in range(first, n - 1, 2):
-            assert sum(b in bonds and start <= b and b + 1 < stop
-                       for start, stop, bonds in windows) == 1
-        assert sorted(b for _, _, bonds in windows for b in bonds) == list(
-            range(first, n - 1, 2))
+                   for start, stop in windows)
+        # one window holds the central qubit and both its neighbours
+        c = (n + 1) // 2 - 1
+        assert any(start <= max(c - 1, 0) and min(c + 1, n - 1) < stop
+                   for start, stop in windows)
+    # every bond lies inside a window of some tiling
+    assert all(any(start <= b and b + 1 < stop for windows in tilings
+                   for start, stop in windows) for b in range(n - 1))
 
 
 def test_layers_never_copy_the_state(monkeypatch):
@@ -213,7 +215,7 @@ def test_layers_never_copy_the_state(monkeypatch):
     peak of a run stays within two states, the one a product reads and the
     one it writes, plus small change: the fused gates and Python objects
     take under 100 KB, and a third state would add 256 KB."""
-    cfg = CircuitConfig(n_sites=14, steps=3)
+    cfg = CircuitConfig(n_sites=14, steps=2)
     state_bytes = 2 ** 14 * 16
     chained, last = [], []
 
@@ -234,9 +236,82 @@ def test_layers_never_copy_the_state(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert len(chained) == 3 * 8 - 1 and all(chained)   # 8 windows a step
+    passes = len(circuit._schedule(14, 2).passes)
+    assert len(chained) == passes - 1 and all(chained)
     assert peak <= 2 * state_bytes + 128 * 1024
     assert np.max(np.abs(res.sz - circuit_reference(cfg))) <= 1e-12
+
+
+def _replay(n, plan):
+    """Run the schedule's gates on per-bond counters, checking each gate
+    against its brickwork predecessors; returns the central bonds'
+    counters at each reading."""
+    c = (n + 1) // 2 - 1
+    central = [b for b in (c - 1, c) if 0 <= b < n - 1]
+    done = [0] * (n - 1)
+    at_reads = [[done[b] for b in central]]
+    for j, (qubits, bonds) in enumerate(plan.passes):
+        for b in bonds:
+            assert b in qubits and b + 1 in qubits
+            k = done[b]
+            # bond b's k-th gate follows the gates of its neighbours that
+            # precede it: step k's odd layer for an even b, step k's even
+            # layer for an odd b
+            assert all(done[x] >= k + b % 2 for x in (b - 1, b + 1)
+                       if 0 <= x < n - 1)
+            done[b] += 1
+        at_reads += [[done[b] for b in central]] * plan.reads.count(j + 1)
+    return at_reads
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_schedule_runs_every_gate_after_its_predecessors(n):
+    for steps in (0, 1, 2, 7, 30):
+        plan = circuit._schedule(n, steps)
+        at_reads = _replay(n, plan)
+        # at each reading the central bonds stand at exactly step s
+        assert at_reads == [[s] * len(at_reads[0]) for s in range(steps + 1)]
+        # each pass reads its window at the front of memory: its qubits
+        # follow the previous pass's around the chain
+        order = [q for qubits, _ in plan.passes for q in qubits]
+        assert all((b - a) % n == 1 for a, b in zip(order, order[1:]))
+        assert all(len(qubits) <= circuit.FUSE_WIDTH
+                   for qubits, _ in plan.passes)
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_schedule_makes_one_sweep_per_step(n):
+    """Schedule only, no state: one sweep per step, and one more while
+    the gates away from the centre build up their lead; no pass without a
+    gate, but at n = 8 and 9, where every pair of tilings into windows of
+    at most 5 qubits either leaves a window without a bond at an end or
+    needs two sweeps a step."""
+    plan = circuit._schedule(n, 150)
+    assert plan.sweeps <= 151
+    empty = [qubits for qubits, bonds in plan.passes if not bonds]
+    if n in (8, 9):
+        assert empty and not any(q + 1 in qubits for qubits in empty
+                                 for q in qubits)
+    else:
+        assert empty == []
+
+
+def test_eighteen_qubits_take_four_and_a_half_passes_a_step():
+    # the benchmark's circuit: 150 steps in 677 passes and 151 sweeps
+    plan = circuit._schedule(18, 150)
+    assert len(plan.passes) == 677 and plan.sweeps == 151
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_series_equals_reference_at_short_runs(n):
+    pattern = "".join("ud"[(3 * i + n) % 5 < 2] for i in range(n))
+    for steps in (0, 1, 2, 5):
+        cfg = CircuitConfig(n_sites=n, j=0.9, hx=0.7, hz=1.1, dt=0.13,
+                            steps=steps, pattern=pattern)
+        res = simulate_circuit(cfg)
+        assert res.sz.shape == res.norm.shape == (steps + 1,)
+        assert np.max(np.abs(res.sz - circuit_reference(cfg))) <= 1e-12
+        assert np.max(np.abs(res.norm - 1.0)) <= 1e-12
 
 
 def test_central_sz_reads_any_storage_order():

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,20 @@ def test_qsim_non_finite_parameter_is_clean_error(capsys, flag):
     assert captured.err.startswith("error:") and "must be finite" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_qsim_overflowing_gate_is_clean_error(capsys):
+    # dt * h overflows: the gate is rejected before the state is allocated,
+    # with one error line naming dt and no numpy warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["qsim", "--n", "4", "--dt", "1e308"]) == 1
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: dt=1e+308 ")
+    assert "non-finite Trotter gate" in lines[0]
 
 
 def test_bad_tensor_spec_is_usage_error(tmp_path, capsys):

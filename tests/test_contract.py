@@ -734,6 +734,33 @@ def test_list_contraction_checks_memory_before_any_pair(monkeypatch):
     assert calls == []
 
 
+def test_pair_and_left_fold_check_memory_before_any_pair(monkeypatch):
+    # the same (A,B) step, reached through a pair and the left fold; an
+    # unnamed tensor is named by its position
+    rng = np.random.default_rng(3)
+    shapes = {"A": {"x": 64, "i": 4}, "B": {"i": 4, "y": 64}, "C": {"y": 64}}
+    tensors = [UniTensor(storage.from_numpy(rng.standard_normal(
+        list(s.values()))), labels=list(s), name=nm)
+        for nm, s in shapes.items()]
+    calls = []
+    monkeypatch.setattr(contract_module, "_physical_memory", lambda: 8_000)
+    monkeypatch.setattr(contract_module, "contract_pair",
+                        _counting_pairs(calls))
+    with pytest.raises(ValueError, match="step 1 of 1, \\(A,B\\), would "
+                                         "write 32768 bytes"):
+        contract(tensors[0], tensors[1])
+    with pytest.raises(ValueError, match="step 1 of 2, \\(A,B\\), would "
+                                         "write 32768 bytes"):
+        contract(tensors, optimal=False)
+    with pytest.raises(ValueError, match="step 1 of 1, \\(A,#1\\)"):
+        contract(tensors[0], tensors[1].clone().set_name(""))
+    assert calls == []
+    # with room for the step, both run as before
+    monkeypatch.setattr(contract_module, "_physical_memory", lambda: 40_000)
+    assert contract(tensors, optimal=False).shape == (64,)
+    assert calls == [(("x", "i"), ("i", "y")), (("x", "y"), ("y",))]
+
+
 def test_a_dense_launch_walks_its_tree_once():
     # the walk, the layout plan and the slice plan each run once
     dims = {l: peps_dim(l, boundary=16) for ls in PEPS_SLOTS.values()
