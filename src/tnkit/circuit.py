@@ -34,8 +34,9 @@ first and the window last, so the buffer's memory order is always the
 chain read around from some qubit, and the next window is at its front.
 The last window of a sweep and the first of the next share one pass when
 they fit in one window together (the chain's ends are not coupled).  So
-each pass reads the state in place; on 18 qubits a step takes 4.5
-passes.  The central-site readout reads the buffer in memory order.
+each pass reads the state in place; on 18 qubits a step takes 4 passes,
+one in eight of them over a one-qubit window that applies no gate.  The
+central-site readout reads the buffer in memory order.
 """
 
 import collections
@@ -147,7 +148,8 @@ def _gate_from_weights(j, hx, hz, dt, wl, wr):
 def _bond_gates(cfg):
     """One gate per bond; bond b couples sites (b, b+1), and the bulk bonds
     share one gate.  Raises ``ValueError`` naming ``dt`` when a gate is not
-    finite, as when ``dt`` times the bond Hamiltonian overflows."""
+    unitary to ``1e-10``, as when ``dt`` times the bond Hamiltonian is so
+    large that ``expm`` loses unitarity or overflows."""
     n = cfg.n_sites
     weights = [(1.0 if b == 0 else 0.5, 1.0 if b == n - 2 else 0.5)
                for b in range(n - 1)]
@@ -158,11 +160,13 @@ def _bond_gates(cfg):
                 continue
             try:
                 g = _gate_from_weights(cfg.j, cfg.hx, cfg.hz, cfg.dt, *w)
+                m = g.get_block_().view().reshape(4, 4)
+                error = np.abs(m @ m.conj().T - np.eye(4)).max()
             except np.linalg.LinAlgError:
-                g = None
-            if g is None or not np.isfinite(g.get_block_().view()).all():
-                raise ValueError(f"dt={cfg.dt!r} gives a non-finite Trotter "
-                                 f"gate on bond {b}")
+                error = math.nan
+            if not error <= 1e-10:      # also catches a NaN
+                raise ValueError(f"dt={cfg.dt!r} gives a Trotter gate on "
+                                 f"bond {b} that is not unitary")
             built[w] = g
     return [built[w] for w in weights]
 
@@ -186,12 +190,7 @@ def _tilings(n):
     Away from the chain's ends the windows are ``FUSE_WIDTH`` wide and the
     two tilings are offset by 2, each anchored so that one of its windows
     holds qubits c-1..c+1, c the central qubit, and with it both of c's
-    bonds.  A one-qubit window at an end holds no gate; unless the seam
-    with the other tiling's window at the opposite end absorbs it into a
-    window that holds one, its cut moves one qubit inward, and so does a
-    cut of the other tiling that this brings within one qubit of it, so
-    that no bond lies on a cut of both tilings.  The cuts of the central
-    windows never move.
+    bonds.
     """
     w = FUSE_WIDTH
     if n <= w:
@@ -199,29 +198,13 @@ def _tilings(n):
     c = (n + 1) // 2 - 1
     anchors = (c + 2 - w, c + 4 - w)     # the central windows' first qubits
     cuts = [[x for x in range(q % w, n, w) if x > 0] for q in anchors]
-    fixed = {x for q in anchors for x in (q, q + w)}
-
-    def edge(t, end):       # width of tiling t's window at an end
-        return cuts[t][0] if end == 0 else n - cuts[t][-1]
-
-    for end, inward in ((-1, -1), (0, 1)):
-        for t in (0, 1):
-            partner = edge(1 - t, -1 - end)
-            if edge(t, end) != 1 or 2 <= partner < w or cuts[t][end] in fixed:
-                continue
-            cuts[t][end] += inward
-            other = cuts[1 - t]
-            near = cuts[t][end] + inward
-            if near in other and near not in fixed:
-                other[other.index(near)] += inward
     return [list(zip([0] + t, t + [n])) for t in cuts]
 
 
 def _schedule(n, steps):
     """Plan the passes of an ``n``-qubit, ``steps``-step run.
 
-    Sweeps alternate between the two :func:`_tilings`, in the order that
-    leaves fewer passes without a gate, then fewer passes; each window of a
+    Sweeps alternate between the two :func:`_tilings`; each window of a
     sweep is one pass over the state.  The last window of a sweep and the
     first of the next are one pass when together at most ``FUSE_WIDTH``
     wide (the chain's ends are not coupled).  A pass applies, in causal
@@ -235,23 +218,16 @@ def _schedule(n, steps):
     that of s whole brickwork steps.  Gates away from the centre may thus
     run ahead of it, even past the last step, and passes after the last
     reading are dropped.  A first window without a bond is skipped: the
-    state starts stored from the qubit after it.  A pass left without a
-    gate takes over the last gate on one of its non-central bonds from an
-    earlier pass when no gate in between depends on it.
+    state starts stored from the qubit after it.  A window may still have
+    no gate ready, at an end the central bonds hold back or where a
+    one-qubit window holds no bond; its pass applies the identity, which
+    keeps the next window at the front of memory.
 
     Returns a :data:`Schedule`: per pass its qubits in memory order and
     the bonds of its gates in order; per step s the number of passes run
     before it is read; and the number of sweeps.
     """
     tilings = [[tuple(range(a, z)) for a, z in t] for t in _tilings(n)]
-    return min((_plan(n, steps, order) for order in (tilings, tilings[::-1])),
-               key=lambda plan: (sum(not bonds for _, bonds in plan.passes),
-                                 len(plan.passes)))
-
-
-def _plan(n, steps, tilings):
-    """:func:`_schedule` with sweeps alternating between ``tilings`` (each
-    a list of windows' qubits), the first swept first."""
     c = (n + 1) // 2 - 1
     central = {b for b in (c - 1, c) if 0 <= b < n - 1}
     done = [0] * (n - 1) + [math.inf]    # done[-1] stands beyond both ends
@@ -288,28 +264,7 @@ def _plan(n, steps, tilings):
                                            for b in central):
                 reads.append(len(passes))
     del passes[reads[-1]:]
-    for j, (qubits, bonds) in enumerate(passes):
-        if not bonds:
-            _take_over_a_gate(passes, j, central)
     return Schedule(passes, reads, sweeps)
-
-
-def _take_over_a_gate(passes, j, central):
-    """Move to empty pass ``j`` the last gate on one of its non-central
-    bonds, from an earlier pass that keeps another gate, when no gate on
-    that bond or a neighbouring one runs in between."""
-    qubits, bonds = passes[j]
-    for b in (q for q in qubits[:-1] if q + 1 in qubits and q not in central):
-        for i in range(j - 1, -1, -1):
-            earlier = passes[i][1]
-            at = next((t for t in range(len(earlier) - 1, -1, -1)
-                       if abs(earlier[t] - b) <= 1), None)
-            if at is None:
-                continue
-            if earlier[at] == b and len(earlier) > 1:
-                bonds.append(earlier.pop(at))
-                return
-            break
 
 
 def _fused_gates(cfg, plan):

@@ -248,18 +248,22 @@ def test_qsim_non_finite_parameter_is_clean_error(capsys, flag):
     assert captured.out == ""
 
 
-def test_qsim_overflowing_gate_is_clean_error(capsys):
-    # dt * h overflows: the gate is rejected before the state is allocated,
-    # with one error line naming dt and no numpy warning
+@pytest.mark.parametrize("args, dt", [
+    (["--dt", "1e308"], "1e+308"),            # dt * h overflows
+    (["--j", "1e300", "--dt", "10"], "10.0"), # finite, far from unitary
+])
+def test_qsim_overflowing_gate_is_clean_error(capsys, args, dt):
+    # the gate is rejected before the state is allocated, with one error
+    # line naming dt and no numpy warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["qsim", "--n", "4", "--dt", "1e308"]) == 1
+        assert main(["qsim", "--n", "4", "--steps", "2"] + args) == 1
     assert caught == []
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: dt=1e+308 ")
-    assert "non-finite Trotter gate" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith(f"error: dt={dt} ")
+    assert "Trotter gate on bond 0 that is not unitary" in lines[0]
 
 
 def test_bad_tensor_spec_is_usage_error(tmp_path, capsys):
