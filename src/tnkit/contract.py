@@ -23,6 +23,7 @@ steps; ``Network`` blueprints go through the same functions.
 
 import collections
 import contextvars
+import functools
 import itertools
 import math
 import os
@@ -140,6 +141,11 @@ def fold_tree(tree, leaf, join):
         else:
             stack += [None, node[1], node[0]]
     return done[0]
+
+
+def left_fold(names):
+    """The tree that folds ``names`` left to right: ``((n0,n1),n2)...``."""
+    return functools.reduce(lambda tree, name: (tree, name), names)
 
 
 def order_tree(order, names):
@@ -395,10 +401,7 @@ def contract(first, *rest, order=None, optimal=True):
     dims = check_bonds(tensors)
     if len(tensors) == 2 or (order is None and not optimal):
         _check_fold_memory(tensors, dims)
-        acc = tensors[0]
-        for t in tensors[1:]:
-            acc = contract_pair(acc, t)
-        return acc
+        return functools.reduce(contract_pair, tensors)
     names = [t.name for t in tensors]
     if any(not n for n in names):
         raise ValueError("multi-tensor contraction with an order or the "
@@ -422,11 +425,8 @@ def _check_fold_memory(tensors, dims):
     names = [t.name or f"#{i}" for i, t in enumerate(tensors)]
     if len(set(names)) != len(names):
         names = [f"#{i}" for i in range(len(tensors))]
-    tree = names[0]
-    for name in names[1:]:
-        tree = (tree, name)
-    record = tree_record(tree, {n: t.labels for n, t in zip(names, tensors)},
-                         dims)
+    record = tree_record(left_fold(names),
+                         {n: t.labels for n, t in zip(names, tensors)}, dims)
     _check_memory(record, [], np.result_type(
         *(t.dtype for t in tensors)).itemsize)
 
@@ -792,10 +792,11 @@ def plan_slices(record):
     output still has the label, in execution order.  ``chunks`` is the
     least divisor of the label's dimension that brings the path's largest
     output within ``_SLICE_ELEMENTS``, or the dimension itself.  The
-    operands off the path do not carry the label.  A path that would share
-    a step with a path found before it is dropped, and its steps run
-    whole.  The result depends only on the tree, the labels and their
-    dimensions.
+    operands off the path do not carry the label.  The path's last output
+    is allocated whole, so a path that ends at the step it covers would
+    save nothing and is dropped, as is a path that would share a step with
+    a path found before it; the steps of a dropped path run whole.  The
+    result depends only on the tree, the labels and their dimensions.
     """
     steps, nodes, parent, dims = record
     paths, taken = [], set()
@@ -814,7 +815,7 @@ def plan_slices(record):
         while up is not None and label in steps[up].labels:
             path.append(up)
             up = parent.get(up)
-        if taken.intersection(path):
+        if path[-1] == i or taken.intersection(path):
             continue
         taken.update(path)
         dim, big = dims[label], max(steps[s].size for s in path)

@@ -28,6 +28,7 @@ import struct
 import numpy as np
 
 from .bond import Bond, BondType
+from .storage import SUPPORTED_DTYPES, dtype_name
 from .symmetry import symmetry_from_str
 from .unitensor import UniTensor, block_structure
 
@@ -38,8 +39,7 @@ _HEADER_KEYS = ("name", "labels", "rowrank", "dtype", "bonds", "blocks")
 # what a malformed header entry raises while the tensor is built from it
 _HEADER_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
-_DTYPES = {"float64": np.dtype(np.float64), "complex128": np.dtype(np.complex128),
-           "int64": np.dtype(np.int64), "bool": np.dtype(np.bool_)}
+_DTYPES = {dtype_name(dt): dt for dt in SUPPORTED_DTYPES}
 
 
 def _bond_to_json(b):
@@ -69,7 +69,7 @@ def save_unitensor(ut, path):
         "name": ut.name,
         "labels": ut.labels,
         "rowrank": ut.rowrank,
-        "dtype": {v: k for k, v in _DTYPES.items()}[ut.dtype],
+        "dtype": dtype_name(ut.dtype),
         "bonds": [_bond_to_json(b) for b in ut.bonds],
         "blocks": ([{"qn": list(qn), "shape": list(shape)}
                     for qn, shape in zip(layout.qns, layout.shapes)]

@@ -267,12 +267,8 @@ def svd_truncate(ut, keepdim, err=0.0, return_err=0, min_blockdim=None):
     s_t, u_t, v_t = _svd_factors(m, us, ss, vhs, keeps)
     if return_err == 0:
         return s_t, u_t, v_t
-    if return_err == 1:
-        worst = discarded[0] if discarded else 0.0
-        e_t = UniTensor(DenseTensor(np.array([worst])), labels=["s_err"])
-    else:
-        vals = np.array(discarded) if discarded else np.zeros(1)
-        e_t = UniTensor(DenseTensor(vals), labels=["s_err"])
+    errs = (discarded[:1] if return_err == 1 else discarded) or [0.0]
+    e_t = UniTensor(DenseTensor(np.array(errs)), labels=["s_err"])
     return s_t, u_t, v_t, e_t
 
 
@@ -305,17 +301,8 @@ def eigh(ut, compute_v=True):
     """
     m = _matricize(ut, require_square=True)
     _check_hermitian(m)
-    ws, vs, keeps = [], [], []
-    for mat in m.mats:
-        w, v = np.linalg.eigh(mat)
-        ws.append(w)
-        vs.append(v)
-        keeps.append(len(w))
-    new = _new_bonds(m, keeps)
-    d_t = _build_middle(m, ws, keeps, new, "D")
-    if not compute_v:
-        return d_t
-    return d_t, _build_left(m, vs, keeps, new, m.aux_l, "V")
+    return _eigen_factors(m, [np.linalg.eigh(mat) for mat in m.mats],
+                          compute_v)
 
 
 def eig(ut, compute_v=True):
@@ -325,13 +312,20 @@ def eig(ut, compute_v=True):
     ``v`` holds the corresponding right eigenvectors.
     """
     m = _matricize(ut, require_square=True)
-    ws, vs, keeps = [], [], []
-    for mat in m.mats:
-        w, v = np.linalg.eig(mat)
-        idx = np.lexsort((w.imag, w.real))
-        ws.append(w[idx])
-        vs.append(v[:, idx])
-        keeps.append(len(w))
+    return _eigen_factors(m, [_sorted_eig(mat) for mat in m.mats], compute_v)
+
+
+def _sorted_eig(mat):
+    w, v = np.linalg.eig(mat)
+    idx = np.lexsort((w.imag, w.real))
+    return w[idx], v[:, idx]
+
+
+def _eigen_factors(m, pairs, compute_v):
+    """``(d, v)``, or ``d`` alone, from each sector's eigenvalues and
+    eigenvectors; every eigenvalue is kept."""
+    ws, vs = zip(*pairs)
+    keeps = [len(w) for w in ws]
     new = _new_bonds(m, keeps)
     d_t = _build_middle(m, ws, keeps, new, "D")
     if not compute_v:

@@ -12,8 +12,10 @@ line naming the output indices, and an optional ``ORDER`` line::
 
 Grammar: ``#`` starts a comment; blank lines are ignored; every other
 line is ``NAME : label, label, ...``.  Names and labels use the charset
-``[A-Za-z0-9_*'+-]``.  Every label must appear on exactly two slots
-(contracted) or exactly one (free, and then it must be listed in TOUT).
+``[A-Za-z0-9_*'+-]`` that :func:`contract.parse_order` reads, so every
+slot name can appear in ORDER.  Every label must appear on exactly two
+slots (contracted) or exactly one (free, and then it must be listed in
+TOUT).
 ``TOUT`` may split its labels once with ``;`` into row and column groups;
 without ``;`` the first label is the row side (none for a single label).
 An empty ``TOUT`` declares a scalar result.  ``ORDER`` holds a
@@ -30,13 +32,9 @@ contracted, and :func:`contract.execute_tree` runs the order, after the
 physical-memory check that it makes for every dense tree.
 """
 
-import re
-
-from .contract import (check_bonds, contraction_cost, contraction_peak,
-                       execute_tree, find_optimal_order, order_tree,
-                       render_order)
-
-_TOKEN = re.compile(r"^[A-Za-z0-9_*'+\-]+$")
+from .contract import (_NAME_RE, check_bonds, contraction_cost,
+                       contraction_peak, execute_tree, find_optimal_order,
+                       left_fold, order_tree, render_order)
 
 
 class Network:
@@ -65,33 +63,30 @@ class Network:
         """Parse a blueprint from a list of lines (or one multiline string)."""
         if isinstance(lines, str):
             lines = lines.splitlines()
-        slots = []
-        tout = None
-        order_text = None
+        slots, heads = [], {}       # heads: the TOUT and ORDER texts
         for ln, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if ":" not in line:
-                raise ValueError(f"line {ln}: expected 'NAME: labels', got {raw!r}")
-            name, rhs = line.split(":", 1)
-            name = name.strip()
-            rhs = rhs.strip()
-            if name == "TOUT":
-                if tout is not None:
-                    raise ValueError(f"line {ln}: duplicate TOUT")
-                tout = rhs
-            elif name == "ORDER":
-                if order_text is not None:
-                    raise ValueError(f"line {ln}: duplicate ORDER")
-                order_text = rhs
-            else:
-                if not _TOKEN.match(name):
-                    raise ValueError(f"line {ln}: bad tensor name {name!r}")
-                labels = [t.strip() for t in rhs.split(",")] if rhs else []
-                if not labels or any(not _TOKEN.match(t) for t in labels):
-                    raise ValueError(f"line {ln}: bad label list {rhs!r}")
-                slots.append((name, labels))
+            try:
+                if ":" not in line:
+                    raise ValueError(f"expected 'NAME: labels', got {raw!r}")
+                name, rhs = line.split(":", 1)
+                name = name.strip()
+                rhs = rhs.strip()
+                if name in ("TOUT", "ORDER"):
+                    if name in heads:
+                        raise ValueError(f"duplicate {name}")
+                    heads[name] = rhs
+                elif not _NAME_RE.fullmatch(name):
+                    raise ValueError(f"bad tensor name {name!r}")
+                elif not rhs:
+                    raise ValueError(f"slot {name!r} has no labels")
+                else:
+                    slots.append((name, _label_list(rhs)))
+            except ValueError as e:
+                raise ValueError(f"line {ln}: {e}") from None
+        tout, order_text = heads.get("TOUT"), heads.get("ORDER")
         if tout is None:
             raise ValueError("blueprint needs a TOUT line")
         if not slots:
@@ -213,10 +208,7 @@ class Network:
     def _tree(self):
         if self._order is not None:
             return self._order
-        tree = self._slots[0][0]
-        for name, _ in self._slots[1:]:
-            tree = (tree, name)
-        return tree
+        return left_fold([n for n, _ in self._slots])
 
     def launch(self):
         """Contract the bound tensors and return the result.
@@ -303,10 +295,12 @@ def _parse_tout(text):
 
 
 def _label_list(text):
+    """The comma-separated labels of ``text`` (none when it is blank), each
+    a name of the charset that order strings read."""
     text = text.strip()
     if not text:
         return []
     toks = [t.strip() for t in text.split(",")]
-    if any(not _TOKEN.match(t) for t in toks):
+    if any(not _NAME_RE.fullmatch(t) for t in toks):
         raise ValueError(f"bad label list {text!r}")
     return toks

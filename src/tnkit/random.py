@@ -2,47 +2,32 @@
 
 Works on :class:`~tnkit.storage.DenseTensor` and
 :class:`~tnkit.unitensor.UniTensor` alike; for symmetric tensors every
-stored block is filled.  Complex dtypes get independent real and
-imaginary parts.  Seeding uses numpy's PCG64 generator and is
-reproducible within this library.
+stored block is filled, in block order.  The values come from
+:func:`tnkit.storage.sample_into`, which checks the parameters (finite,
+``low < high``, ``std >= 0``; else ``ValueError``), gives complex dtypes
+independent real and imaginary parts and reproduces a seeded fill exactly
+within this library.
 """
 
-import numpy as np
-
-from .storage import Complex128, DenseTensor
+from .storage import DenseTensor, sample_into
 from .unitensor import UniTensor
 
 
-def _blocks_of(t):
+def _views(t):
     if isinstance(t, UniTensor):
-        return t.get_blocks_()
+        return [blk.view() for blk in t.get_blocks_()]
     if isinstance(t, DenseTensor):
-        return [t]
+        return [t.view()]
     raise TypeError(f"cannot randomize a {type(t).__name__}")
-
-
-def _fill(t, draw):
-    rng_blocks = _blocks_of(t)
-    for blk in rng_blocks:
-        view = blk.view()
-        if blk.dtype == Complex128:
-            view[...] = draw(view.shape) + 1j * draw(view.shape)
-        else:
-            view[...] = draw(view.shape)
-    return t
 
 
 def uniform_(t, low=0.0, high=1.0, seed=None):
     """Overwrite elements with uniform samples in [low, high); returns t."""
-    if not low < high:
-        raise ValueError(f"uniform requires low < high, got [{low}, {high})")
-    rng = np.random.default_rng(seed)
-    return _fill(t, lambda shape: rng.uniform(low, high, shape))
+    sample_into(_views(t), "uniform", low, high, seed)
+    return t
 
 
 def normal_(t, mean=0.0, std=1.0, seed=None):
     """Overwrite elements with gaussian samples; returns t."""
-    if std < 0:
-        raise ValueError(f"std must be >= 0, got {std}")
-    rng = np.random.default_rng(seed)
-    return _fill(t, lambda shape: rng.normal(mean, std, shape))
+    sample_into(_views(t), "normal", mean, std, seed)
+    return t

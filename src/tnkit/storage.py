@@ -32,20 +32,18 @@ SUPPORTED_DTYPES = (Float64, Complex128, Int64, Bool)
 
 DEVICE = "CPU"
 
-_DTYPE_NAMES = {Float64: "float64", Complex128: "complex128",
-                Int64: "int64", Bool: "bool"}
-
 
 def check_dtype(dtype):
     dt = np.dtype(dtype)
     if dt not in SUPPORTED_DTYPES:
         raise TypeError(f"unsupported dtype {dt}; supported: "
-                        + ", ".join(_DTYPE_NAMES.values()))
+                        + ", ".join(dt.name for dt in SUPPORTED_DTYPES))
     return dt
 
 
 def dtype_name(dtype):
-    return _DTYPE_NAMES[np.dtype(dtype)]
+    """numpy's name of a supported dtype, as files and messages spell it."""
+    return check_dtype(dtype).name
 
 
 def check_writable(dtype, value):
@@ -486,37 +484,46 @@ def from_numpy(array):
     return DenseTensor(arr)
 
 
-def uniform(shape, low=0.0, high=1.0, dtype=Float64, seed=None):
-    """Tensor of iid uniform samples in [low, high).
+def sample_into(views, law, a, b, seed=None):
+    """Overwrite each numpy array of ``views``, one after another, with iid
+    samples of ``law``: ``"uniform"`` in [a, b), or ``"normal"`` with mean
+    ``a`` and standard deviation ``b``.
 
-    Complex dtypes get independent real and imaginary parts.  The generator
-    is numpy's PCG64; a fixed seed reproduces the buffer exactly within
-    this library.
+    Both parameters must be finite, with ``a < b`` for ``"uniform"`` (and
+    ``b - a`` finite) and ``b >= 0`` for ``"normal"``; anything else, or
+    another law, raises ``ValueError`` before a value is drawn.  A complex
+    array gets all its real parts, then all its imaginary parts.  The
+    generator is numpy's PCG64, so a fixed seed reproduces every value
+    within this library.
     """
-    if not low < high:
-        raise ValueError(f"uniform requires low < high, got [{low}, {high})")
-    shape = _flatten_shape((shape,))
-    dt = check_dtype(dtype)
-    rng = np.random.default_rng(seed)
-    if dt == Complex128:
-        data = rng.uniform(low, high, shape) + 1j * rng.uniform(low, high, shape)
-    else:
-        data = rng.uniform(low, high, shape).astype(dt)
-    return DenseTensor(np.asarray(data, dtype=dt))
+    if law not in ("uniform", "normal"):
+        raise ValueError(f"law must be 'uniform' or 'normal', got {law!r}")
+    if law == "uniform" and not (a < b and math.isfinite(b - a)):
+        raise ValueError(f"uniform needs finite low < high, got [{a}, {b})")
+    if law == "normal" and not (math.isfinite(a) and 0 <= b < math.inf):
+        raise ValueError(f"normal needs a finite mean and a finite std >= 0, "
+                         f"got mean {a}, std {b}")
+    draw = getattr(np.random.default_rng(seed), law)
+    for view in views:
+        if view.dtype == Complex128:
+            view[...] = draw(a, b, view.shape) + 1j * draw(a, b, view.shape)
+        else:
+            view[...] = draw(a, b, view.shape)
+
+
+def uniform(shape, low=0.0, high=1.0, dtype=Float64, seed=None):
+    """Tensor of iid uniform samples in [low, high), drawn by
+    :func:`sample_into`."""
+    t = zeros(shape, dtype)
+    sample_into([t._array], "uniform", low, high, seed)
+    return t
 
 
 def normal(shape, mean=0.0, std=1.0, dtype=Float64, seed=None):
-    """Tensor of iid gaussian samples; see :func:`uniform` for RNG notes."""
-    if std < 0:
-        raise ValueError(f"std must be >= 0, got {std}")
-    shape = _flatten_shape((shape,))
-    dt = check_dtype(dtype)
-    rng = np.random.default_rng(seed)
-    if dt == Complex128:
-        data = rng.normal(mean, std, shape) + 1j * rng.normal(mean, std, shape)
-    else:
-        data = rng.normal(mean, std, shape).astype(dt)
-    return DenseTensor(np.asarray(data, dtype=dt))
+    """Tensor of iid gaussian samples, drawn by :func:`sample_into`."""
+    t = zeros(shape, dtype)
+    sample_into([t._array], "normal", mean, std, seed)
+    return t
 
 
 def kron(a, b):

@@ -426,11 +426,12 @@ class UniTensor(Arithmetic):
             raise ValueError(f"no bond labeled {label!r}; labels are "
                              f"{self._labels}") from None
 
-    def _meta_view(self):
-        """A handle with fresh metadata sharing all element storage."""
+    def _meta_view(self, data=None):
+        """A handle with fresh metadata on this tensor's element storage,
+        or on ``data``, laid out as that storage, when it is given."""
         return UniTensor._assemble(self._bonds, self._labels, self._rowrank,
-                                   self._name, self._data, self._struct,
-                                   self._perm)
+                                   self._name, self._data if data is None
+                                   else data, self._struct, self._perm)
 
     # -- relabel / permute / rowrank ------------------------------------------
 
@@ -457,8 +458,6 @@ class UniTensor(Arithmetic):
             news = [arg2] if isinstance(arg2, str) else list(arg2)
         else:
             news = list(arg1)
-            if len(news) != self.rank:
-                raise ValueError(f"need {self.rank} labels, got {len(news)}")
             _check_labels(news, self.rank)
             self._labels = news
             return self
@@ -505,10 +504,7 @@ class UniTensor(Arithmetic):
         return self
 
     def set_rowrank(self, r):
-        _check_rowrank(r, self.rank)
-        out = self._meta_view()
-        out._rowrank = int(r)
-        return out
+        return self._meta_view().set_rowrank_(r)
 
     def set_rowrank_(self, r):
         _check_rowrank(r, self.rank)
@@ -522,22 +518,13 @@ class UniTensor(Arithmetic):
 
         ``t.at([i, j, k])`` uses the internal index order;
         ``t.at(["b", "a", "c"], [j, i, k])`` addresses by labels, so the
-        internal order is irrelevant.  For symmetric tensors the proxy's
-        ``exists()`` tells whether the element lies in a valid block.
+        internal order is irrelevant.  A list of the wrong length, or
+        labels that are not a permutation of the tensor's, raise
+        ``ValueError``.  For symmetric tensors the proxy's ``exists()``
+        tells whether the element lies in a valid block.
         """
-        if arg2 is None:
-            labels, idx = self._labels, list(arg1)
-        else:
-            labels, idx = list(arg1), list(arg2)
-        if len(labels) != self.rank or len(idx) != self.rank:
-            raise ValueError(f"need one label and one index per bond "
-                             f"(rank {self.rank})")
-        if sorted(labels) != sorted(self._labels):
-            raise ValueError(f"labels {labels} are not a permutation of "
-                             f"{self._labels}")
-        internal = [0] * self.rank
-        for lbl, i in zip(labels, idx):
-            internal[self._label_pos(lbl)] = int(i)
+        labels, idx = (self._labels, arg1) if arg2 is None else (arg1, arg2)
+        internal = self._in_bond_order(labels, idx)
         for i, b in zip(internal, self._bonds):
             if not 0 <= i < b.dim:
                 raise IndexError(f"index {i} out of bounds for bond of dim {b.dim}")
@@ -587,26 +574,31 @@ class UniTensor(Arithmetic):
                 raise ValueError(f"block index {i} out of range "
                                  f"(0..{self.nblocks - 1})")
             return i
-        if len(args) == 1:
-            qn = tuple(int(x) for x in args[0])
-        elif len(args) == 2:
-            labels, raw = list(args[0]), list(args[1])
-            if sorted(labels) != sorted(self._labels):
-                raise ValueError(f"labels {labels} are not a permutation of "
-                                 f"{self._labels}")
-            qn = [0] * self.rank
-            for lbl, k in zip(labels, raw):
-                qn[self._label_pos(lbl)] = int(k)
-            qn = tuple(qn)
-        else:
+        if len(args) > 2:
             raise TypeError("address a block by index, Qn indices, or "
                             "labels + Qn indices")
-        if len(qn) != self.rank:
-            raise ValueError(f"need one Qn index per bond (rank {self.rank})")
+        labels, raw = args if len(args) == 2 else (self._labels, args[0])
+        qn = tuple(self._in_bond_order(labels, raw))
         pos = self._struct.lookup.get(qn)
         if pos is None:
             raise ValueError(f"no valid block at Qn indices {qn}")
         return pos
+
+    def _in_bond_order(self, labels, values):
+        """``values``, one int per label of ``labels`` (a permutation of
+        this tensor's labels), in bond order; else ``ValueError``."""
+        labels, values = list(labels), list(values)
+        if len(labels) != self.rank or len(values) != self.rank:
+            raise ValueError(f"need one label and one value per bond (rank "
+                             f"{self.rank}), got {len(labels)} labels and "
+                             f"{len(values)} values")
+        if sorted(labels) != sorted(self._labels):
+            raise ValueError(f"labels {labels} are not a permutation of "
+                             f"{self._labels}")
+        out = [0] * self.rank
+        for lbl, v in zip(labels, values):
+            out[self._label_pos(lbl)] = int(v)
+        return out
 
     def _block(self, i):
         """Block ``i``: the dense tensor's block, or a view into the buffer."""
@@ -629,7 +621,14 @@ class UniTensor(Arithmetic):
         return self._data.storage()[self._struct.positions(self._perm, like)]
 
     def get_block_(self, *args):
-        """The addressed block as a reference (edits write through)."""
+        """The addressed block as a reference (edits write through).
+
+        A symmetric tensor's block is addressed by its index, by its Qn
+        indices in bond order, or by labels and Qn indices in the labels'
+        order, as :meth:`at` addresses an element.  A Qn or label list of
+        the wrong length, labels that are not a permutation of the
+        tensor's, or Qn indices of no stored block raise ``ValueError``.
+        """
         return self._block(self._block_pos(args))
 
     def get_block(self, *args):
@@ -697,9 +696,7 @@ class UniTensor(Arithmetic):
 
     def conj(self):
         """Complex-conjugate all elements (identity for real dtypes)."""
-        out = self._meta_view()
-        out._data = self._data.conj()
-        return out
+        return self._meta_view(self._data.conj())
 
     def conj_(self):
         self._data.conj_()
@@ -732,11 +729,8 @@ class UniTensor(Arithmetic):
         if self.is_sym and not src.is_sym:
             src_view = src._data.view()
             covered = np.zeros(src.shape, dtype=bool)
-            for qn, blk in zip(self._struct.qns, self.get_blocks_()):
-                sl = tuple(
-                    slice(b.sector_offsets()[k], b.sector_offsets()[k] + b.sectors[k][1])
-                    for b, k in zip(self._bonds, qn))
-                blk.view()[...] = src_view[sl]
+            for blk, sl in self._dense_slices():
+                blk[...] = src_view[sl]
                 covered[sl] = True
             if not force and np.any(src_view[~covered] != 0):
                 raise ValueError(
@@ -745,11 +739,8 @@ class UniTensor(Arithmetic):
         elif not self.is_sym and src.is_sym:
             view = self._data.view()
             view[...] = 0
-            for qn, blk in zip(src._struct.qns, src.get_blocks_()):
-                sl = tuple(
-                    slice(b.sector_offsets()[k], b.sector_offsets()[k] + b.sectors[k][1])
-                    for b, k in zip(src._bonds, qn))
-                view[sl] = blk.view()
+            for blk, sl in src._dense_slices():
+                view[sl] = blk
         elif self.is_sym and src.is_sym:
             if [b for b in self._bonds] != [b for b in src._bonds]:
                 raise ValueError("symmetric tensors have different bond structure")
@@ -759,6 +750,15 @@ class UniTensor(Arithmetic):
         else:
             self._data.view()[...] = src._data.view()
         return self
+
+    def _dense_slices(self):
+        """Each stored block of a symmetric tensor, as a numpy view, with
+        the slice of the dense tensor that it covers."""
+        for qn, blk in zip(self._struct.qns, self.get_blocks_()):
+            yield blk.view(), tuple(
+                slice(b.sector_offsets()[k],
+                      b.sector_offsets()[k] + b.sectors[k][1])
+                for b, k in zip(self._bonds, qn))
 
     # -- arithmetic -----------------------------------------------------------------
 
@@ -812,18 +812,14 @@ class UniTensor(Arithmetic):
 
         Bonds are immutable values, so the copy shares them.
         """
-        out = self._meta_view()
-        out._data = self._data.clone()
-        return out
+        return self._meta_view(self._data.clone())
 
     def same_data(self, other):
         """True iff the element storage is shared with ``other``."""
         return isinstance(other, UniTensor) and self._data.same_data(other._data)
 
     def astype(self, dtype):
-        out = self._meta_view()
-        out._data = self._data.astype(dtype)
-        return out
+        return self._meta_view(self._data.astype(dtype))
 
     def contiguous_(self):
         """Store the elements in logical axis order; returns self."""

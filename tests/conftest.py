@@ -5,12 +5,13 @@ Hamiltonians come from explicit Kronecker sums, contraction references
 from naive index loops, circuit references from sparse full-space gate
 matrices, and ground-state references from free-fermion single-particle
 spectra or exact diagonalization, and order-search references from an
-exhaustive search over every binary tree.  Five oracles keep a
+exhaustive search over every binary tree.  Six oracles keep a
 superseded path of the library as the reference for its replacement:
 the cost-capped order search, the order search as a Python loop over
 every split, the per-step labels of a tree folded on their own, the
-effective Hamiltonian contracted through a ``Network`` blueprint, and
-the block-sparse matrix layout assembled line by line with ``np.block``.
+effective Hamiltonian contracted through a ``Network`` blueprint, the
+block-sparse matrix layout assembled line by line with ``np.block``, and
+the seeded random fill written block by block.
 """
 
 import itertools
@@ -299,6 +300,24 @@ def _out_block(out, qn, nrow, ncol):
     k = out.lookup[qn] if out is not None else 0
     offsets = out.offsets if out is not None else (0, 1)
     return np.arange(offsets[k], offsets[k + 1]).reshape(nrow, ncol)
+
+
+# -- seeded-fill oracle -----------------------------------------------------------
+
+def per_block_fill(t, law, a, b, seed):
+    """The seeded fill as ``tnkit.random`` first wrote it: one generator,
+    one draw of ``law`` (``"uniform"`` or ``"normal"``) per stored block in
+    block order, a dense tensor being one block, and for a complex block
+    its real parts, then its imaginary parts.  Fills ``t`` and returns it."""
+    rng = np.random.default_rng(seed)
+    for blk in t.get_blocks_() if isinstance(t, UniTensor) else [t]:
+        view = blk.view()
+        draw = getattr(rng, law)
+        if view.dtype == np.complex128:
+            view[...] = draw(a, b, view.shape) + 1j * draw(a, b, view.shape)
+        else:
+            view[...] = draw(a, b, view.shape)
+    return t
 
 
 # -- effective-Hamiltonian oracle ----------------------------------------------

@@ -644,7 +644,10 @@ def test_sliced_tree_matches_the_unsliced_one(network, budget):
         paths = _slices(tree, label_sets, dims)
         got = contract_module.execute_tree(tree, tensors)
     kids = _check_slice_paths(paths, tree, label_sets, dims)
+    steps = contract_module.tree_record(tree, label_sets, dims).steps
     for p in paths:
+        # the path's last output is whole: a slice saves only below it
+        assert max(steps[s].size for s in p.steps[:-1]) > budget
         event("a path's label is open" if p.steps[-1] == len(tensors) - 2
               else "a path's label is summed above it")
         if any(isinstance(k, int) and k not in p.steps
@@ -688,6 +691,79 @@ def test_off_path_steps_run_once(monkeypatch):
     assert np.max(np.abs(got.get_block_().view()
                          - want.get_block_().view())) <= \
         1e-12 * np.abs(want.get_block_().view()).max()
+
+
+def test_a_tree_over_budget_only_at_its_root_runs_whole(monkeypatch):
+    # ((A,B),C) with A 2048 x 8, B 8 x 8 and C 8 x 4096: only the root
+    # writes more than the budget (8 M elements), and a path's last output
+    # is allocated whole, so slicing it would add products and a copy
+    dims = {"i": 2048, "j": 8, "k": 8, "l": 4096}
+    label_sets = {"A": ["i", "j"], "B": ["j", "k"], "C": ["k", "l"]}
+    tree = parse_order("((A,B),C)")
+    assert _slices(tree, label_sets, dims) == []
+    # the same shape at a patched budget: (A,B) writes 2,048 elements and
+    # the root 131,072, against a budget of 65,536
+    dims = {"i": 256, "j": 8, "k": 8, "l": 512}
+    rng = np.random.default_rng(8)
+    tensors = {nm: UniTensor(storage.from_numpy(rng.standard_normal(
+        [dims[l] for l in ls])), labels=ls, name=nm)
+        for nm, ls in label_sets.items()}
+    want = contract_module.execute_tree(tree, tensors)
+    calls = []
+    monkeypatch.setattr(contract_module, "_SLICE_ELEMENTS", 1 << 16)
+    monkeypatch.setattr(contract_module, "contract_pair",
+                        _counting_pairs(calls))
+    assert _slices(tree, label_sets, dims) == []
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        got = contract_module.execute_tree(tree, tensors)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 2
+    assert got.labels == want.labels
+    assert np.array_equal(got.get_block_().view(), want.get_block_().view())
+    # the output (1 MB) and (A,B) (16 KB), with 64 KB for the rest; in two
+    # slices the root's first half product would add 512 KB
+    assert peak <= (256 * 512 + 256 * 8) * 8 + (64 << 10), peak
+
+
+def test_a_path_below_a_root_is_cut_for_the_root_slices(monkeypatch):
+    # ((A,B),C) with A 256 x 8, B 8 x 128 and C 128 x 1024 at a budget of
+    # 16,384: (A,B) writes 32,768 elements and the root 262,144.  The
+    # root's own path (along l) ends at the root and is dropped; the path
+    # (A,B)-root along i is cut in 16, so that each slice's root product
+    # is within the budget, though (A,B) alone would need only 2
+    dims = {"i": 256, "k": 8, "j": 128, "l": 1024}
+    label_sets = {"A": ["i", "k"], "B": ["k", "j"], "C": ["j", "l"]}
+    tree = parse_order("((A,B),C)")
+    rng = np.random.default_rng(9)
+    tensors = {nm: UniTensor(storage.from_numpy(rng.standard_normal(
+        [dims[l] for l in ls])), labels=ls, name=nm)
+        for nm, ls in label_sets.items()}
+    want = contract_module.execute_tree(tree, tensors)
+    calls = []
+    monkeypatch.setattr(contract_module, "_SLICE_ELEMENTS", 1 << 14)
+    monkeypatch.setattr(contract_module, "contract_pair",
+                        _counting_pairs(calls))
+    assert _slices(tree, label_sets, dims) == [("A", "i", [0, 1], 16)]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        got = contract_module.execute_tree(tree, tensors)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 2 * 16
+    assert got.labels == want.labels
+    assert np.array_equal(got.get_block_().view(), want.get_block_().view())
+    # the output (2 MB), one slice of the root (128 KB) and of (A,B)
+    # (16 KB), with 48 KB for the rest; in 2 slices the root's half
+    # product alone would add 1 MB
+    assert peak <= (256 * 1024 + 16 * 1024 + 16 * 128) * 8 + (48 << 10), peak
 
 
 def test_peps_slices_each_half_on_its_boundary_label(monkeypatch):

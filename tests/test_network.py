@@ -3,8 +3,10 @@ import importlib
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from tnkit import (Bond, IN, OUT, Network, Symmetry, UniTensor, contract_pair,
-                   storage)
+                   parse_order, storage)
 from tnkit import random as trandom
 
 MATMUL_NET = ["M1:  i, j", "M2:  j, k", "TOUT: i, k"]
@@ -88,6 +90,39 @@ def test_parse_errors():
         Network(["M1: i, j", "TOUT: i, j", "ORDER: ((M1)"])  # malformed tree
     with pytest.raises(ValueError):
         Network(["TOUT: "])  # no tensors
+
+
+@given(st.text(alphabet="Ab0_*'+-.\u00e9 ()#,;:\t", min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_slot_names_and_order_names_follow_one_rule(name):
+    # a name is accepted on a slot line exactly when ORDER reads it back
+    slots = f"{name}: i\nZz9: i\nTOUT:\n"
+    try:
+        Network(slots)
+        slot_ok = True
+    except ValueError:
+        slot_ok = False
+    try:
+        order_ok = parse_order(f"({name},Zz9)") == (name.strip(), "Zz9")
+    except ValueError:
+        order_ok = False
+    assert slot_ok == order_ok, name
+    if slot_ok:
+        net = Network(slots + f"ORDER: ({name},Zz9)\n")
+        assert net.get_order() == f"({name.strip()},Zz9)"
+
+
+def test_parse_errors_name_their_line():
+    for lines, line, what in (
+            (["M1: i, j", "M2: j, k", "TOUT: i, k", "TOUT: i"], 4,
+             "duplicate TOUT"),
+            (["M1: i, j", "M2 x: j, k", "TOUT: i, k"], 2, "bad tensor name"),
+            (["M1: i, j", "", "M2: j, k.", "TOUT: i, k"], 3,
+             "bad label list"),
+            (["# a slot without labels", "M1:", "TOUT:"], 2,
+             "slot 'M1' has no labels")):
+        with pytest.raises(ValueError, match=f"^line {line}: {what}"):
+            Network(lines)
 
 
 def test_comments_blank_lines_and_crlf():

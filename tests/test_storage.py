@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from tnkit import storage
+from tnkit import UniTensor, storage
+from tnkit import random as trandom
 from tnkit.storage import (Bool, Complex128, DenseTensor, Float64, Int64,
                            arange, eye, from_numpy, kron, normal, ones,
                            uniform, zeros)
+from tests.conftest import per_block_fill, random_u1_tensor
 
 
 def test_generators():
@@ -37,6 +39,67 @@ def test_seeded_randomness_is_reproducible():
         uniform([2], low=1.0, high=0.0)
     c = normal([3], dtype=Complex128, seed=2)
     assert c.dtype == Complex128 and np.all(c.view().imag != 0)
+
+
+_LAWS = {"uniform": (uniform, trandom.uniform_),
+         "normal": (normal, trandom.normal_)}
+
+
+def _same_blocks(got, want):
+    blocks = [t.get_blocks_() if isinstance(t, UniTensor) else [t]
+              for t in (got, want)]
+    return len(blocks[0]) == len(blocks[1]) and all(
+        x.shape == y.shape and np.array_equal(x.view(), y.view())
+        for x, y in zip(*blocks))
+
+
+@pytest.mark.parametrize("dtype", [Float64, Complex128])
+@pytest.mark.parametrize("law, a, b", [("uniform", -1.0, 2.5),
+                                       ("normal", 0.5, 3.0)])
+def test_seeded_fills_match_the_per_block_fill(law, a, b, dtype):
+    make, fill = _LAWS[law]
+    assert _same_blocks(make([3, 4, 5], a, b, dtype=dtype, seed=11),
+                        per_block_fill(zeros([3, 4, 5], dtype), law, a, b, 11))
+    dense = [lambda: zeros([3, 4, 5], dtype),
+             lambda: zeros([3, 4, 5], dtype).permute(2, 0, 1),
+             lambda: UniTensor(zeros([3, 4, 5], dtype),
+                               labels=["x", "y", "z"]).permute(["z", "x", "y"])]
+    for seed, new in enumerate(dense):
+        assert _same_blocks(fill(new(), a, b, seed=seed),
+                            per_block_fill(new(), law, a, b, seed))
+    rng = np.random.default_rng(23)
+    for seed in range(12):
+        base = random_u1_tensor(rng, rank=3 + seed % 2).astype(dtype)
+        order = base.labels[::-1] if seed % 2 else base.labels
+        assert _same_blocks(fill(base.clone().permute(order), a, b, seed=seed),
+                            per_block_fill(base.clone().permute(order), law,
+                                           a, b, seed))
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("law, a, b", [
+    ("uniform", _NAN, 1.0), ("uniform", 0.0, _NAN), ("uniform", 0.0, _INF),
+    ("uniform", -_INF, 0.0), ("uniform", 1.0, 1.0), ("uniform", 2.0, 1.0),
+    ("uniform", -1e308, 1e308), ("normal", _NAN, 1.0), ("normal", _INF, 1.0),
+    ("normal", 0.0, _NAN), ("normal", 0.0, _INF), ("normal", 0.0, -1.0)])
+def test_bad_sampler_parameters_raise_value_error(law, a, b, sym_rank3):
+    make, fill = _LAWS[law]
+    with pytest.raises(ValueError, match=law):
+        make([2, 3], a, b, dtype=Complex128)
+    for t in (zeros([2, 3]), UniTensor(zeros([2, 3])), sym_rank3):
+        with pytest.raises(ValueError, match=law):
+            fill(t, a, b, seed=1)
+        assert t.norm() == 0.0          # nothing was drawn
+
+
+@pytest.mark.parametrize("law", ["integers", "standard_normal", "Uniform"])
+def test_sampler_takes_only_its_two_laws(law):
+    view = np.zeros([2, 3])
+    with pytest.raises(ValueError, match="law"):
+        storage.sample_into([view], law, 0, 5, seed=1)
+    assert not view.any()
 
 
 def test_reshape():

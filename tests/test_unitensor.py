@@ -240,6 +240,27 @@ def test_get_block_addressing_symmetric(sym_rank3):
         t.get_block_()  # symmetric needs an address
 
 
+@pytest.mark.parametrize("labels, values", [
+    (["a", "b", "c"], [0, 1]), (["a", "b", "c"], [0, 1, 0, 5]),
+    (["a", "b"], [0, 1, 0]), (["a", "b", "c", "c"], [0, 1, 0, 0])])
+def test_get_block_and_at_reject_wrong_length_lists(sym_rank3, labels,
+                                                    values):
+    # both lists are checked before either is read: a short or long Qn or
+    # index list no longer picks a block (0, 1, 0) by zip's truncation
+    t = sym_rank3
+    for address in (t.get_block_, t.get_block, t.at):
+        with pytest.raises(ValueError, match="one label and one value"):
+            address(labels, values)
+    if len(labels) == 3:
+        with pytest.raises(ValueError, match="one label and one value"):
+            t.get_block_(values)
+        with pytest.raises(ValueError, match="one label and one value"):
+            t.at(values)
+    dense = UniTensor.zeros([2, 2, 2], labels=["a", "b", "c"])
+    with pytest.raises(ValueError, match="one label and one value"):
+        dense.at(labels, values)
+
+
 def test_put_block_round_trip(sym_rank3):
     t = sym_rank3
     trandom.normal_(t, seed=1)
