@@ -32,11 +32,11 @@ import re
 import numpy as np
 
 from .bond import REGULAR, Bond
-from .storage import DenseTensor, contract_axes, memory_order
-from .unitensor import UniTensor, block_structure
+from .storage import DenseTensor, contract_axes, is_int, memory_order
+from .unitensor import UniTensor, block_structure, check_one_kind
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_*'+\-]+")
-MAX_ORDER_DEPTH = 500
+_SPACE_RE = re.compile(r"\s*")
 # the layout requests still to come of the tree execute_tree is running
 _TREE_PLAN = contextvars.ContextVar("tree_plan", default=None)
 
@@ -63,13 +63,11 @@ def render_order(tree):
 
 
 def parse_order(text):
-    """Parse ``name | "(" order "," order ")"`` into a tree.
+    """Parse ``name | "(" order "," order ")"`` into a tree, at any depth.
 
-    Nesting deeper than ``MAX_ORDER_DEPTH`` is rejected, so that the
-    parser's own recursion stays within Python's limit.  An error gives
-    the failing position and quotes the text around it.
+    An error gives the failing position and quotes the text around it.
     """
-    pos = 0
+    pos, lefts = 0, []      # per open '(': None, then its left subtree
 
     def error(msg):
         lo, hi = max(0, pos - _QUOTE), pos + _QUOTE
@@ -78,42 +76,35 @@ def parse_order(text):
         raise ValueError(f"malformed order string at {pos}: {msg} "
                          f"(near {near!r})")
 
-    def parse(depth):
+    def expect(char):
         nonlocal pos
-        skip_ws()
-        if pos >= len(text):
-            error("unexpected end")
-        if text[pos] == "(":
-            if depth == MAX_ORDER_DEPTH:
-                error(f"nested deeper than {MAX_ORDER_DEPTH}")
+        pos = _SPACE_RE.match(text, pos).end()
+        if text[pos:pos + 1] != char:
+            error(f"expected {char!r}")
+        pos += 1
+
+    while True:
+        pos = _SPACE_RE.match(text, pos).end()
+        if text[pos:pos + 1] == "(":
             pos += 1
-            left = parse(depth + 1)
-            skip_ws()
-            if pos >= len(text) or text[pos] != ",":
-                error("expected ','")
-            pos += 1
-            right = parse(depth + 1)
-            skip_ws()
-            if pos >= len(text) or text[pos] != ")":
-                error("expected ')'")
-            pos += 1
-            return (left, right)
+            lefts.append(None)
+            continue
         m = _NAME_RE.match(text, pos)
         if not m:
-            error("expected a tensor name")
+            error("expected a tensor name" if text[pos:] else "unexpected end")
         pos = m.end()
-        return m.group()
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    tree = parse(0)
-    skip_ws()
+        node = m.group()
+        while lefts and lefts[-1] is not None:     # node is a right operand
+            expect(")")
+            node = (lefts.pop(), node)
+        if not lefts:
+            break
+        expect(",")
+        lefts[-1] = node
+    pos = _SPACE_RE.match(text, pos).end()
     if pos != len(text):
         error("trailing characters")
-    return tree
+    return node
 
 
 def tree_leaves(tree):
@@ -241,9 +232,7 @@ def contract_pair(a, b):
     """
     if not isinstance(a, UniTensor) or not isinstance(b, UniTensor):
         raise TypeError("contract expects UniTensors")
-    if a.is_sym != b.is_sym:
-        raise ValueError("cannot contract a block-sparse tensor with a dense "
-                         "one; use convert_from first")
+    check_one_kind((a, b), "contract")
     a_pos, b_pos, a_free, b_free, out_labels = _pair_axes(a.labels, b.labels)
     for pa, pb in zip(a_pos, b_pos):
         _check_pair_bond(a.labels[pa], a.bonds[pa], b.bonds[pb])
@@ -507,9 +496,7 @@ def check_bonds(tensors):
     list that mixes block-sparse and dense tensors.  Returns each label's
     dimension.
     """
-    if len({t.is_sym for t in tensors}) > 1:
-        raise ValueError("cannot contract block-sparse tensors with dense "
-                         "ones; use convert_from first")
+    check_one_kind(tensors, "contract")
     seen = {}  # label -> (tensor position, bond, count)
     for i, t in enumerate(tensors):
         for l, b in zip(t.labels, t.bonds):
@@ -1180,8 +1167,6 @@ def _check_dims(label_lists, dims):
     missing = [l for l in labels if l not in dims]
     if missing:
         raise ValueError(f"missing labels {missing} in dims")
-    bad = {l: dims[l] for l in labels
-           if not (isinstance(dims[l], (int, np.integer))
-                   and not isinstance(dims[l], bool) and dims[l] > 0)}
+    bad = {l: dims[l] for l in labels if not (is_int(dims[l]) and dims[l] > 0)}
     if bad:
         raise ValueError(f"dimensions must be positive ints, got {bad}")

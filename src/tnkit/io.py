@@ -30,7 +30,7 @@ import numpy as np
 from .bond import Bond, BondType
 from .storage import SUPPORTED_DTYPES, dtype_name
 from .symmetry import symmetry_from_str
-from .unitensor import UniTensor, block_structure
+from .unitensor import UniTensor, structure_of
 
 MAGIC = b"TNXU\x00"
 VERSION = 1
@@ -64,7 +64,7 @@ def save_unitensor(ut, path):
     """Write ``ut`` to ``path``; a block-sparse tensor's blocks go in the
     order of the structure of its bonds, which a lazily permuted tensor's
     own block order need not be."""
-    layout = block_structure(ut.bonds) if ut.is_sym else None
+    layout = structure_of(ut.bonds)
     header = {
         "name": ut.name,
         "labels": ut.labels,
@@ -73,7 +73,7 @@ def save_unitensor(ut, path):
         "bonds": [_bond_to_json(b) for b in ut.bonds],
         "blocks": ([{"qn": list(qn), "shape": list(shape)}
                     for qn, shape in zip(layout.qns, layout.shapes)]
-                   if ut.is_sym else [{"qn": None, "shape": list(ut.shape)}]),
+                   if layout else [{"qn": None, "shape": list(ut.shape)}]),
     }
     raw = json.dumps(header).encode()
     payload = ut._flat(layout)
@@ -122,7 +122,9 @@ def load_unitensor(path):
         dtype = _DTYPES[dtype]
         try:
             bonds = [_bond_from_json(d) for d in header["bonds"]]
-            offsets = _block_offsets(bonds)
+            struct = structure_of(bonds)
+            offsets = (struct.offsets if struct
+                       else (0, math.prod(b.dim for b in bonds)))
         except _HEADER_ERRORS as e:
             raise ValueError(f"{path}: bad header ({e!r})") from None
         _check_payload_size(f, path, offsets, dtype.itemsize)
@@ -152,15 +154,6 @@ def load_unitensor(path):
                              f"{flat.nbytes} bytes)")
         flat[...] = np.frombuffer(buf, dtype=dtype.newbyteorder("<"))
         return ut
-
-
-def _block_offsets(bonds):
-    """Element offsets of the blocks the bonds imply: the zero-flux blocks
-    of charged bonds, or one block of the product of plain bonds'
-    dimensions."""
-    if bonds and all(b.has_qnums and b.syms == bonds[0].syms for b in bonds):
-        return block_structure(bonds).offsets
-    return (0, math.prod(b.dim for b in bonds))
 
 
 def _check_payload_size(f, path, offsets, itemsize):

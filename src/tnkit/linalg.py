@@ -25,7 +25,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dstemr
 
 from .bond import Bond, IN, OUT, REGULAR
-from .storage import DenseTensor
+from .storage import DenseTensor, is_int
 from .symmetry import combine_qnums, identity_qnum, reverse_qnums
 from .unitensor import UniTensor, block_structure
 
@@ -229,9 +229,9 @@ def svd_truncate(ut, keepdim, err=0.0, return_err=0, min_blockdim=None):
     ``keepdim`` must be an int >= 1, every ``min_blockdim`` entry an int
     >= 0 and ``return_err`` 0, 1 or 2; all are checked before any SVD.
     """
-    if not _is_int(keepdim) or keepdim < 1:
+    if not is_int(keepdim) or keepdim < 1:
         raise ValueError(f"keepdim must be an int >= 1, got {keepdim!r}")
-    if not _is_int(return_err) or return_err not in (0, 1, 2):
+    if not is_int(return_err) or return_err not in (0, 1, 2):
         raise ValueError(f"return_err must be 0, 1 or 2, got {return_err!r}")
     m = _matricize(ut)
     nsec = len(m.mats)
@@ -241,7 +241,7 @@ def svd_truncate(ut, keepdim, err=0.0, return_err=0, min_blockdim=None):
         if len(min_blockdim) != nsec:
             raise ValueError(f"min_blockdim needs one entry per block "
                              f"({nsec}), got {len(min_blockdim)}")
-        if not all(_is_int(mb) and mb >= 0 for mb in min_blockdim):
+        if not all(is_int(mb) and mb >= 0 for mb in min_blockdim):
             raise ValueError(f"min_blockdim entries must be ints >= 0, got "
                              f"{list(min_blockdim)}")
         keeps = [min(int(mb), *mat.shape) for mb, mat in zip(min_blockdim,
@@ -270,10 +270,6 @@ def svd_truncate(ut, keepdim, err=0.0, return_err=0, min_blockdim=None):
     errs = (discarded[:1] if return_err == 1 else discarded) or [0.0]
     e_t = UniTensor(DenseTensor(np.array(errs)), labels=["s_err"])
     return s_t, u_t, v_t, e_t
-
-
-def _is_int(x):
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 # -- eigendecompositions ------------------------------------------------------------

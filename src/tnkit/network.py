@@ -52,8 +52,6 @@ class Network:
             # without a line break is a path
             if isinstance(source, str) and "\n" not in source:
                 self.from_file(source)
-            elif isinstance(source, str):
-                self.from_string(source.splitlines())
             else:
                 self.from_string(source)
 
@@ -123,19 +121,17 @@ class Network:
 
     def from_file(self, path):
         with open(path, encoding="utf-8") as f:
-            return self.from_string(f.read().splitlines())
+            return self.from_string(f.read())
 
     def save_file(self, path):
-        """Write the blueprint back out in the network file format."""
+        """Write the blueprint out so that ``Network(path)`` reads back an
+        equal one, with the same TOUT row and column split."""
         lines = [f"{name}: {', '.join(labels)}" for name, labels in self._slots]
-        row = ", ".join(self._tout_row)
-        col = ", ".join(self._tout_col)
-        if self._tout_row and self._tout_col:
-            lines.append(f"TOUT: {row} ; {col}")
-        elif self._tout_row or self._tout_col:
-            lines.append(f"TOUT: {row or col}".rstrip())
-        else:
-            lines.append("TOUT:")
+        # the plain label list where it reads back as the same split
+        tout = ", ".join(self._tout_row + self._tout_col)
+        if _parse_tout(tout) != (self._tout_row, self._tout_col):
+            tout = f"{', '.join(self._tout_row)} ; {', '.join(self._tout_col)}"
+        lines.append(f"TOUT: {tout.strip()}".rstrip())
         if self._order is not None:
             lines.append(f"ORDER: {render_order(self._order)}")
         with open(path, "w", encoding="utf-8") as f:
@@ -257,7 +253,9 @@ class Network:
         return (self._slots == other._slots
                 and self._tout_row == other._tout_row
                 and self._tout_col == other._tout_col
-                and self._order == other._order)
+                # as text: == on a deep tuple tree raises RecursionError
+                and (self._order is None) == (other._order is None)
+                and self.get_order() == other.get_order())
 
     def __str__(self):
         lines = ["==== Network ===="]
@@ -276,22 +274,16 @@ class Network:
 
 
 def _parse_tout(text):
-    text = text.strip()
-    if not text:
-        return [], []
-    if ";" in text:
-        row_text, col_text = text.split(";", 1)
-        if ";" in col_text:
-            raise ValueError(f"TOUT may contain at most one ';': {text!r}")
-        row = _label_list(row_text)
-        col = _label_list(col_text)
-    else:
-        labels = _label_list(text)
-        if len(labels) >= 2:
-            row, col = labels[:1], labels[1:]
-        else:
-            row, col = [], labels
-    return row, col
+    """The row and column labels of a TOUT text: the two sides of its one
+    ``;``, or else the first of two or more labels and the rest."""
+    row_text, semi, col_text = text.partition(";")
+    if ";" in col_text:
+        raise ValueError(f"TOUT may contain at most one ';': {text.strip()!r}")
+    if semi:
+        return _label_list(row_text), _label_list(col_text)
+    labels = _label_list(text)
+    k = int(len(labels) >= 2)
+    return labels[:k], labels[k:]
 
 
 def _label_list(text):

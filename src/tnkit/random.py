@@ -4,7 +4,8 @@ Works on :class:`~tnkit.storage.DenseTensor` and
 :class:`~tnkit.unitensor.UniTensor` alike; for symmetric tensors every
 stored block is filled, in block order.  The values come from
 :func:`tnkit.storage.sample_into`, which checks the parameters (finite,
-``low < high``, ``std >= 0``; else ``ValueError``), gives complex dtypes
+``low < high``, ``std >= 0``; else ``ValueError``), refuses integer and
+bool tensors (``TypeError``), gives complex dtypes
 independent real and imaginary parts and reproduces a seeded fill exactly
 within this library.
 """

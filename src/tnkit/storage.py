@@ -57,6 +57,12 @@ def check_writable(dtype, value):
                         f"astype first")
 
 
+def is_int(x):
+    """True for the integers that sizes and counts accept: an ``int`` or
+    a numpy integer, not a ``bool``."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _operator(op, symbol):
     def method(self, other):
         return self._binary(other, op, symbol)
@@ -491,7 +497,9 @@ def sample_into(views, law, a, b, seed=None):
 
     Both parameters must be finite, with ``a < b`` for ``"uniform"`` (and
     ``b - a`` finite) and ``b >= 0`` for ``"normal"``; anything else, or
-    another law, raises ``ValueError`` before a value is drawn.  A complex
+    another law, raises ``ValueError`` before a value is drawn.  The
+    samples are floats, so an integer or bool array raises
+    :func:`check_writable`'s ``TypeError``, also before any draw.  A complex
     array gets all its real parts, then all its imaginary parts.  The
     generator is numpy's PCG64, so a fixed seed reproduces every value
     within this library.
@@ -503,6 +511,8 @@ def sample_into(views, law, a, b, seed=None):
     if law == "normal" and not (math.isfinite(a) and 0 <= b < math.inf):
         raise ValueError(f"normal needs a finite mean and a finite std >= 0, "
                          f"got mean {a}, std {b}")
+    for view in views:          # the draws are floats
+        check_writable(view.dtype, 0.0)
     draw = getattr(np.random.default_rng(seed), law)
     for view in views:
         if view.dtype == Complex128:

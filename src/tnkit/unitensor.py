@@ -195,6 +195,35 @@ def block_structure(bonds):
     return struct
 
 
+def structure_of(bonds):
+    """The block structure of a tensor on ``bonds``: None (one dense block)
+    when no bond carries quantum numbers, else :func:`block_structure`.
+    Plain bonds mixed with charged ones, charged bonds of different
+    symmetries, or charged bonds without a zero-flux block raise
+    ``ValueError``."""
+    n_q = sum(1 for b in bonds if b.has_qnums)
+    if n_q == 0:
+        return None
+    if n_q < len(bonds):
+        raise ValueError(
+            "cannot mix quantum-number bonds with plain bonds in one tensor")
+    if any(b.syms != bonds[0].syms for b in bonds):
+        raise ValueError("all bonds must carry the same symmetries")
+    struct = block_structure(bonds)
+    if not struct.qns:
+        raise ValueError("no valid blocks: no combination of these "
+                         "bonds' sectors has zero flux")
+    return struct
+
+
+def check_one_kind(tensors, action):
+    """Raise ``ValueError`` unless ``tensors`` are all block-sparse or all
+    dense; ``action`` names what was asked, as in ``"contract"``."""
+    if len({t.is_sym for t in tensors}) > 1:
+        raise ValueError(f"cannot {action} a mix of block-sparse and dense "
+                         f"tensors; use convert_from first")
+
+
 def _zero_flux_blocks(bonds):
     """Qn tuples with vanishing flux, in row-major order, and block shapes.
 
@@ -260,24 +289,12 @@ class UniTensor(Arithmetic):
             raise TypeError("bonds must be Bond instances")
         labels = _default_labels(len(bonds)) if labels is None else list(labels)
         _check_labels(labels, len(bonds))
-        n_q = sum(1 for b in bonds if b.has_qnums)
         dt = check_dtype(dtype)
-        if n_q == 0:
+        struct = structure_of(bonds)
+        if struct is None:
             data = DenseTensor(np.zeros([b.dim for b in bonds], dtype=dt))
-            struct = None
-        elif n_q == len(bonds):
-            syms = bonds[0].syms
-            for b in bonds:
-                if b.syms != syms:
-                    raise ValueError("all bonds must carry the same symmetries")
-            struct = block_structure(bonds)
-            if not struct.qns:
-                raise ValueError("no valid blocks: no combination of these "
-                                 "bonds' sectors has zero flux")
-            data = DenseTensor._wrap(np.zeros(struct.offsets[-1], dtype=dt))
         else:
-            raise ValueError(
-                "cannot mix quantum-number bonds with plain bonds in one tensor")
+            data = DenseTensor._wrap(np.zeros(struct.offsets[-1], dtype=dt))
         if rowrank is None:
             rowrank = (len(bonds) + 1) // 2
         _check_rowrank(rowrank, len(bonds))
@@ -777,9 +794,7 @@ class UniTensor(Arithmetic):
             return out
         if not isinstance(other, UniTensor):
             return NotImplemented
-        if self.is_sym != other.is_sym:
-            raise ValueError("cannot mix dense and symmetric tensors in "
-                             "elementwise arithmetic; use convert_from first")
+        check_one_kind((self, other), f"apply '{symbol[-1]}' to")
         if self._labels != other._labels:
             if sorted(self._labels) != sorted(other._labels):
                 raise ValueError(f"label sets differ: {self._labels} vs "

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tnkit import (Network, UniTensor, load_unitensor, parse_order,
-                   save_unitensor)
+                   render_order, save_unitensor)
 from tnkit.cli import main
 from tnkit.contract import _physical_memory, step_writes
 from tests.conftest import (MALFORMED_UTN, PEPS_SLOTS,
@@ -304,7 +304,7 @@ def test_deeply_nested_order_is_clean_error(tmp_path, capsys):
     net.write_text("M1: i\nM2: i\nTOUT:\nORDER: " + "(" * 5000 + "\n")
     assert main(["contract", str(net)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "nested deeper than" in err
+    assert err.startswith("error:") and "at 5000: unexpected end" in err
     assert "Traceback" not in err
 
 
@@ -322,6 +322,28 @@ def test_contract_deep_appearance_order(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("order: " + "(" * (n - 1) + "T0,T1)")
     assert lines[1] == f"cost : {n - 1}"
+
+
+def test_printed_deep_order_reads_back_as_an_order(tmp_path, capsys):
+    # the left fold of 1,200 slots is printed 1,199 deep; it binds as an
+    # ORDER, saves and reloads, and runs to the same printed lines
+    n = 1200
+    net = tmp_path / "chain.net"
+    net.write_text("\n".join([f"T{i}: l{i}, l{i + 1}" for i in range(n)]
+                             + [f"TOUT: l0 ; l{n}"]) + "\n")
+    save_unitensor(UniTensor.ones([1, 1], labels=["a", "b"]),
+                   tmp_path / "one.utn")
+    bindings = [a for i in range(n)
+                for a in ("--tensor", f"T{i}={tmp_path}/one.utn")]
+    assert main(["contract", str(net), *bindings, "--print-order"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    order = printed[0][len("order: "):]
+    assert render_order(parse_order(order)) == order
+    ordered = tmp_path / "ordered.net"
+    Network(str(net)).set_order(contract_order=order).save_file(ordered)
+    assert Network(str(ordered)).get_order() == order
+    assert main(["contract", str(ordered), *bindings, "--print-order"]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == printed[:3]
 
 
 def test_long_order_error_quotes_a_window(tmp_path, capsys):

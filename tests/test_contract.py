@@ -1,3 +1,4 @@
+import functools
 import gc
 import importlib
 import math
@@ -1260,13 +1261,45 @@ def test_order_string_round_trip():
 
 
 def test_deep_order_nesting_is_a_value_error():
-    deep = "(" * contract_module.MAX_ORDER_DEPTH + "A" \
-        + ",B)" * contract_module.MAX_ORDER_DEPTH
-    assert len(contract_module.tree_leaves(parse_order(deep))) == \
-        contract_module.MAX_ORDER_DEPTH + 1
-    for text in ("(" + deep + ",C)", "(" * 5000, "(" * 5000 + "A"):
-        with pytest.raises(ValueError, match="nested deeper than"):
+    # a well-formed order parses at any depth; an unclosed one is an error
+    names = [f"T{i}" for i in range(5001)]
+    deep = render_order(contract_module.left_fold(names))
+    assert contract_module.tree_leaves(parse_order(deep)) == names
+    for text, error in (
+            ("(" * 5000, "at 5000: unexpected end"),
+            ("(" * 5000 + "A", "at 5001: expected ','"),
+            ("(" + deep + ",C", f"at {len(deep) + 3}: expected ')'")):
+        with pytest.raises(ValueError, match=re.escape(error)):
             parse_order(text)
+
+
+def _fold(names, left):
+    """The left fold ``((n0,n1),n2)...`` of ``names``, or the right fold
+    ``(n0,(n1,(n2,...)))``."""
+    if left:
+        return contract_module.left_fold(names)
+    return functools.reduce(lambda tree, name: (name, tree), names[::-1])
+
+
+_ORDER_NAMES = st.sampled_from(["A", "B1", "t*", "x'", "a+b", "c-d", "_0"])
+
+
+@given(st.one_of(
+    st.recursive(_ORDER_NAMES, lambda kids: st.tuples(kids, kids),
+                 max_leaves=40),
+    st.builds(lambda n, left: _fold([f"T{i}" for i in range(n)], left),
+              st.sampled_from([2, 501, 5000]), st.booleans())))
+@settings(max_examples=200, deadline=None)
+def test_parse_order_reads_back_every_rendered_tree(tree):
+    text = render_order(tree)
+    back = parse_order(text)
+    # == on a tuple tree some thousand deep raises RecursionError, so a
+    # deep tree is compared by its rendering, which names one tree
+    assert render_order(back) == text
+    leaves = contract_module.tree_leaves
+    assert leaves(back) == leaves(tree)
+    if len(text) < 2000:
+        assert back == tree
 
 
 def test_order_must_cover_names():

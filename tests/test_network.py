@@ -377,6 +377,83 @@ def test_round_trip_save_load(tmp_path):
         assert Network(str(tmp_path / "net2.net")) == net
 
 
+@st.composite
+def _blueprints(draw):
+    """The lines of a valid blueprint: a chain of slots with extra bonds
+    and free labels, every TOUT form over a shuffle of the free labels,
+    and no ORDER, a random one or a left or right fold, at up to 1,200
+    slots so that a fold nests deeper than 500."""
+    n = draw(st.one_of(st.integers(1, 6), st.sampled_from([501, 1200])))
+    prefix = draw(st.sampled_from(["T", "x'", "A*", "b+-_"]))
+    names = [f"{prefix}{i}" for i in range(n)]
+    slots = [[] for _ in range(n)]
+    for i in range(n - 1):
+        slots[i].append(f"c{i}")
+        slots[i + 1].append(f"c{i}")
+    if n <= 6:
+        for k, (i, j) in enumerate(draw(st.lists(st.tuples(
+                st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda p: p[0] != p[1]), max_size=3))):
+            slots[i].append(f"e{k}")
+            slots[j].append(f"e{k}")
+    free = [f"f{k}" for k in range(draw(st.integers(0 if n > 1 else 1, 4)))]
+    for k, label in enumerate(free):
+        slots[draw(st.integers(0, n - 1)) if n <= 6 else k].append(label)
+    free = draw(st.permutations(free))
+    split = draw(st.one_of(st.none(), st.integers(0, len(free))))
+    if split is None:
+        tout = ", ".join(free)
+    else:
+        tout = f"{', '.join(free[:split])} ; {', '.join(free[split:])}"
+    lines = [f"{name}: {', '.join(labels)}"
+             for name, labels in zip(names, slots)] + [f"TOUT: {tout}"]
+    order = draw(st.sampled_from(["none", "random", "left", "right"]))
+    if order != "none" and n > 1:
+        if order == "random":
+            trees = list(names)
+            while len(trees) > 1:
+                i = draw(st.integers(0, len(trees) - 2))
+                trees[i:i + 2] = [f"({trees[i]},{trees[i + 1]})"]
+            text = trees[0]
+        else:
+            text = names[0] if order == "left" else names[-1]
+            for name in (names[1:] if order == "left" else names[-2::-1]):
+                text = (f"({text},{name})" if order == "left"
+                        else f"({name},{text})")
+        lines.append(f"ORDER: {text}")
+    return lines, split is not None and (free[:split], free[split:])
+
+
+@given(_blueprints())
+@settings(max_examples=60, deadline=None)
+def test_every_blueprint_round_trips_through_a_file(tmp_path_factory, case):
+    lines, split = case
+    net = Network(lines)
+    if split:
+        assert (net._tout_row, net._tout_col) == split
+    path = tmp_path_factory.mktemp("net") / "net.net"
+    net.save_file(path)
+    again = Network(str(path))
+    assert again == net
+    assert (again._tout_row, again._tout_col) == (net._tout_row,
+                                                  net._tout_col)
+
+
+@pytest.mark.parametrize("tout, row, col", [
+    ("; a, b", [], ["a", "b"]), ("a, b ;", ["a", "b"], []),
+    ("a ;", ["a"], []), ("; a", [], ["a"]), ("a", [], ["a"]),
+    ("a, b", ["a"], ["b"]), ("", [], [])])
+def test_every_tout_form_keeps_its_split_through_a_file(tmp_path, tout, row,
+                                                        col):
+    labels = row + col
+    net = Network([f"M1: {', '.join(labels + ['j'])}", "M2: j",
+                   f"TOUT: {tout}"])
+    assert (net._tout_row, net._tout_col) == (row, col)
+    net.save_file(tmp_path / "net.net")
+    again = Network(str(tmp_path / "net.net"))
+    assert again == net and (again._tout_row, again._tout_col) == (row, col)
+
+
 def test_blueprint_labels_independent_of_tensor_labels(rng):
     # launching with odd tensor labels equals relabel-then-contract
     net = Network(MATMUL_NET)

@@ -94,6 +94,26 @@ def test_bad_sampler_parameters_raise_value_error(law, a, b, sym_rank3):
         assert t.norm() == 0.0          # nothing was drawn
 
 
+@pytest.mark.parametrize("dtype", [Int64, Bool])
+@pytest.mark.parametrize("law", ["uniform", "normal"])
+def test_samplers_refuse_integer_and_bool_tensors(law, dtype):
+    make, fill = _LAWS[law]
+    with pytest.raises(TypeError, match=storage.dtype_name(dtype)):
+        make([2, 3], 0.0, 1.0, dtype=dtype, seed=1)
+    for t in (from_numpy(np.arange(6).reshape(2, 3)).astype(dtype),
+              UniTensor(ones([2, 3], dtype)),
+              (random_u1_tensor(np.random.default_rng(5)) * 3).astype(dtype)):
+        before = t.clone()
+        with pytest.raises(TypeError, match=storage.dtype_name(dtype)):
+            fill(t, 0.0, 1.0, seed=1)
+        assert _same_blocks(t, before)
+    # a float array ahead of the refused one is not drawn into either
+    views = [np.zeros(3), np.zeros(3, dtype)]
+    with pytest.raises(TypeError):
+        storage.sample_into(views, law, 0.0, 1.0, seed=1)
+    assert not any(v.any() for v in views)
+
+
 @pytest.mark.parametrize("law", ["integers", "standard_normal", "Uniform"])
 def test_sampler_takes_only_its_two_laws(law):
     view = np.zeros([2, 3])
