@@ -28,7 +28,7 @@ import numpy as np
 
 from .bond import Bond, IN, OUT
 from .contract import contract_pair, pair_plan
-from .linalg import LinOp, lanczos, svd, svd_truncate
+from .linalg import LinOp, Workspace, lanczos, svd, svd_truncate
 from .storage import DenseTensor
 from .symmetry import Symmetry
 from .unitensor import UniTensor
@@ -244,29 +244,36 @@ def _unpack(vec, template):
 
 
 class _EffectiveHamiltonian:
-    """Applies L·W1·W2·R to a two-site tensor (vl, p1, p2, vr).
+    """Applies L·W12·R to a two-site tensor (vl, p1, p2, vr).
 
-    Leg layouts: L is (b, w, vl), W1 is (w, w2, q1, p1), W2 is (w2, w3,
-    q2, p2) and R is (b2, w3, vr); the result (b, q1, q2, b2) is read as
-    (vl, p1, p2, vr).  Once per solve the two MPO tensors are fused into
-    W12 = W1·W2, (w, q1, p1, w3, q2, p2).  A matvec is then three
-    contractions of the Lanczos vector: with L, with W12 and with R.
+    Leg layouts: L is (b, w, vl), W12 = W1·W2 is (w, q1, p1, w3, q2, p2)
+    (see :func:`_fuse_pair`) and R is (b2, w3, vr); the result (b, q1,
+    q2, b2) is read as (vl, p1, p2, vr).  The MPO does not change during
+    a run, so each bond's W12 is fused once per run, not once per solve.
+    A matvec is three contractions of the Lanczos vector: with L, with
+    W12 and with R.
 
     Dense tensors keep three raw arrays: ``l2``, L as a (b·w, vl) matrix;
     ``w12m``, W12 as a contiguous (q1·q2·w3, w·p1·p2) matrix; and ``r2t``,
     the transposed view of R's (b2, w3·vr) buffer.  A matvec is
 
-        t = l2 @ v.reshape(vl, -1)             # (b, w, p1, p2, vr)
-        t = w12m @ t.reshape(b, w·p1·p2, vr)   # (b, q1, q2, w3, vr)
-        out = t.reshape(b·q1·q2, w3·vr) @ r2t
+        t1 = l2 @ v.reshape(vl, -1)              # (b, w, p1, p2, vr)
+        t2 = w12m @ t1.reshape(b, w·p1·p2, vr)   # (b, q1, q2, w3, vr)
+        out = t2.reshape(b·q1·q2, w3·vr) @ r2t
 
-    where the middle product is batched over b and reads t in place; it
-    builds no tensor and copies no operand.  Block-sparse tensors take the
-    three block plans of the same contractions once per solve, chaining
-    each plan's output structure into the next (see
-    :func:`contract.pair_plan`), and gather the group matrices of L, W12
-    and R once from their buffers.  The vector is the pair tensor's
-    buffer, so a matvec is three plan applications on it:
+    where the middle product is batched over b and reads t1 in place; it
+    builds no tensor and copies no operand.  ``t1`` and ``t2`` are written
+    with ``out=`` into the ``"heff.t1"`` and ``"heff.t2"`` buffers of the
+    :class:`linalg.Workspace` ``work`` (a private one if none is given),
+    so a run that passes its one workspace to every solve allocates them
+    once.  Only ``out`` is new in each call: the vector handed back to
+    Lanczos is never overwritten by a later matvec.
+
+    Block-sparse tensors take the three block plans of the same
+    contractions once per solve, chaining each plan's output structure
+    into the next (see :func:`contract.pair_plan`), and gather the group
+    matrices of L, W12 and R once from their buffers.  The vector is the
+    pair tensor's buffer, so a matvec is three plan applications on it:
 
         t = p1.apply(l_mats, p1.gather_b(v), dt)    # (b, w, p1, p2, vr)
         t = p2.apply(p2.gather_a(t), w_mats, dt)    # (b, vr, q1, w3, q2)
@@ -276,14 +283,13 @@ class _EffectiveHamiltonian:
     counts the applications.
     """
 
-    def __init__(self, left, w1, w2, right, template):
+    def __init__(self, left, w12, right, template, work=None):
         left = left.permute(ENV_LABELS).relabel(["b", "w", "vl"])
         right = right.permute(ENV_LABELS).relabel(["b2", "w3", "vr"])
-        w12 = contract_pair(w1.relabel(["w", "w2", "q1", "p1"]),
-                            w2.relabel(["w2", "w3", "q2", "p2"]))
         self.template = template
         self.dim = template._data.size
         self.matvecs = 0
+        self.dtype = np.result_type(left.dtype, w12.dtype, right.dtype)
         if template.is_sym:
             p1, labels = pair_plan(_legs(left), _legs(template))
             p2, labels = pair_plan((labels, p1.out_bonds, p1.out), _legs(w12))
@@ -292,20 +298,26 @@ class _EffectiveHamiltonian:
             self.l_mats = p1.gather_a(left._flat())
             self.w_mats = p2.gather_b(w12._flat())
             self.r_mats = p3.gather_b(right._flat())
-            self.dtype = np.result_type(left.dtype, w12.dtype, right.dtype)
             return
         b, w, vl = left.shape
-        self.batch = b
+        vr = right.shape[2]
+        self.work = Workspace() if work is None else work
         self.l2 = np.ascontiguousarray(left.get_block_().view()).reshape(b * w, vl)
         w12 = w12.permute(["q1", "q2", "w3", "w", "p1", "p2"])
         self.w12m = np.ascontiguousarray(w12.get_block_().view())\
                       .reshape(math.prod(w12.shape[:3]), -1)
         self.r2t = np.ascontiguousarray(right.get_block_().view())\
                      .reshape(right.shape[0], -1).T
+        # t1 is (b·w, p1·p2·vr), t2 is (b, q1·q2·w3, vr)
+        self.t_shapes = ((b * w, self.dim // vl), (b, self.w12m.shape[0], vr))
 
     def _apply_dense(self, vec):
-        t = self.l2 @ vec.reshape(self.l2.shape[1], -1)
-        t = self.w12m @ t.reshape(self.batch, self.w12m.shape[1], -1)
+        dt = np.result_type(vec.dtype, self.dtype)
+        s1, s2 = self.t_shapes
+        t = np.matmul(self.l2, vec.reshape(self.l2.shape[1], -1),
+                      out=self.work.take("heff.t1", s1, dt))
+        t = np.matmul(self.w12m, t.reshape(s2[0], self.w12m.shape[1], -1),
+                      out=self.work.take("heff.t2", s2, dt))
         return (t.reshape(-1, self.r2t.shape[0]) @ self.r2t).reshape(-1)
 
     def _apply_sectors(self, vec):
@@ -330,6 +342,13 @@ class _EffectiveHamiltonian:
 
 def _legs(t):
     return t.labels, t.bonds, t._struct
+
+
+def _fuse_pair(w1, w2):
+    """W12 = W1·W2, the MPO tensors of sites j and j+1 contracted over
+    their shared channel: legs (w, q1, p1, w3, q2, p2)."""
+    return contract_pair(w1.relabel(["w", "w2", "q1", "p1"]),
+                         w2.relabel(["w2", "w3", "q2", "p2"]))
 
 
 def _merge_pair(a1, a2):
@@ -364,14 +383,18 @@ def dmrg_ground_state(cfg):
     right_env[n] = _boundary_env(mps, mpo, "right")
     for j in range(n - 1, 1, -1):
         right_env[j] = _grow(right_env[j + 1], mps[j], mpo[j], "right")
+    w12 = [_fuse_pair(mpo[j], mpo[j + 1]) for j in range(n - 1)]
+    # the matvec intermediates and the Lanczos basis of every solve
+    work = Workspace()
 
     def solve(j):
         psi0 = _merge_pair(mps[j], mps[j + 1])
-        heff = _EffectiveHamiltonian(left_env[j], mpo[j], mpo[j + 1],
-                                     right_env[j + 2], psi0)
+        heff = _EffectiveHamiltonian(left_env[j], w12[j], right_env[j + 2],
+                                     psi0, work)
         vals, vecs = lanczos(heff.linop(), k=1, v0=psi0._flat(),
                              tol=cfg.lanczos_tol,
-                             max_iter=cfg.lanczos_max_iter, best_effort=True)
+                             max_iter=cfg.lanczos_max_iter, best_effort=True,
+                             work=work)
         res.sweep_matvecs[-1] += heff.matvecs
         psi = _unpack(vecs[:, 0], psi0).set_rowrank_(2)
         return float(vals[0]), psi
@@ -380,6 +403,9 @@ def dmrg_ground_state(cfg):
     for _ in range(cfg.sweeps):
         res.sweep_matvecs.append(0)
         for j in range(n - 1):          # left to right
+            # the return pass rebuilds this one before it reads it again,
+            # so at most one environment per bond is alive
+            right_env[j + 1] = None
             res.energy, psi = solve(j)
             s, u, vd = svd_truncate(psi, keepdim=cfg.bond_dim)
             mps[j] = u.relabel(list(MPS_LABELS)).set_name(f"A{j}")
@@ -387,6 +413,7 @@ def dmrg_ground_state(cfg):
                                              .set_name(f"A{j+1}")
             left_env[j + 1] = _grow(left_env[j], mps[j], mpo[j], "left")
         for j in range(n - 2, -1, -1):  # right to left
+            left_env[j + 1] = None
             res.energy, psi = solve(j)
             s, u, vd = svd_truncate(psi, keepdim=cfg.bond_dim)
             mps[j + 1] = vd.relabel(list(MPS_LABELS)).set_name(f"A{j+1}")

@@ -249,26 +249,29 @@ def svd_truncate(ut, keepdim, err=0.0, return_err=0, min_blockdim=None):
     else:
         keeps = [0] * nsec
     us, ss, vhs = _sector_svds(m)
-    slots = keepdim - sum(keeps)
+    # every value once, descending; the stable sort keeps the
+    # concatenation order (sector index, then position) among equal values
+    vals = np.concatenate(ss)
+    sector = np.repeat(np.arange(nsec), [len(s) for s in ss])
+    pos = np.concatenate([np.arange(len(s)) for s in ss])
+    order = np.argsort(-vals, kind="stable")
+    vals, sector, pos = vals[order], sector[order], pos[order]
+    keeps = np.array(keeps)
+    slots = keepdim - keeps.sum()
     if slots > 0:
-        ranked = sorted(
-            ((-s[pos], i, pos) for i, s in enumerate(ss)
-             for pos in range(keeps[i], len(s)) if s[pos] >= err),
-        )
-        for _, i, _ in ranked[:slots]:
-            keeps[i] += 1
-    if sum(keeps) == 0:
+        free = (pos >= keeps[sector]) & (vals >= err)
+        keeps += np.bincount(sector[free][:slots], minlength=nsec)
+    if keeps.sum() == 0:
         # err discarded everything: keep the single largest value rather
         # than returning empty factors
-        keeps[max(range(nsec), key=lambda i: ss[i][0])] = 1
-    discarded = sorted(
-        (s[pos] for i, s in enumerate(ss) for pos in range(keeps[i], len(s))),
-        reverse=True)
-    s_t, u_t, v_t = _svd_factors(m, us, ss, vhs, keeps)
+        keeps[sector[0]] = 1
+    discarded = vals[pos >= keeps[sector]]
+    s_t, u_t, v_t = _svd_factors(m, us, ss, vhs, keeps.tolist())
     if return_err == 0:
         return s_t, u_t, v_t
-    errs = (discarded[:1] if return_err == 1 else discarded) or [0.0]
-    e_t = UniTensor(DenseTensor(np.array(errs)), labels=["s_err"])
+    errs = discarded[:1] if return_err == 1 else discarded
+    e_t = UniTensor(DenseTensor(errs if len(errs) else np.zeros(1)),
+                    labels=["s_err"])
     return s_t, u_t, v_t, e_t
 
 
@@ -403,6 +406,33 @@ class LinOp:
 _BASIS_CHUNK = 64      # rows of the first Lanczos basis allocation
 
 
+class Workspace:
+    """Scratch arrays that a loop of calls reuses, one flat buffer per name.
+
+    ``take(name, shape, dtype)`` returns the first ``prod(shape)``
+    elements of the buffer kept under ``(name, dtype)``, reshaped.  The
+    buffer is allocated on the first request and grows, keeping its
+    contents as ``realloc`` does, only when a request is larger; otherwise
+    the same memory is handed out again.  A loop whose calls need no more
+    than it has seen therefore allocates nothing, and a taken array is
+    the caller's only until the next ``take`` of its name.
+    """
+
+    def __init__(self):
+        self._bufs = {}
+
+    def take(self, name, shape, dtype):
+        key = (name, np.dtype(dtype))
+        size = math.prod(shape)
+        buf = self._bufs.get(key)
+        if buf is None or buf.size < size:
+            grown = np.empty(size, dtype=key[1])
+            if buf is not None:
+                grown[:buf.size] = buf
+            self._bufs[key] = buf = grown
+        return buf[:size].reshape(shape)
+
+
 def _tridiag_lowest(alphas, betas, k):
     """Lowest ``k`` eigenpairs of the real symmetric tridiagonal matrix
     with diagonal ``alphas`` and off-diagonal ``betas`` (one shorter).
@@ -423,7 +453,7 @@ def _tridiag_lowest(alphas, betas, k):
 
 
 def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
-            best_effort=False):
+            best_effort=False, work=None):
     """Lowest ``k`` eigenpairs of a Hermitian linear operator.
 
     Lanczos iteration with full reorthogonalization.  Convergence is
@@ -444,9 +474,16 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
 
     The basis vectors are the contiguous rows of an array that starts at
     64 rows and doubles when an iteration needs another row, so memory is
-    O(n x iterations used), not O(n x ``max_iter``).
+    O(n x iterations used), not O(n x ``max_iter``).  Each iteration runs
+    in place on one work vector: the three-term subtraction, then one
+    classical Gram-Schmidt pass against the whole basis, through one
+    n-vector temporary; the operator's output is read, never written.  A
+    :class:`Workspace` passed as ``work`` holds the basis (under
+    ``"lanczos.basis"``), so a loop of solves reuses one basis instead of
+    allocating one per call.
 
-    Returns ``(values, vectors)``: values ascending, vectors as columns.
+    Returns ``(values, vectors)``: values ascending, vectors as columns,
+    in a new array.
     """
     if not isinstance(op, LinOp):
         raise TypeError("lanczos expects a LinOp")
@@ -464,29 +501,56 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     rng = np.random.default_rng(seed if seed is not None else 20240527)
+    cplx = np.issubdtype(op.dtype, np.complexfloating)
 
     def random_start():
         v = rng.standard_normal(n)
-        if np.issubdtype(op.dtype, np.complexfloating):
+        if cplx:
             v = v + 1j * rng.standard_normal(n)
         return v.astype(op.dtype)
 
     if v0 is None:
         q = random_start()
     else:
-        q = np.array(v0, dtype=op.dtype)
+        q = np.asarray(v0, dtype=op.dtype)
         if q.shape != (n,):
             raise ValueError(f"v0 has shape {q.shape}, expected ({n},)")
         if not np.all(np.isfinite(q)):
             raise ValueError("v0 has non-finite entries")
     nq = np.linalg.norm(q)
-    q = random_start() if nq == 0 else q
-    q = q / np.linalg.norm(q)
+    if nq == 0:
+        q = random_start()
+        nq = np.linalg.norm(q)
+
+    def basis(rows, old=None):
+        """The basis with ``rows`` rows, holding the rows of ``old``."""
+        if work is not None:
+            return work.take("lanczos.basis", (rows, n), op.dtype)
+        grown = np.empty((rows, n), dtype=op.dtype)
+        if old is not None:
+            grown[:len(old)] = old
+        return grown
+
+    tmp = np.empty(n, dtype=op.dtype)
+
+    def project_out(r, m):
+        """r -= V[:m]^T (conj(V[:m]) r), in place."""
+        if cplx:
+            # conj(V) @ r is conj(V @ conj(r)), without a copy of conj(V)
+            np.conjugate(r, out=r)
+            h = V[:m] @ r
+            np.conjugate(r, out=r)
+            np.conjugate(h, out=h)
+        else:
+            h = V[:m] @ r
+        np.matmul(V[:m].T, h, out=tmp)
+        np.subtract(r, tmp, out=r)
 
     # an iteration that does not stop writes row mdim < min(max_iter, n)
     cap = min(max_iter, n)
-    V = np.empty((min(cap, _BASIS_CHUNK), n), dtype=op.dtype)
-    V[0] = q
+    V = basis(min(cap, _BASIS_CHUNK))
+    np.divide(q, nq, out=V[0])
+    r = np.empty(n, dtype=op.dtype)
     alphas, betas = [], []
     it = 0
     scale = 1.0
@@ -499,12 +563,14 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
                                      f"or nan")
         alphas.append(alpha)
         scale = max(scale, abs(alpha))
-        w = w - alpha * V[it]
+        np.multiply(V[it], alpha, out=tmp)
+        np.subtract(w, tmp, out=r)
         if it > 0:
-            w = w - betas[-1] * V[it - 1]
+            np.multiply(V[it - 1], betas[-1], out=tmp)
+            np.subtract(r, tmp, out=r)
         # full reorthogonalization against every Lanczos vector so far
-        w = w - V[:it + 1].T @ (V[:it + 1].conj() @ w)
-        beta = np.linalg.norm(w)
+        project_out(r, it + 1)
+        beta = np.linalg.norm(r)
         if not math.isfinite(beta):
             raise FloatingPointError(f"lanczos iteration {it + 1}: beta is "
                                      f"{beta}")
@@ -521,20 +587,17 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
                     f"(best residual {float(np.max(resid)):.3e})",
                     eigenvalues=theta, eigenvectors=V[:mdim].T @ y)
         if mdim == len(V):
-            grown = np.empty((min(2 * mdim, cap), n), dtype=op.dtype)
-            grown[:mdim] = V
-            V = grown
+            V = basis(min(2 * mdim, cap), V)
         if beta <= 1e-13 * scale:
             # invariant subspace: restart with a fresh orthogonal vector
-            w = random_start()
-            w = w - V[:mdim].T @ (V[:mdim].conj() @ w)
-            nw = np.linalg.norm(w)
-            if nw < 1e-12:
+            r = random_start()
+            project_out(r, mdim)
+            beta = np.linalg.norm(r)
+            if beta < 1e-12:
                 theta, y = _tridiag_lowest(alphas, betas, min(k, mdim))
                 return theta, V[:mdim].T @ y
             betas.append(0.0)
-            V[mdim] = w / nw
         else:
             betas.append(float(beta))
-            V[mdim] = w / beta
+        np.divide(r, beta, out=V[mdim])
         it += 1

@@ -5,13 +5,14 @@ Hamiltonians come from explicit Kronecker sums, contraction references
 from naive index loops, circuit references from sparse full-space gate
 matrices, and ground-state references from free-fermion single-particle
 spectra or exact diagonalization, and order-search references from an
-exhaustive search over every binary tree.  Six oracles keep a
+exhaustive search over every binary tree.  Seven oracles keep a
 superseded path of the library as the reference for its replacement:
 the cost-capped order search, the order search as a Python loop over
 every split, the per-step labels of a tree folded on their own, the
 effective Hamiltonian contracted through a ``Network`` blueprint, the
-block-sparse matrix layout assembled line by line with ``np.block``, and
-the seeded random fill written block by block.
+block-sparse matrix layout assembled line by line with ``np.block``,
+the seeded random fill written block by block, and the singular-value
+ranking of ``svd_truncate`` as Python tuple sorts.
 """
 
 import itertools
@@ -318,6 +319,28 @@ def per_block_fill(t, law, a, b, seed):
         else:
             view[...] = draw(a, b, view.shape)
     return t
+
+
+# -- truncation-ranking oracle ---------------------------------------------------
+
+def tuple_sort_truncation(ss, keepdim, err=0.0, min_blockdim=None):
+    """``svd_truncate``'s kept count per sector and its discarded values,
+    descending, from the singular values ``ss`` of each sector, ranked by
+    Python sorts over one ``(-value, sector, position)`` tuple per value.
+    """
+    keeps = ([min(int(mb), len(s)) for mb, s in zip(min_blockdim, ss)]
+             if min_blockdim is not None else [0] * len(ss))
+    slots = keepdim - sum(keeps)
+    if slots > 0:
+        ranked = sorted((-s[pos], i, pos) for i, s in enumerate(ss)
+                        for pos in range(keeps[i], len(s)) if s[pos] >= err)
+        for _, i, _ in ranked[:slots]:
+            keeps[i] += 1
+    if sum(keeps) == 0:
+        keeps[max(range(len(ss)), key=lambda i: ss[i][0])] = 1
+    discarded = sorted((s[pos] for i, s in enumerate(ss)
+                        for pos in range(keeps[i], len(s))), reverse=True)
+    return keeps, discarded
 
 
 # -- effective-Hamiltonian oracle ----------------------------------------------

@@ -1,4 +1,6 @@
 import gc
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,10 +9,11 @@ import pytest
 from tnkit import (Bond, DenseTensor, IN, OUT, Symmetry, UniTensor,
                    contract_pair)
 from tnkit import dmrg as dmrg_module
+from tnkit import linalg
 from tnkit.dmrg import (DmrgConfig, MPO_BOND_DIM, MPO_LABELS, MPS_LABELS,
                         PHYS_DIM, build_xx_mpo, dmrg_ground_state)
 from tnkit.dmrg import PSI_LABELS, _EffectiveHamiltonian, _boundary_env, \
-    _grow, _merge_pair, _neel_symmetric_mps, _random_dense_mps, \
+    _fuse_pair, _grow, _merge_pair, _neel_symmetric_mps, _random_dense_mps, \
     _right_canonicalize, _unpack
 from tests.conftest import (blueprint_heff_apply, free_fermion_ground_energy,
                             to_dense, xx_dense_hamiltonian)
@@ -130,7 +133,8 @@ def test_effective_hamiltonian_is_hermitian():
     for j in range(n - 1, 1, -1):
         right[j] = _grow(right[j + 1], mps[j], mpo[j], "right")
     psi0 = _merge_pair(mps[0], mps[1])
-    heff = _EffectiveHamiltonian(left, mpo[0], mpo[1], right[2], psi0)
+    heff = _EffectiveHamiltonian(left, _fuse_pair(mpo[0], mpo[1]), right[2],
+                                 psi0)
     dim = heff.dim
     for _ in range(5):
         u = rng.standard_normal(dim)
@@ -152,7 +156,8 @@ def test_effective_hamiltonian_matches_dense_matrix():
     for j in range(n - 1, 1, -1):
         right[j] = _grow(right[j + 1], mps[j], mpo[j], "right")
     psi0 = _merge_pair(mps[0], mps[1])
-    heff = _EffectiveHamiltonian(left, mpo[0], mpo[1], right[2], psi0)
+    heff = _EffectiveHamiltonian(left, _fuse_pair(mpo[0], mpo[1]), right[2],
+                                 psi0)
     dim = heff.dim
     mat = np.zeros((dim, dim))
     for i in range(dim):
@@ -223,7 +228,8 @@ def _assert_matvec_matches_blueprint(mps, mpo, vectors, as_tensor):
     for j in range(len(mps) - 1):
         psi0 = _merge_pair(mps[j], mps[j + 1])
         ops = (left[j], mpo[j], mpo[j + 1], right[j + 2])
-        heff = _EffectiveHamiltonian(*ops, psi0)
+        heff = _EffectiveHamiltonian(left[j], _fuse_pair(mpo[j], mpo[j + 1]),
+                                     right[j + 2], psi0)
         for vec in vectors(heff.dim):
             got = heff.matvec(vec)
             ref = blueprint_heff_apply(*ops, as_tensor(vec, psi0))._flat()
@@ -289,7 +295,8 @@ def test_symmetric_matvec_keeps_the_imaginary_part():
     mps = _neel_symmetric_mps(n)
     left, right = _environments(mps, mpo)
     psi0 = _merge_pair(mps[0], mps[1])
-    heff = _EffectiveHamiltonian(left[0], mpo[0], mpo[1], right[2], psi0)
+    heff = _EffectiveHamiltonian(left[0], _fuse_pair(mpo[0], mpo[1]),
+                                 right[2], psi0)
     assert heff.dim == 2
     assert np.array_equal(heff.matvec(np.ones(2)), [0.5, 0.5])
     assert np.array_equal(heff.matvec(1j * np.ones(2)), [0.5j, 0.5j])
@@ -350,7 +357,7 @@ def test_effective_hamiltonian_is_freed_by_reference_counting(symmetric):
     mps = (_neel_symmetric_mps(n) if symmetric
            else _right_canonicalize(_random_dense_mps(n, 8, seed=2)))
     left, right = _environments(mps, mpo)
-    heff = _EffectiveHamiltonian(left[2], mpo[2], mpo[3], right[4],
+    heff = _EffectiveHamiltonian(left[2], _fuse_pair(mpo[2], mpo[3]), right[4],
                                  _merge_pair(mps[2], mps[3]))
     heff.linop()(np.ones(heff.dim))
     ref = weakref.ref(heff)
@@ -360,3 +367,61 @@ def test_effective_hamiltonian_is_freed_by_reference_counting(symmetric):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _dense_chain(n=10, bond_dim=16, seed=13):
+    """An XX chain's MPO, a right-canonical random MPS and every pair's
+    environments; the middle pairs reach ``bond_dim``."""
+    mpo = build_xx_mpo(n)
+    mps = _right_canonicalize(_random_dense_mps(n, bond_dim, seed=seed))
+    return (mpo, mps) + _environments(mps, mpo)
+
+
+def _heff_at(j, mpo, mps, left, right, work=None):
+    psi0 = _merge_pair(mps[j], mps[j + 1])
+    heff = _EffectiveHamiltonian(left[j], _fuse_pair(mpo[j], mpo[j + 1]),
+                                 right[j + 2], psi0, work)
+    return heff, psi0
+
+
+def test_dense_matvec_allocates_only_its_output():
+    heff, _ = _heff_at(4, *_dense_chain())
+    assert heff.dim == 16 * 2 * 2 * 16
+    rng = np.random.default_rng(3)
+    vecs = rng.standard_normal((4, heff.dim))
+    heff.matvec(vecs[0])         # the first call takes the two buffers
+    intermediate = 8 * math.prod(heff.t_shapes[0])
+    tracemalloc.start()
+    try:
+        for v in vecs[1:]:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = heff.matvec(v)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak <= out.nbytes + 4096 < intermediate
+    finally:
+        tracemalloc.stop()
+
+
+def test_matvec_outputs_survive_later_calls_on_one_workspace():
+    """As in a run, one workspace serves the matvecs and the Lanczos basis
+    of several solves: every vector a matvec handed to Lanczos still
+    equals the same matvec on fresh buffers after all later calls."""
+    chain = _dense_chain()
+    work = linalg.Workspace()
+    returned = []
+    for j in (4, 2, 5, 0):                    # pairs of different shapes
+        heff, psi0 = _heff_at(j, *chain, work=work)
+        fresh, _ = _heff_at(j, *chain)
+        op = heff.linop()
+
+        def recording(v, heff=heff, fresh=fresh):
+            out = heff.matvec(v)
+            returned.append((out, fresh.matvec(v.copy())))
+            return out
+
+        op.matvec = recording
+        linalg.lanczos(op, k=1, v0=psi0._flat(), max_iter=8,
+                       best_effort=True, work=work)
+    assert len(returned) == 4 * 8
+    assert all(np.array_equal(out, ref) for out, ref in returned)

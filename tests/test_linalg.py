@@ -4,12 +4,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from tnkit import (Bond, IN, OUT, Symmetry, UniTensor, contract, linalg,
                    storage)
 from tnkit import random as trandom
 from tnkit.linalg import ConvergenceError, LinOp, lanczos
-from tests.conftest import to_dense
+from tests.conftest import to_dense, tuple_sort_truncation
 
 
 def _rank3_matrix():
@@ -244,6 +245,76 @@ def test_truncated_factors_are_still_isometries():
     for i in range(gram.nblocks):
         blk = gram.get_block_(i).numpy()
         assert np.linalg.norm(blk - np.eye(blk.shape[0])) < 1e-12
+
+
+_SPECTRUM = [0.0, 0.25, 1.0, 2.0, 3.0]    # few values: ties are common
+
+
+@st.composite
+def _truncation_cases(draw):
+    """(sector shapes, each sector's singular values, keepdim, err,
+    min_blockdim); one sector means a dense matrix."""
+    nsec = draw(st.integers(1, 4))
+    side = st.integers(1, 6 if nsec == 1 else 3)
+    shapes = [(draw(side), draw(side)) for _ in range(nsec)]
+    spectra = [draw(st.lists(st.sampled_from(_SPECTRUM), min_size=min(shape),
+                             max_size=min(shape))) for shape in shapes]
+    keepdim = draw(st.integers(1, 8))
+    err = draw(st.sampled_from([0.0, 0.25, 1.0, 2.5, 4.0]))
+    min_blockdim = None
+    if nsec > 1:
+        min_blockdim = draw(st.none() | st.lists(st.integers(0, 3),
+                                                 min_size=nsec, max_size=nsec))
+    return shapes, spectra, keepdim, err, min_blockdim
+
+
+def _matrix_with_spectra(shapes, spectra):
+    """A dense matrix (one sector) or a U(1) matrix whose sector i, of
+    charge i, is ``spectra[i]`` on the diagonal of a ``shapes[i]`` block."""
+    mats = []
+    for shape, values in zip(shapes, spectra):
+        mat = np.zeros(shape)
+        mat[range(len(values)), range(len(values))] = values
+        mats.append(mat)
+    if len(shapes) == 1:
+        return UniTensor(storage.from_numpy(mats[0]), labels=["a", "b"],
+                         rowrank=1)
+    u1 = Symmetry.u1()
+    rows = Bond(btype=IN, sectors=[(q, r) for q, (r, _) in enumerate(shapes)],
+                syms=[u1])
+    cols = Bond(btype=OUT, sectors=[(q, c) for q, (_, c) in enumerate(shapes)],
+                syms=[u1])
+    t = UniTensor([rows, cols], labels=["a", "b"], rowrank=1)
+    m = linalg._matricize(t)
+    for (q,), (_, _, idx) in zip(m.charges, m.sectors):
+        t._flat()[idx] = mats[q]
+    return t
+
+
+@given(_truncation_cases())
+@settings(max_examples=300, deadline=None)
+@example(([(4, 4)], [[2.0, 1.0, 2.0, 1.0]], 3, 0.0, None))
+@example(([(2, 2), (2, 2), (1, 1)], [[2.0, 1.0], [2.0, 1.0], [2.0]], 2, 0.0,
+          None))
+@example(([(2, 2), (2, 2)], [[1.0, 1.0], [3.0, 1.0]], 3, 1.0, [1, 0]))
+@example(([(2, 2), (2, 2)], [[0.25, 0.0], [0.25, 0.0]], 2, 1.0, None))
+@example(([(3, 3), (2, 2)], [[2.0, 2.0, 2.0], [2.0, 2.0]], 2, 0.0, [3, 2]))
+def test_truncation_ranking_matches_the_tuple_sort(case):
+    """Kept values per sector and the discarded values equal the tuple-sort
+    ranking's, ties included, on the singular values the call computed."""
+    shapes, spectra, keepdim, err, min_blockdim = case
+    t = _matrix_with_spectra(shapes, spectra)
+    m = linalg._matricize(t)
+    _, ss, _ = linalg._sector_svds(m)
+    keeps, discarded = tuple_sort_truncation(ss, keepdim, err, min_blockdim)
+    s, _, _, e = linalg.svd_truncate(t, keepdim=keepdim, err=err,
+                                     return_err=2, min_blockdim=min_blockdim)
+    got = linalg._matricize(s)
+    assert got.charges == [c for c, k in zip(m.charges, keeps) if k]
+    want = [sv[:k] for sv, k in zip(ss, keeps) if k]
+    assert all(np.array_equal(np.diag(mat), w)
+               for mat, w in zip(got.mats, want))
+    assert np.array_equal(e.get_block_().view(), discarded or [0.0])
 
 
 # -- eigh / eig -----------------------------------------------------------------------
@@ -537,6 +608,13 @@ def test_lanczos_past_first_chunk_matches_eigh():
     assert np.allclose(vals, ref_vals[:3], atol=1e-10)
     overlap = np.abs(ref_vecs[:, :3].T @ vecs)
     assert np.allclose(overlap, np.eye(3), atol=1e-8)
+    # a basis held by a workspace grows past the chunk the same way, and
+    # a second solve reuses it: the same bits both times
+    work = linalg.Workspace()
+    for _ in range(2):
+        again = lanczos(op, k=3, tol=1e-12, work=work)
+        assert np.array_equal(again[0], vals)
+        assert np.array_equal(again[1], vecs)
 
 
 def test_lanczos_restart_on_chunk_boundary():
@@ -557,6 +635,88 @@ def test_lanczos_restart_on_chunk_boundary():
     assert np.linalg.norm(seen[m][:m]) < 1e-12
     assert np.allclose(vals, np.arange(1.0, m + 2), atol=1e-10)
     assert np.allclose(d[:, None] * vecs, vecs * vals, atol=1e-9)
+
+
+def _complex_hermitian(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a + a.conj().T
+
+
+def _assert_eigenpairs(a, vals, vecs, k):
+    """The lowest k eigenpairs of Hermitian ``a``: values to 1e-10,
+    orthonormal vectors spanning the same eigenspaces, small residuals."""
+    ref_vals, ref_vecs = np.linalg.eigh(a)
+    assert np.allclose(vals, ref_vals[:k], atol=1e-10)
+    assert np.allclose(vecs.conj().T @ vecs, np.eye(k), atol=1e-10)
+    overlap = np.abs(ref_vecs[:, :k].conj().T @ vecs)
+    assert np.allclose(overlap, np.eye(k), atol=1e-8)
+    for i in range(k):
+        resid = np.linalg.norm(a @ vecs[:, i] - vals[i] * vecs[:, i])
+        assert resid <= 1e-9 * max(1.0, abs(vals[i]))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_complex_hermitian_lanczos_matches_eigh(k):
+    a = _complex_hermitian(40, seed=8)
+    op = LinOp(40, matvec=lambda v: a @ v, dtype=np.complex128)
+    vals, vecs = lanczos(op, k=k, tol=1e-12)
+    assert vecs.dtype == np.complex128
+    _assert_eigenpairs(a, vals, vecs, k)
+    # a basis reused from a workspace gives the same bits
+    work = linalg.Workspace()
+    for _ in range(2):
+        again = lanczos(op, k=k, tol=1e-12, work=work)
+        assert np.array_equal(again[0], vals)
+        assert np.array_equal(again[1], vecs)
+
+
+def test_complex_hermitian_lanczos_warm_start():
+    a = _complex_hermitian(30, seed=9)
+    ref_vals, ref_vecs = np.linalg.eigh(a)
+    rng = np.random.default_rng(1)
+    v0 = ref_vecs[:, 0] + 0.05 * (rng.standard_normal(30)
+                                  + 1j * rng.standard_normal(30))
+    op = LinOp(30, matvec=lambda v: a @ v, dtype=np.complex128)
+    vals, vecs = lanczos(op, k=1, v0=v0, tol=1e-12)
+    _assert_eigenpairs(a, vals, vecs, 1)
+    # a two-step budget from the warm start stays below its Rayleigh quotient
+    rayleigh = (np.vdot(v0, a @ v0) / np.vdot(v0, v0)).real
+    vals2, _ = lanczos(op, k=1, v0=v0, max_iter=2, tol=1e-15,
+                       best_effort=True)
+    assert ref_vals[0] - 1e-12 <= vals2[0] <= rayleigh
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_complex_hermitian_lanczos_best_effort_at_the_budget(k):
+    a = _complex_hermitian(60, seed=10)
+    op = LinOp(60, matvec=lambda v: a @ v, dtype=np.complex128)
+    with pytest.raises(ConvergenceError) as exc:
+        lanczos(op, k=k, tol=1e-15, max_iter=6)
+    vals, vecs = lanczos(op, k=k, tol=1e-15, max_iter=6, best_effort=True)
+    assert np.array_equal(vals, exc.value.eigenvalues)
+    assert np.array_equal(vecs, exc.value.eigenvectors)
+    # Ritz vectors of a Krylov basis kept orthonormal by the conjugated
+    # Gram-Schmidt pass
+    assert np.allclose(vecs.conj().T @ vecs, np.eye(k), atol=1e-12)
+    for i in range(k):
+        assert np.isclose(np.vdot(vecs[:, i], a @ vecs[:, i]).real, vals[i],
+                          atol=1e-10)
+    assert np.all(vals >= np.linalg.eigvalsh(a)[:k] - 1e-10)
+
+
+def test_complex_hermitian_lanczos_restarts_after_breakdown():
+    # v0 lies in a 1-dimensional invariant subspace: the first step breaks
+    # down and the solve restarts from a random vector orthogonal to it
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6))
+                        + 1j * rng.standard_normal((6, 6)))
+    a = (q * np.array([1.0, 1.0, 5.0, 9.0, 11.0, 13.0])) @ q.conj().T
+    op = LinOp(6, matvec=lambda v: a @ v, dtype=np.complex128)
+    vals, vecs = lanczos(op, k=2, v0=q[:, 0])
+    assert np.allclose(vals, [1.0, 1.0], atol=1e-10)
+    assert np.allclose(vecs.conj().T @ vecs, np.eye(2), atol=1e-10)
+    assert np.allclose(a @ vecs, vecs * vals, atol=1e-9)
 
 
 def test_lanczos_requires_hermitian_declaration():
