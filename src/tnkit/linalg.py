@@ -411,11 +411,12 @@ class Workspace:
 
     ``take(name, shape, dtype)`` returns the first ``prod(shape)``
     elements of the buffer kept under ``(name, dtype)``, reshaped.  The
-    buffer is allocated on the first request and grows, keeping its
-    contents as ``realloc`` does, only when a request is larger; otherwise
-    the same memory is handed out again.  A loop whose calls need no more
-    than it has seen therefore allocates nothing, and a taken array is
-    the caller's only until the next ``take`` of its name.
+    buffer is allocated, in the shape asked for, on the first request and
+    grows, keeping its contents as ``realloc`` does, only when a request
+    is larger; otherwise the same memory is handed out again.  A loop
+    whose calls need no more than it has seen therefore allocates
+    nothing, and a taken array is the caller's only until the next
+    ``take`` of its name.
     """
 
     def __init__(self):
@@ -426,11 +427,11 @@ class Workspace:
         size = math.prod(shape)
         buf = self._bufs.get(key)
         if buf is None or buf.size < size:
-            grown = np.empty(size, dtype=key[1])
+            grown = np.empty(shape, dtype=key[1])
             if buf is not None:
-                grown[:buf.size] = buf
+                grown.reshape(-1)[:buf.size] = buf.reshape(-1)
             self._bufs[key] = buf = grown
-        return buf[:size].reshape(shape)
+        return buf.reshape(-1)[:size].reshape(shape)
 
 
 def _tridiag_lowest(alphas, betas, k):
@@ -470,17 +471,20 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
 
     A non-finite ``v0`` raises ``ValueError`` before any matvec; a
     non-finite Lanczos coefficient (the operator returned inf or nan)
-    raises ``FloatingPointError`` in the iteration that met it.
+    raises ``FloatingPointError`` in the iteration that met it.  An
+    operator whose first output does not fit its declared dtype (complex
+    values from a real operator) raises ``TypeError``.
 
     The basis vectors are the contiguous rows of an array that starts at
     64 rows and doubles when an iteration needs another row, so memory is
     O(n x iterations used), not O(n x ``max_iter``).  Each iteration runs
     in place on one work vector: the three-term subtraction, then one
     classical Gram-Schmidt pass against the whole basis, through one
-    n-vector temporary; the operator's output is read, never written.  A
-    :class:`Workspace` passed as ``work`` holds the basis (under
-    ``"lanczos.basis"``), so a loop of solves reuses one basis instead of
-    allocating one per call.
+    n-vector temporary; the operator's output is read, never written.  The
+    basis is taken from the :class:`Workspace` ``work`` (a fresh one if
+    none is given) under ``"lanczos.basis"``, so a loop of solves that
+    passes one workspace reuses one basis instead of allocating one per
+    call.
 
     Returns ``(values, vectors)``: values ascending, vectors as columns,
     in a new array.
@@ -522,15 +526,7 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
         q = random_start()
         nq = np.linalg.norm(q)
 
-    def basis(rows, old=None):
-        """The basis with ``rows`` rows, holding the rows of ``old``."""
-        if work is not None:
-            return work.take("lanczos.basis", (rows, n), op.dtype)
-        grown = np.empty((rows, n), dtype=op.dtype)
-        if old is not None:
-            grown[:len(old)] = old
-        return grown
-
+    work = Workspace() if work is None else work
     tmp = np.empty(n, dtype=op.dtype)
 
     def project_out(r, m):
@@ -548,7 +544,7 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
 
     # an iteration that does not stop writes row mdim < min(max_iter, n)
     cap = min(max_iter, n)
-    V = basis(min(cap, _BASIS_CHUNK))
+    V = work.take("lanczos.basis", (min(cap, _BASIS_CHUNK), n), op.dtype)
     np.divide(q, nq, out=V[0])
     r = np.empty(n, dtype=op.dtype)
     alphas, betas = [], []
@@ -556,6 +552,9 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
     scale = 1.0
     while True:
         w = op(V[it])
+        if it == 0 and not np.can_cast(w.dtype, op.dtype, "same_kind"):
+            raise TypeError(f"the operator returned {w.dtype} values but "
+                            f"declares dtype {op.dtype}")
         alpha = np.vdot(V[it], w).real
         if not math.isfinite(alpha):
             raise FloatingPointError(f"lanczos iteration {it + 1}: alpha is "
@@ -587,7 +586,8 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
                     f"(best residual {float(np.max(resid)):.3e})",
                     eigenvalues=theta, eigenvectors=V[:mdim].T @ y)
         if mdim == len(V):
-            V = basis(min(2 * mdim, cap), V)
+            V = work.take("lanczos.basis", (min(2 * mdim, cap), n),
+                          op.dtype)
         if beta <= 1e-13 * scale:
             # invariant subspace: restart with a fresh orthogonal vector
             r = random_start()

@@ -719,6 +719,13 @@ def test_complex_hermitian_lanczos_restarts_after_breakdown():
     assert np.allclose(a @ vecs, vecs * vals, atol=1e-9)
 
 
+def test_lanczos_rejects_complex_output_from_a_real_operator():
+    op = LinOp(4, matvec=lambda v: (1 + 1j) * v, dtype=np.float64)
+    with pytest.raises(TypeError, match="complex128 values but declares "
+                                        "dtype float64"):
+        lanczos(op, k=1)
+
+
 def test_lanczos_requires_hermitian_declaration():
     op = LinOp(4, matvec=lambda v: v, hermitian=False)
     with pytest.raises(ValueError):
