@@ -130,7 +130,8 @@ def _cmd_dmrg(args):
         dt = time.time() - t0
         print(f"bench: {dt:.3f}s total, {dt / cfg.sweeps:.3f}s per sweep")
     payload = {"sweeps": res.sweep_energies, "energy": res.energy,
-               "max_bond": res.sweep_max_bond, "matvecs": res.sweep_matvecs}
+               "max_bond": res.sweep_max_bond, "matvecs": res.sweep_matvecs,
+               "truncation": res.sweep_truncation}
     print(json.dumps(payload))
     if args.json:
         with open(args.json, "w") as f:

@@ -12,8 +12,14 @@ right environments with the two MPO tensors, fused once per pair into one
 two-site MPO tensor.  Its ground state is approximated by a few Lanczos
 steps warm-started from the current pair, each of which applies the
 operator as three products (left environment, fused MPO, right
-environment), and the optimized pair is
-split back with a truncated SVD capped at the configured bond dimension.
+environment), and the optimized pair is split back into two sites,
+keeping at most the configured bond dimension of its Schmidt spectrum.
+A dense pair is split through its reduced density matrix (White's
+truncation): the kept site holds the leading eigenvectors of the pair's
+Gram matrix, the other the pair projected onto them.  A block-sparse
+pair is split with a truncated SVD, sector by sector.  Either way the
+discarded weight, the sum of the discarded squared singular values, is
+recorded per sweep.
 
 Total magnetization is conserved; with ``symmetric=True`` all tensors
 carry U(1) charges (twice the local Sz, so +1/-1 per site) and the run is
@@ -28,7 +34,7 @@ import numpy as np
 
 from .bond import Bond, IN, OUT
 from .contract import contract_pair, pair_plan
-from .linalg import LinOp, Workspace, lanczos, svd, svd_truncate
+from .linalg import LinOp, Workspace, lanczos, svd_truncate
 from .storage import DenseTensor
 from .symmetry import Symmetry
 from .unitensor import UniTensor
@@ -74,6 +80,9 @@ class DmrgResult:
     sweep_energies: list = field(default_factory=list)
     sweep_max_bond: list = field(default_factory=list)  # largest MPS bond
     sweep_matvecs: list = field(default_factory=list)   # Lanczos matvecs
+    # largest discarded weight (sum of discarded squared singular values
+    # of the normalized pair) of any pair split in the sweep
+    sweep_truncation: list = field(default_factory=list)
 
 
 # -- MPO -----------------------------------------------------------------------
@@ -150,15 +159,17 @@ def build_xx_mpo(n, symmetric=False):
 MPS_LABELS = ["vl", "p", "vr"]
 
 
+def _site(arr, j):
+    """Site ``j`` of a dense MPS over the (vl, p, vr) array ``arr``."""
+    return UniTensor(DenseTensor(arr), labels=list(MPS_LABELS), rowrank=1,
+                     name=f"A{j}")
+
+
 def _random_dense_mps(n, bond_dim, seed):
     rng = np.random.default_rng(seed)
     dims = [min(PHYS_DIM ** min(j, n - j), bond_dim) for j in range(n + 1)]
-    mps = []
-    for j in range(n):
-        arr = rng.standard_normal((dims[j], PHYS_DIM, dims[j + 1]))
-        mps.append(UniTensor(DenseTensor(arr), labels=list(MPS_LABELS),
-                             rowrank=1, name=f"A{j}"))
-    return mps
+    return [_site(rng.standard_normal((dims[j], PHYS_DIM, dims[j + 1])), j)
+            for j in range(n)]
 
 
 def _neel_symmetric_mps(n):
@@ -177,16 +188,17 @@ def _neel_symmetric_mps(n):
 
 
 def _right_canonicalize(mps):
-    """Bring sites n-1 .. 1 into right-isometry form (full SVD, no cut)."""
-    for j in range(len(mps) - 1, 0, -1):
-        a = mps[j].set_rowrank(1)
-        s, u, vd = svd(a)
-        mps[j] = vd.relabel(list(MPS_LABELS)).set_name(f"A{j}")
-        carry = contract_pair(u, s)  # (vl, _aux_R)
-        carry = carry.relabel(["cmid", "vr"])
-        left = mps[j - 1].relabel(["vl", "p", "cmid"])
-        mps[j - 1] = contract_pair(left, carry).set_name(f"A{j-1}")
-    return mps
+    """Bring sites n-1 .. 1 of a dense MPS into right-isometry form by one
+    sweep of LQ decompositions (:func:`_split_dense` with nothing cut), so
+    the state is unchanged.  The U(1) run starts from a product state and
+    needs no gauge."""
+    arrs = [a._data.view() for a in mps]
+    for j in range(len(arrs) - 1, 0, -1):
+        vl, p, vr = arrs[j].shape
+        carry, q, _ = _split_dense(arrs[j].reshape(vl, p * vr), vl, "right")
+        arrs[j] = q.reshape(-1, p, vr)
+        arrs[j - 1] = np.tensordot(arrs[j - 1], carry, 1)
+    return [_site(a, j) for j, a in enumerate(arrs)]
 
 
 # -- environments ------------------------------------------------------------------
@@ -218,7 +230,24 @@ def _grow(env, a, w, side):
     """``env`` grown by site tensor ``a`` and MPO tensor ``w``: a left
     environment by the site on its right, a right one by the site on its
     left.  The legs (b, w, k) meet the site's near legs, and its far legs
-    become the new ones."""
+    become the new ones.
+
+    Dense tensors are grown on their raw arrays by three matrix products,
+    the last of which writes the contiguous (b, w, k) array; a right
+    environment is a left one grown by the mirrored site (vr, p, vl) and
+    MPO tensor (wr, wl, po, pi).
+    """
+    if not env.is_sym:
+        e, a, w = env._data.view(), a._data.view(), w._data.view()
+        if side == "right":
+            a, w = a.transpose(2, 1, 0), w.transpose(1, 0, 2, 3)
+        (b, wd, k), (_, p, kn), wn = e.shape, a.shape, w.shape[1]
+        t = e.reshape(b * wd, k) @ a.reshape(k, p * kn)     # (b, w, p, kn)
+        wm = w.transpose(2, 1, 0, 3).reshape(p * wn, wd * p)
+        t = wm @ t.reshape(b, wd * p, kn)                   # (b, pb, wn, kn)
+        t = a.reshape(b * p, kn).conj().T @ t.reshape(b * p, wn * kn)
+        return UniTensor(DenseTensor(t.reshape(kn, wn, kn)),
+                         labels=list(ENV_LABELS), rowrank=1)
     near_first = 1 if side == "left" else -1
     abar = a.dagger()
     t = contract_pair(env, a.relabel(["k", "p", "kn"][::near_first]))
@@ -352,8 +381,72 @@ def _fuse_pair(w1, w2):
 
 
 def _merge_pair(a1, a2):
+    """The two-site tensor (vl, p1, p2, vr) of neighboring sites; dense
+    sites are merged by one matrix product of their raw arrays."""
+    if not a1.is_sym:
+        (vl, p1, mid), (_, p2, vr) = a1.shape, a2.shape
+        m = a1._data.view().reshape(vl * p1, mid) \
+            @ a2._data.view().reshape(mid, p2 * vr)
+        return UniTensor(DenseTensor(m.reshape(vl, p1, p2, vr)),
+                         labels=list(PSI_LABELS), rowrank=2)
     return contract_pair(a1.relabel(["vl", "p1", "mid"]),
                          a2.relabel(["mid", "p2", "vr"]))
+
+
+def _split_dense(m, keepdim, side):
+    """``(a1, a2, weight)`` with ``a1 @ a2`` the best approximation of the
+    matrix ``m`` of rank at most ``keepdim``, and ``weight`` the squared
+    Frobenius norm it misses: the sum of the discarded squared singular
+    values.
+
+    With ``side="left"`` the columns of ``a1`` are orthonormal, with
+    ``side="right"`` the rows of ``a2``; the other factor is ``m``
+    projected onto them.  The new bond keeps k = min(keepdim, rows, cols)
+    states.  When that cuts nothing, a QR (or LQ) decomposition gives the
+    factors.  Otherwise the kept ones are the k leading eigenvectors of
+    the Gram matrix m·m† (left) or m†·m (right), in descending order of
+    their eigenvalues, the squared singular values of ``m``: for a
+    normalized two-site state, the reduced density matrix of its left or
+    right half.  No factor divides by a singular value.
+    """
+    rows, cols = m.shape
+    k = min(keepdim, rows, cols)
+    if k == min(rows, cols):
+        if side == "left":
+            q, r = np.linalg.qr(m)
+            return q, r, 0.0
+        q, r = np.linalg.qr(m.conj().T)
+        return r.conj().T, q.conj().T, 0.0
+    if side == "left":
+        lam, u = np.linalg.eigh(m @ m.conj().T)
+        u = u[:, ::-1][:, :k].copy()
+        a1, a2 = u, u.conj().T @ m
+    else:
+        lam, v = np.linalg.eigh(m.conj().T @ m)
+        v = v[:, ::-1][:, :k].copy()
+        a1, a2 = m @ v, v.conj().T
+    return a1, a2, max(float(lam[:-k].sum()), 0.0)
+
+
+def _split(psi, j, keepdim, side):
+    """Sites ``j`` and ``j + 1`` split from their two-site tensor ``psi``,
+    keeping at most ``keepdim`` states on the bond between them, and the
+    weight the split discarded.  Site ``j`` is a left isometry with
+    ``side="left"``, site ``j + 1`` a right one with ``side="right"``.
+    Dense pairs go through :func:`_split_dense`, block-sparse ones
+    through ``svd_truncate``."""
+    if psi.is_sym:
+        s, u, vd, err = svd_truncate(psi, keepdim=keepdim, return_err=2)
+        a1, a2 = (u, contract_pair(s, vd)) if side == "left" \
+            else (contract_pair(u, s), vd)
+        return (a1.relabel(list(MPS_LABELS)).set_name(f"A{j}"),
+                a2.relabel(list(MPS_LABELS)).set_name(f"A{j+1}"),
+                float(np.sum(err._flat() ** 2)))
+    vl, p1, p2, vr = psi.shape
+    a1, a2, weight = _split_dense(psi._flat().reshape(vl * p1, p2 * vr),
+                                  keepdim, side)
+    return (_site(a1.reshape(vl, p1, -1), j),
+            _site(a2.reshape(-1, p2, vr), j + 1), weight)
 
 
 def dmrg_ground_state(cfg):
@@ -387,7 +480,8 @@ def dmrg_ground_state(cfg):
     # the matvec intermediates and the Lanczos basis of every solve
     work = Workspace()
 
-    def solve(j):
+    def update(j, side):
+        """Solve pair j, split it back with ``side`` isometric, record."""
         psi0 = _merge_pair(mps[j], mps[j + 1])
         heff = _EffectiveHamiltonian(left_env[j], w12[j], right_env[j + 2],
                                      psi0, work)
@@ -395,30 +489,25 @@ def dmrg_ground_state(cfg):
                              tol=cfg.lanczos_tol,
                              max_iter=cfg.lanczos_max_iter, best_effort=True,
                              work=work)
+        res.energy = float(vals[0])
         res.sweep_matvecs[-1] += heff.matvecs
         psi = _unpack(vecs[:, 0], psi0).set_rowrank_(2)
-        return float(vals[0]), psi
+        mps[j], mps[j + 1], weight = _split(psi, j, cfg.bond_dim, side)
+        res.sweep_truncation[-1] = max(res.sweep_truncation[-1], weight)
 
     res = DmrgResult(energy=None, mps=mps)
     for _ in range(cfg.sweeps):
         res.sweep_matvecs.append(0)
+        res.sweep_truncation.append(0.0)
         for j in range(n - 1):          # left to right
             # the return pass rebuilds this one before it reads it again,
             # so at most one environment per bond is alive
             right_env[j + 1] = None
-            res.energy, psi = solve(j)
-            s, u, vd = svd_truncate(psi, keepdim=cfg.bond_dim)
-            mps[j] = u.relabel(list(MPS_LABELS)).set_name(f"A{j}")
-            mps[j + 1] = contract_pair(s, vd).relabel(list(MPS_LABELS))\
-                                             .set_name(f"A{j+1}")
+            update(j, "left")
             left_env[j + 1] = _grow(left_env[j], mps[j], mpo[j], "left")
         for j in range(n - 2, -1, -1):  # right to left
             left_env[j + 1] = None
-            res.energy, psi = solve(j)
-            s, u, vd = svd_truncate(psi, keepdim=cfg.bond_dim)
-            mps[j + 1] = vd.relabel(list(MPS_LABELS)).set_name(f"A{j+1}")
-            mps[j] = contract_pair(u, s).relabel(list(MPS_LABELS))\
-                                        .set_name(f"A{j}")
+            update(j, "right")
             right_env[j + 1] = _grow(right_env[j + 2], mps[j + 1],
                                      mpo[j + 1], "right")
         res.sweep_energies.append(res.energy)

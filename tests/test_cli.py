@@ -77,7 +77,8 @@ def test_dmrg_json_energy(tmp_path):
     data = json.loads(out.read_text())
     assert len(data["sweeps"]) == 3
     assert abs(data["energy"] - free_fermion_ground_energy(4)) <= 1e-9
-    assert list(data) == ["sweeps", "energy", "max_bond", "matvecs"]
+    assert list(data) == ["sweeps", "energy", "max_bond", "matvecs",
+                          "truncation"]
     assert data["max_bond"] == [4, 4, 4]
     assert len(data["matvecs"]) == 3 and min(data["matvecs"]) > 0
 

@@ -1,10 +1,12 @@
 import gc
 import math
+import sys
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tnkit import (Bond, DenseTensor, IN, OUT, Symmetry, UniTensor,
                    contract_pair)
@@ -14,7 +16,7 @@ from tnkit.dmrg import (DmrgConfig, MPO_BOND_DIM, MPO_LABELS, MPS_LABELS,
                         PHYS_DIM, build_xx_mpo, dmrg_ground_state)
 from tnkit.dmrg import PSI_LABELS, _EffectiveHamiltonian, _boundary_env, \
     _fuse_pair, _grow, _merge_pair, _neel_symmetric_mps, _random_dense_mps, \
-    _right_canonicalize, _unpack
+    _right_canonicalize, _split_dense, _unpack
 from tests.conftest import (blueprint_heff_apply, free_fermion_ground_energy,
                             to_dense, xx_dense_hamiltonian)
 
@@ -425,3 +427,168 @@ def test_matvec_outputs_survive_later_calls_on_one_workspace():
                        best_effort=True, work=work)
     assert len(returned) == 4 * 8
     assert all(np.array_equal(out, ref) for out, ref in returned)
+
+
+# -- splitting a pair ----------------------------------------------------------
+
+
+@st.composite
+def _split_cases(draw):
+    """A matrix of known singular values (some of them zero, so rank
+    deficient, or tied) and a ``keepdim`` from 1 to past min(rows, cols)."""
+    rows = draw(st.integers(1, 9))
+    cols = draw(st.integers(1, 9))
+    rank = draw(st.integers(0, min(rows, cols)))
+    sig = sorted(draw(st.lists(st.sampled_from([0.0, 1e-3, 0.3, 0.5, 1.0,
+                                                 2.0, 7.0]),
+                               min_size=rank, max_size=rank)), reverse=True)
+    keepdim = draw(st.integers(1, min(rows, cols) + 2))
+    return rows, cols, sig, keepdim, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _matrix_with_singular_values(rows, cols, sig, dtype, seed):
+    rng = np.random.default_rng(seed)
+
+    def isometry(n):
+        g = rng.standard_normal((n, len(sig)))
+        if dtype is np.complex128:
+            g = g + 1j * rng.standard_normal((n, len(sig)))
+        return np.linalg.qr(g)[0]
+
+    return (isometry(rows) * np.array(sig)) @ isometry(cols).conj().T
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@given(_split_cases())
+@settings(max_examples=150, deadline=None)
+def test_dense_split_agrees_with_svd_truncate(dtype, side, case):
+    """The density-matrix split keeps as many states as ``svd_truncate``,
+    its kept factor is an isometry, it misses exactly the discarded
+    weight, and where the spectrum has a gap at the cut it is the
+    truncated SVD's reconstruction."""
+    rows, cols, sig, keepdim, seed = case
+    m = _matrix_with_singular_values(rows, cols, sig, dtype, seed)
+    s, u, vd, err = linalg.svd_truncate(
+        UniTensor(DenseTensor(m), labels=["r", "c"], rowrank=1), keepdim,
+        return_err=2)
+    k = s.shape[0]
+    a1, a2, weight = _split_dense(m, keepdim, side)
+    assert a1.shape == (rows, k) and a2.shape == (k, cols)
+    iso = a1.conj().T @ a1 if side == "left" else a2 @ a2.conj().T
+    assert np.max(np.abs(iso - np.eye(k)), initial=0.0) <= 1e-13
+    norm2 = np.linalg.norm(m) ** 2
+    discarded = float(np.sum(err._flat() ** 2))
+    assert abs(np.linalg.norm(m - a1 @ a2) ** 2 - discarded) <= 1e-10 * norm2
+    assert abs(weight - discarded) <= 1e-10 * norm2
+    full = sorted(sig + [0.0] * (min(rows, cols) - len(sig)), reverse=True)
+    if k == len(full) or full[k - 1] ** 2 - full[k] ** 2 > 1e-3 * norm2:
+        ref = u.get_block_().view() @ s.get_block_().view() \
+            @ vd.get_block_().view()
+        assert np.linalg.norm(a1 @ a2 - ref) <= 1e-10 * max(np.sqrt(norm2),
+                                                           1e-300)
+
+
+def _state_vector(mps):
+    psi = mps[0]._data.view()
+    for a in mps[1:]:
+        psi = np.tensordot(psi, a._data.view(), (psi.ndim - 1, 0))
+    return psi.reshape(-1)
+
+
+def test_right_canonicalize_keeps_the_state_and_makes_right_isometries():
+    mps = _random_dense_mps(8, 16, seed=5)
+    before = _state_vector(mps)
+    canon = _right_canonicalize(mps)
+    assert [a.shape for a in canon] == [a.shape for a in mps]
+    assert [a.name for a in canon] == [f"A{j}" for j in range(8)]
+    for a in canon[1:]:
+        vl, p, vr = a.shape
+        m = a._data.view().reshape(vl, p * vr)
+        assert np.max(np.abs(m @ m.conj().T - np.eye(vl))) <= 1e-13
+    after = _state_vector(canon)
+    assert np.linalg.norm(after - before) <= 1e-12 * np.linalg.norm(before)
+    assert np.array_equal(_state_vector(mps), before)   # input untouched
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_dense_grow_matches_einsum_on_complex_sites(side):
+    """The raw-array growth of an environment by a complex site and MPO
+    tensor equals the sum over every shared index, the bra taking the
+    conjugated site."""
+    rng = np.random.default_rng(8)
+
+    def rand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    e, w = rand(5, 4, 5), rand(4, 3, 2, 2)
+    a = rand(5, 2, 6) if side == "left" else rand(6, 2, 5)
+    if side == "left":
+        w_ = w
+        ref = np.einsum("xwk,kpn,wvqp,xqm->mvn", e, a, w, a.conj())
+    else:
+        w_ = w.transpose(1, 0, 2, 3)        # wl, wr = new, old channel
+        ref = np.einsum("xwk,npk,vwqp,mqx->mvn", e, a, w_, a.conj())
+    got = _grow(UniTensor(DenseTensor(e), labels=["b", "w", "k"]),
+                UniTensor(DenseTensor(a), labels=list(MPS_LABELS)),
+                UniTensor(DenseTensor(w_), labels=list(MPO_LABELS)), side)
+    assert got.labels == ["b", "w", "k"] and got.is_contiguous
+    assert got.shape == (6, 3, 6)
+    assert np.allclose(got.get_block_().view(), ref, rtol=0, atol=1e-12)
+
+
+def test_dense_run_splits_without_svd_or_pair_contractions(monkeypatch):
+    """A dense run splits every pair through its density matrix and grows
+    and merges on raw arrays: it makes no SVD, and its only labeled
+    contractions fuse the MPO pairs.  Its energies stay those of the SVD
+    split, to rounding."""
+    svds, callers = [], []
+    real_svd, real_contract_pair = np.linalg.svd, dmrg_module.contract_pair
+
+    def counting_svd(*args, **kwargs):
+        svds.append(1)
+        return real_svd(*args, **kwargs)
+
+    def recording_contract_pair(a, b):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_contract_pair(a, b)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(dmrg_module, "contract_pair", recording_contract_pair)
+    res = dmrg_ground_state(DmrgConfig(n_sites=32, bond_dim=48, sweeps=2,
+                                       seed=7))
+    assert svds == []
+    assert callers == ["_fuse_pair"] * 31
+    # the sweep energies of the SVD split
+    assert np.allclose(res.sweep_energies,
+                       [-10.008176040328525, -10.008193948082386],
+                       rtol=1e-12, atol=0)
+    assert res.sweep_max_bond == [48, 48]
+    assert res.sweep_matvecs == [496, 483]
+    first, last = res.sweep_truncation
+    assert 0 < last < 1e-9 < first
+
+
+def test_symmetric_run_is_unchanged():
+    """The U(1) path splits with ``svd_truncate`` as before: its energies
+    and matvec counts are bit for bit those it has always given."""
+    res = dmrg_ground_state(DmrgConfig(n_sites=32, bond_dim=48, sweeps=2,
+                                       symmetric=True))
+    assert res.sweep_energies == [-9.932292461193, -10.007064500539226]
+    assert res.sweep_matvecs == [329, 478]
+    assert res.sweep_max_bond == [4, 16]
+    assert res.sweep_truncation == [0.0, 0.0]     # below chi, nothing cut
+
+
+def test_dense_and_symmetric_runs_discard_the_same_weight():
+    """Converged to the same state, both runs cut the same Schmidt
+    spectra: the dense eigenvalues and the U(1) squared singular values
+    give one discarded weight."""
+    runs = [dmrg_ground_state(DmrgConfig(n_sites=16, bond_dim=12, sweeps=6,
+                                         symmetric=sym))
+            for sym in (False, True)]
+    dense, sym = (r.sweep_truncation[-1] for r in runs)
+    assert dense > 1e-8
+    assert abs(dense - sym) <= 1e-6 * dense
+    exact = dmrg_ground_state(DmrgConfig(n_sites=4, bond_dim=16, sweeps=2))
+    assert exact.sweep_truncation == [0.0, 0.0]
