@@ -245,7 +245,7 @@ def _grow(env, a, w, side):
         t = e.reshape(b * wd, k) @ a.reshape(k, p * kn)     # (b, w, p, kn)
         wm = w.transpose(2, 1, 0, 3).reshape(p * wn, wd * p)
         t = wm @ t.reshape(b, wd * p, kn)                   # (b, pb, wn, kn)
-        t = a.reshape(b * p, kn).conj().T @ t.reshape(b * p, wn * kn)
+        t = a.reshape(k * p, kn).conj().T @ t.reshape(b * p, wn * kn)
         return UniTensor(DenseTensor(t.reshape(kn, wn, kn)),
                          labels=list(ENV_LABELS), rowrank=1)
     near_first = 1 if side == "left" else -1
@@ -439,9 +439,10 @@ def _split(psi, j, keepdim, side):
         s, u, vd, err = svd_truncate(psi, keepdim=keepdim, return_err=2)
         a1, a2 = (u, contract_pair(s, vd)) if side == "left" \
             else (contract_pair(u, s), vd)
+        err = err._flat()
         return (a1.relabel(list(MPS_LABELS)).set_name(f"A{j}"),
                 a2.relabel(list(MPS_LABELS)).set_name(f"A{j+1}"),
-                float(np.sum(err._flat() ** 2)))
+                float(err @ err))
     vl, p1, p2, vr = psi.shape
     a1, a2, weight = _split_dense(psi._flat().reshape(vl * p1, p2 * vr),
                                   keepdim, side)
