@@ -429,7 +429,7 @@ def test_matvec_outputs_survive_later_calls_on_one_workspace():
     assert all(np.array_equal(out, ref) for out, ref in returned)
 
 
-# -- splitting a pair ----------------------------------------------------------
+# -- splitting a pair ---------------------------------------------------------
 
 
 @st.composite
