@@ -174,13 +174,19 @@ class Bond:
                     syms=self.syms)
 
     def redirect(self):
-        """The bond with IN and OUT swapped; a REGULAR bond is itself."""
+        """The bond with IN and OUT swapped; a REGULAR bond is itself.
+
+        The twin copies this bond's fields, which the constructor has
+        already checked and normalized, so it is not validated again.
+        """
         if self.btype == REGULAR:
             return self
-        btype = IN if self.btype == OUT else OUT
-        if self.sectors:
-            return Bond(btype=btype, sectors=self.sectors, syms=self.syms)
-        return Bond(self.dim, btype)
+        twin = Bond.__new__(Bond)
+        for name, value in (("btype", IN if self.btype == OUT else OUT),
+                            ("dim", self.dim), ("sectors", self.sectors),
+                            ("syms", self.syms), ("_offsets", self._offsets)):
+            object.__setattr__(twin, name, value)
+        return twin
 
     def __eq__(self, other):
         if not isinstance(other, Bond):

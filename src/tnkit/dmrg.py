@@ -21,6 +21,14 @@ pair is split with a truncated SVD, sector by sector.  Either way the
 discarded weight, the sum of the discarded squared singular values, is
 recorded per sweep.
 
+Every pair step works on raw storage, not on labeled tensors.  Dense
+steps are matrix products of numpy arrays; block-sparse ones (merge,
+environment growth, the matvec and the split) read and write flat block
+buffers through the charge-sector index matrices and the pair plans
+memoized on the block structures (:func:`contract.pair_plan`), so from
+the second sweep on a step computes no block bookkeeping and builds no
+tensor between its products.
+
 Total magnetization is conserved; with ``symmetric=True`` all tensors
 carry U(1) charges (twice the local Sz, so +1/-1 per site) and the run is
 restricted to the zero-magnetization sector, starting from an alternating
@@ -34,7 +42,8 @@ import numpy as np
 
 from .bond import Bond, IN, OUT
 from .contract import contract_pair, pair_plan
-from .linalg import LinOp, Workspace, lanczos, svd_truncate
+from .linalg import (LinOp, Workspace, _factor, _global_cut, _matricize,
+                     _new_bonds, _sector_svds, lanczos)
 from .storage import DenseTensor
 from .symmetry import Symmetry
 from .unitensor import UniTensor
@@ -236,6 +245,12 @@ def _grow(env, a, w, side):
     the last of which writes the contiguous (b, w, k) array; a right
     environment is a left one grown by the mirrored site (vr, p, vl) and
     MPO tensor (wr, wl, po, pi).
+
+    Block-sparse tensors are grown on their flat buffers by three chained
+    pair plans, env·A, then ·W, then ·A†, each plan's output structure
+    the next one's operand.  A† is A's conjugated buffer read on the
+    transposed structure, with every bond redirected.  The (k, w, b)
+    result is gathered once into the (b, w, k) buffer the matvecs read.
     """
     if not env.is_sym:
         e, a, w = env._data.view(), a._data.view(), w._data.view()
@@ -249,12 +264,22 @@ def _grow(env, a, w, side):
         return UniTensor(DenseTensor(t.reshape(kn, wn, kn)),
                          labels=list(ENV_LABELS), rowrank=1)
     near_first = 1 if side == "left" else -1
-    abar = a.dagger()
-    t = contract_pair(env, a.relabel(["k", "p", "kn"][::near_first]))
-    t = contract_pair(t, w.relabel(["w", "wn"][::near_first] + ["pb", "p"]))
-    t = contract_pair(t, abar.relabel(["b", "pb", "bn"][::near_first]))
-    t = t.relabel(["kn", "wn", "bn"], ["k", "w", "b"]).permute(ENV_LABELS)
-    return t.contiguous_()
+    ket = (["k", "p", "kn"][::near_first], a.bonds, a._struct)
+    mpo = (["w", "wn"][::near_first] + ["pb", "p"], w.bonds, w._struct)
+    bra = (["b", "pb", "bn"][::near_first], [b.redirect() for b in a.bonds],
+           a._struct.transposed())
+    p1, labels = pair_plan(_legs(env), ket)
+    p2, labels = pair_plan((labels, p1.out_bonds, p1.out), mpo)
+    p3, _ = pair_plan((labels, p2.out_bonds, p2.out), bra)
+    a_flat = a._flat()
+    t = _apply(p1, env._flat(), a_flat)                 # (b, w, p, kn)
+    t = _apply(p2, t, w._flat())                        # (b, kn, wn, pb)
+    t = _apply(p3, t, np.conj(a_flat))                  # (kn, wn, bn)
+    # read as (bn, wn, kn), and stored so
+    struct = p3.out.permuted((2, 1, 0))
+    t = t[struct.positions((2, 1, 0))]
+    return UniTensor._assemble(p3.out_bonds[::-1], ENV_LABELS, 1, "",
+                               DenseTensor._wrap(t), struct)
 
 
 # -- effective two-site problem --------------------------------------------------------
@@ -282,9 +307,13 @@ class _EffectiveHamiltonian:
     A matvec is three contractions of the Lanczos vector: with L, with
     W12 and with R.
 
-    Dense tensors keep three raw arrays: ``l2``, L as a (b·w, vl) matrix;
-    ``w12m``, W12 as a contiguous (q1·q2·w3, w·p1·p2) matrix; and ``r2t``,
-    the transposed view of R's (b2, w3·vr) buffer.  A matvec is
+    L and R are the environments as stored, (b, w, k), read with their
+    labels substituted; nothing is permuted or relabeled per solve.
+
+    Dense tensors keep three raw arrays: ``l2``, L's array read as a (b·w,
+    vl) matrix; ``w12m``, W12 as the contiguous (q1·q2·w3, w·p1·p2) matrix
+    that :func:`_fuse_pair` builds once per run; and ``r2t``, the
+    transposed view of R's (b2, w3·vr) array.  A matvec is
 
         t1 = l2 @ v.reshape(vl, -1)              # (b, w, p1, p2, vr)
         t2 = w12m @ t1.reshape(b, w·p1·p2, vr)   # (b, q1, q2, w3, vr)
@@ -299,9 +328,10 @@ class _EffectiveHamiltonian:
     Lanczos is never overwritten by a later matvec.
 
     Block-sparse tensors take the three block plans of the same
-    contractions once per solve, chaining each plan's output structure
-    into the next (see :func:`contract.pair_plan`), and gather the group
-    matrices of L, W12 and R once from their buffers.  The vector is the
+    contractions once per solve, built from the environments' bonds and
+    structures and chaining each plan's output structure into the next
+    (see :func:`contract.pair_plan`), and gather the group matrices of L,
+    W12 and R once from their buffers.  The vector is the
     pair tensor's buffer, so a matvec is three plan applications on it:
 
         t = p1.apply(l_mats, p1.gather_b(v), dt)    # (b, w, p1, p2, vr)
@@ -313,32 +343,28 @@ class _EffectiveHamiltonian:
     """
 
     def __init__(self, left, w12, right, template, work=None):
-        left = left.permute(ENV_LABELS).relabel(["b", "w", "vl"])
-        right = right.permute(ENV_LABELS).relabel(["b2", "w3", "vr"])
         self.template = template
         self.dim = template._data.size
         self.matvecs = 0
         self.dtype = np.result_type(left.dtype, w12.dtype, right.dtype)
         if template.is_sym:
-            p1, labels = pair_plan(_legs(left), _legs(template))
+            p1, labels = pair_plan((["b", "w", "vl"], left.bonds,
+                                    left._struct), _legs(template))
             p2, labels = pair_plan((labels, p1.out_bonds, p1.out), _legs(w12))
-            p3, _ = pair_plan((labels, p2.out_bonds, p2.out), _legs(right))
+            p3, _ = pair_plan((labels, p2.out_bonds, p2.out),
+                              (["b2", "w3", "vr"], right.bonds, right._struct))
             self.plans = (p1, p2, p3)
             self.l_mats = p1.gather_a(left._flat())
             self.w_mats = p2.gather_b(w12._flat())
             self.r_mats = p3.gather_b(right._flat())
             return
-        b, w, vl = left.shape
-        vr = right.shape[2]
+        (b, w, vl), vr = left.shape, right.shape[2]
         self.work = Workspace() if work is None else work
-        self.l2 = np.ascontiguousarray(left.get_block_().view()).reshape(b * w, vl)
-        w12 = w12.permute(["q1", "q2", "w3", "w", "p1", "p2"])
-        self.w12m = np.ascontiguousarray(w12.get_block_().view())\
-                      .reshape(math.prod(w12.shape[:3]), -1)
-        self.r2t = np.ascontiguousarray(right.get_block_().view())\
-                     .reshape(right.shape[0], -1).T
+        self.l2 = left._data.view().reshape(b * w, vl)
+        self.w12m = w12
+        self.r2t = right._data.view().reshape(right.shape[0], -1).T
         # t1 is (b·w, p1·p2·vr), t2 is (b, q1·q2·w3, vr)
-        self.t_shapes = ((b * w, self.dim // vl), (b, self.w12m.shape[0], vr))
+        self.t_shapes = ((b * w, self.dim // vl), (b, w12.shape[0], vr))
 
     def _apply_dense(self, vec):
         dt = np.result_type(vec.dtype, self.dtype)
@@ -375,9 +401,16 @@ def _legs(t):
 
 def _fuse_pair(w1, w2):
     """W12 = W1·W2, the MPO tensors of sites j and j+1 contracted over
-    their shared channel: legs (w, q1, p1, w3, q2, p2)."""
-    return contract_pair(w1.relabel(["w", "w2", "q1", "p1"]),
-                         w2.relabel(["w2", "w3", "q2", "p2"]))
+    their shared channel: legs (w, q1, p1, w3, q2, p2).  A dense W12 is
+    returned as the matrix the dense matvec reads, the contiguous
+    (q1·q2·w3, w·p1·p2) array."""
+    w12 = contract_pair(w1.relabel(["w", "w2", "q1", "p1"]),
+                        w2.relabel(["w2", "w3", "q2", "p2"]))
+    if w12.is_sym:
+        return w12
+    w12 = w12.permute(["q1", "q2", "w3", "w", "p1", "p2"])
+    return np.ascontiguousarray(w12.get_block_().view())\
+        .reshape(math.prod(w12.shape[:3]), -1)
 
 
 def _merge_pair(a1, a2):
@@ -389,8 +422,19 @@ def _merge_pair(a1, a2):
             @ a2._data.view().reshape(mid, p2 * vr)
         return UniTensor(DenseTensor(m.reshape(vl, p1, p2, vr)),
                          labels=list(PSI_LABELS), rowrank=2)
-    return contract_pair(a1.relabel(["vl", "p1", "mid"]),
-                         a2.relabel(["mid", "p2", "vr"]))
+    plan, _ = pair_plan((["vl", "p1", "mid"], a1.bonds, a1._struct),
+                        (["mid", "p2", "vr"], a2.bonds, a2._struct))
+    return UniTensor._assemble(plan.out_bonds, PSI_LABELS, 2, "",
+                               DenseTensor._wrap(_apply(plan, a1._flat(),
+                                                        a2._flat())),
+                               plan.out)
+
+
+def _apply(plan, a_flat, b_flat):
+    """The flat output buffer of the block plan ``plan`` (see
+    :func:`contract.pair_plan`) on its two operands' flat buffers."""
+    return plan.apply(plan.gather_a(a_flat), plan.gather_b(b_flat),
+                      np.result_type(a_flat.dtype, b_flat.dtype))
 
 
 def _split_dense(m, keepdim, side):
@@ -433,16 +477,32 @@ def _split(psi, j, keepdim, side):
     keeping at most ``keepdim`` states on the bond between them, and the
     weight the split discarded.  Site ``j`` is a left isometry with
     ``side="left"``, site ``j + 1`` a right one with ``side="right"``.
-    Dense pairs go through :func:`_split_dense`, block-sparse ones
-    through ``svd_truncate``."""
+    Dense pairs go through :func:`_split_dense`.  A block-sparse pair
+    takes the thin SVD of each charge sector of its (vl·p1, p2·vr)
+    matrix, keeps the values that ``svd_truncate``'s global ranking keeps
+    (:func:`linalg._global_cut`), and multiplies the kept singular values
+    into the factor that is not an isometry.  Each site is written
+    straight from the sector matrices with its final bonds, labels and
+    name: no singular-value tensor, no contraction with it."""
     if psi.is_sym:
-        s, u, vd, err = svd_truncate(psi, keepdim=keepdim, return_err=2)
-        a1, a2 = (u, contract_pair(s, vd)) if side == "left" \
-            else (contract_pair(u, s), vd)
-        err = err._flat()
-        return (a1.relabel(list(MPS_LABELS)).set_name(f"A{j}"),
-                a2.relabel(list(MPS_LABELS)).set_name(f"A{j+1}"),
-                float(err @ err))
+        m = _matricize(psi)
+        us, ss, vhs = _sector_svds(m)
+        keeps, discarded = _global_cut(ss, keepdim)
+        keeps = keeps.tolist()
+        kept = [(u[:, :k], s[:k], vh[:k])
+                for u, s, vh, k in zip(us, ss, vhs, keeps) if k]
+        if side == "left":
+            m1 = [u for u, _, _ in kept]
+            m2 = [s[:, None] * vh for _, s, vh in kept]
+        else:
+            m1 = [u * s for u, s, _ in kept]
+            m2 = [vh for _, _, vh in kept]
+        new = _new_bonds(m, keeps)
+        return (_factor(m.row_bonds + [new[1]], MPS_LABELS, 2,
+                        f"A{j}", m1, -1),
+                _factor([new[0]] + m.col_bonds, MPS_LABELS, 1,
+                        f"A{j+1}", m2, 0),
+                float(discarded @ discarded))
     vl, p1, p2, vr = psi.shape
     a1, a2, weight = _split_dense(psi._flat().reshape(vl * p1, p2 * vr),
                                   keepdim, side)

@@ -21,8 +21,6 @@ auxiliary name, a counter is appended.
 import math
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dstemr
 
 from .bond import Bond, IN, OUT, REGULAR
 from .storage import DenseTensor, is_int
@@ -235,6 +233,7 @@ def svd_truncate(ut, keepdim, err=0.0, return_err=0, min_blockdim=None):
         raise ValueError(f"return_err must be 0, 1 or 2, got {return_err!r}")
     m = _matricize(ut)
     nsec = len(m.mats)
+    keeps = None
     if min_blockdim is not None:
         if not ut.is_sym:
             raise ValueError("min_blockdim applies to symmetric tensors only")
@@ -246,9 +245,28 @@ def svd_truncate(ut, keepdim, err=0.0, return_err=0, min_blockdim=None):
                              f"{list(min_blockdim)}")
         keeps = [min(int(mb), *mat.shape) for mb, mat in zip(min_blockdim,
                                                               m.mats)]
-    else:
-        keeps = [0] * nsec
     us, ss, vhs = _sector_svds(m)
+    keeps, discarded = _global_cut(ss, keepdim, err, keeps)
+    s_t, u_t, v_t = _svd_factors(m, us, ss, vhs, keeps.tolist())
+    if return_err == 0:
+        return s_t, u_t, v_t
+    errs = discarded[:1] if return_err == 1 else discarded
+    e_t = UniTensor(DenseTensor(errs if len(errs) else np.zeros(1)),
+                    labels=["s_err"])
+    return s_t, u_t, v_t, e_t
+
+
+def _global_cut(ss, keepdim, err=0.0, keeps=None):
+    """How many values of each sector :func:`svd_truncate`'s global
+    truncation keeps, and the discarded values, descending.
+
+    ``ss`` holds each sector's singular values, descending; ``keeps``
+    (by default none) the values reserved per sector.  The ``keepdim``
+    largest values not below ``err`` fill the remaining slots; if that
+    keeps nothing, the single largest value is kept.
+    """
+    nsec = len(ss)
+    keeps = np.zeros(nsec, dtype=np.intp) if keeps is None else np.array(keeps)
     # every value once, descending; the stable sort keeps the
     # concatenation order (sector index, then position) among equal values
     vals = np.concatenate(ss)
@@ -256,7 +274,6 @@ def svd_truncate(ut, keepdim, err=0.0, return_err=0, min_blockdim=None):
     pos = np.concatenate([np.arange(len(s)) for s in ss])
     order = np.argsort(-vals, kind="stable")
     vals, sector, pos = vals[order], sector[order], pos[order]
-    keeps = np.array(keeps)
     slots = keepdim - keeps.sum()
     if slots > 0:
         free = (pos >= keeps[sector]) & (vals >= err)
@@ -265,14 +282,7 @@ def svd_truncate(ut, keepdim, err=0.0, return_err=0, min_blockdim=None):
         # err discarded everything: keep the single largest value rather
         # than returning empty factors
         keeps[sector[0]] = 1
-    discarded = vals[pos >= keeps[sector]]
-    s_t, u_t, v_t = _svd_factors(m, us, ss, vhs, keeps.tolist())
-    if return_err == 0:
-        return s_t, u_t, v_t
-    errs = discarded[:1] if return_err == 1 else discarded
-    e_t = UniTensor(DenseTensor(errs if len(errs) else np.zeros(1)),
-                    labels=["s_err"])
-    return s_t, u_t, v_t, e_t
+    return keeps, vals[pos >= keeps[sector]]
 
 
 # -- eigendecompositions ------------------------------------------------------------
@@ -355,18 +365,30 @@ def expm(ut, a=1.0, b=0.0):
     """Matrix exponential ``exp(a*M + b*I)`` through the rowrank split.
 
     Hermitian arguments (after scaling) go through the spectral
-    decomposition; anything else falls back to scaling-and-squaring.
-    The result keeps the input's bonds and labels.
+    decomposition, and so do anti-Hermitian ones: for x = -i·h with h
+    Hermitian, exp(x) = I + V·diag(exp(-iw) - 1)·V† from the eigenpairs
+    (w, V) of h, which is unitary by construction.  Anything else falls
+    back to scipy's scaling-and-squaring, imported only then.  The result
+    keeps the input's bonds and labels.
     """
     m = _matricize(ut, require_square=True)
     outs = []
     for mat in m.mats:
         x = a * mat + b * np.eye(mat.shape[0], dtype=mat.dtype)
-        hnorm = np.linalg.norm(x - x.conj().T)
-        if hnorm <= 1e-12 * max(np.linalg.norm(x), 1e-300):
+        tol = 1e-12 * max(np.linalg.norm(x), 1e-300)
+        if np.linalg.norm(x - x.conj().T) <= tol:
             w, v = np.linalg.eigh(x)
             ex = (v * np.exp(w)) @ v.conj().T
+        elif np.linalg.norm(x + x.conj().T) <= tol:
+            # exp(-iw) - 1 = -2 sin²(w/2) - i sin(w): added to I, the
+            # eigenvectors' rounding is scaled by |w|, not by 1
+            w, v = np.linalg.eigh(1j * x)
+            d = -2 * np.sin(w / 2) ** 2 - 1j * np.sin(w)
+            ex = np.eye(len(w)) + (v * d) @ v.conj().T
+            if not np.iscomplexobj(x):
+                ex = ex.real        # a real antisymmetric x: exp(x) is real
         else:
+            import scipy.linalg
             ex = scipy.linalg.expm(x)
         outs.append(ex)
     return _rebuild_like(ut, m, outs)
@@ -396,7 +418,13 @@ class LinOp:
         return self._matvec(v)
 
     def __call__(self, v):
-        out = np.asarray(self.matvec(np.asarray(v)))
+        return self._checked(self.matvec(np.asarray(v)))
+
+    def _checked(self, out):
+        """The operator's output ``out`` as an array; ``ValueError`` unless
+        it is a vector of the operator's dimension."""
+        if type(out) is not np.ndarray:
+            out = np.asarray(out)
         if out.shape != (self.dim,):
             raise ValueError(f"operator returned shape {out.shape}, "
                              f"expected ({self.dim},)")
@@ -434,6 +462,16 @@ class Workspace:
         return buf.reshape(-1)[:size].reshape(shape)
 
 
+def _dstemr(*args, **kwargs):
+    """scipy's LAPACK ``dstemr``, imported on the first call, which also
+    binds the module's ``_dstemr`` to it: scipy stays off ``import tnkit``
+    until a Lanczos solve needs it."""
+    global _dstemr
+    from scipy.linalg.lapack import dstemr
+    _dstemr = dstemr
+    return dstemr(*args, **kwargs)
+
+
 def _tridiag_lowest(alphas, betas, k):
     """Lowest ``k`` eigenpairs of the real symmetric tridiagonal matrix
     with diagonal ``alphas`` and off-diagonal ``betas`` (one shorter).
@@ -447,7 +485,7 @@ def _tridiag_lowest(alphas, betas, k):
     d = np.array(alphas, dtype=np.float64)
     e = np.zeros(m)        # dstemr reads an n-long e and overwrites it
     e[:m - 1] = betas
-    _, w, z, info = dstemr(d, e, 2, 0.0, 0.0, 1, k, overwrite_d=1)
+    _, w, z, info = _dstemr(d, e, 2, 0.0, 0.0, 1, k, overwrite_d=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dstemr failed with info={info}")
     return w[:k], z[:, :k]
@@ -504,10 +542,13 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
                          f"k={k}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    rng = np.random.default_rng(seed if seed is not None else 20240527)
+    rng = None      # made at the first random start: most solves need none
     cplx = np.issubdtype(op.dtype, np.complexfloating)
 
     def random_start():
+        nonlocal rng
+        if rng is None:
+            rng = np.random.default_rng(seed if seed is not None else 20240527)
         v = rng.standard_normal(n)
         if cplx:
             v = v + 1j * rng.standard_normal(n)
@@ -528,6 +569,14 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
 
     work = Workspace() if work is None else work
     tmp = np.empty(n, dtype=op.dtype)
+
+    def norm(r):
+        """``np.linalg.norm`` of the contiguous vector ``r`` by numpy's own
+        formula, the square root of one dot product per real part,
+        without its dispatch."""
+        if cplx:
+            return np.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag))
+        return np.sqrt(r.dot(r))
 
     def project_out(r, m):
         """r -= V[:m]^T (conj(V[:m]) r), in place."""
@@ -551,7 +600,7 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
     it = 0
     scale = 1.0
     while True:
-        w = op(V[it])
+        w = op._checked(op.matvec(V[it]))
         if it == 0 and not np.can_cast(w.dtype, op.dtype, "same_kind"):
             raise TypeError(f"the operator returned {w.dtype} values but "
                             f"declares dtype {op.dtype}")
@@ -569,15 +618,19 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
             np.subtract(r, tmp, out=r)
         # full reorthogonalization against every Lanczos vector so far
         project_out(r, it + 1)
-        beta = np.linalg.norm(r)
+        beta = norm(r)
         if not math.isfinite(beta):
             raise FloatingPointError(f"lanczos iteration {it + 1}: beta is "
                                      f"{beta}")
         mdim = it + 1
         if mdim >= k:
             theta, y = _tridiag_lowest(alphas, betas, k)
-            resid = beta * np.abs(y[-1, :])
-            done = np.all(resid <= tol * np.maximum(1.0, np.abs(theta)))
+            if k == 1:      # on scalars: numpy's reductions cost more here
+                resid = beta * abs(float(y[-1, 0]))
+                done = resid <= tol * max(1.0, abs(float(theta[0])))
+            else:
+                resid = beta * np.abs(y[-1, :])
+                done = np.all(resid <= tol * np.maximum(1.0, np.abs(theta)))
             if done or mdim == n or (best_effort and mdim >= cap):
                 return theta, V[:mdim].T @ y
             if mdim >= cap:
@@ -592,7 +645,7 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
             # invariant subspace: restart with a fresh orthogonal vector
             r = random_start()
             project_out(r, mdim)
-            beta = np.linalg.norm(r)
+            beta = norm(r)
             if beta < 1e-12:
                 theta, y = _tridiag_lowest(alphas, betas, min(k, mdim))
                 return theta, V[:mdim].T @ y

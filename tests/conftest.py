@@ -5,14 +5,16 @@ Hamiltonians come from explicit Kronecker sums, contraction references
 from naive index loops, circuit references from sparse full-space gate
 matrices, and ground-state references from free-fermion single-particle
 spectra or exact diagonalization, and order-search references from an
-exhaustive search over every binary tree.  Seven oracles keep a
+exhaustive search over every binary tree.  Nine oracles keep a
 superseded path of the library as the reference for its replacement:
 the cost-capped order search, the order search as a Python loop over
 every split, the per-step labels of a tree folded on their own, the
 effective Hamiltonian contracted through a ``Network`` blueprint, the
 block-sparse matrix layout assembled line by line with ``np.block``,
-the seeded random fill written block by block, and the singular-value
-ranking of ``svd_truncate`` as Python tuple sorts.
+the seeded random fill written block by block, the singular-value
+ranking of ``svd_truncate`` as Python tuple sorts, and the U(1) DMRG
+environment growth and pair split as labeled-tensor code
+(``contract_pair`` and ``svd_truncate``).
 """
 
 import itertools
@@ -22,7 +24,8 @@ import numpy as np
 import pytest
 
 from tnkit import Bond, IN, OUT, Network, Symmetry, UniTensor
-from tnkit import contraction_cost
+from tnkit import contract_pair, contraction_cost
+from tnkit.linalg import svd_truncate
 from tnkit import random as trandom
 from tnkit.contract import fold_tree
 
@@ -368,6 +371,35 @@ def blueprint_heff_apply(left, w1, w2, right, psi):
     net.put_tensor("R", right, ["b", "w", "k"])
     net.put_tensor("psi", psi, ["vl", "p1", "p2", "vr"])
     return net.launch().relabel(["vl", "p1", "p2", "vr"])
+
+
+# -- U(1) DMRG pair-step oracles ----------------------------------------------
+
+def pair_contract_grow(env, a, w, side):
+    """A U(1) environment (b, w, k) grown by site ``a`` (vl, p, vr) and
+    MPO tensor ``w`` (wl, wr, po, pi) as ``dmrg._grow`` first did it: three
+    ``contract_pair`` calls on relabeled tensors, the bra being
+    ``a.dagger()``, then one permute into (b, w, k) and one copy."""
+    near_first = 1 if side == "left" else -1
+    t = contract_pair(env, a.relabel(["k", "p", "kn"][::near_first]))
+    t = contract_pair(t, w.relabel(["w", "wn"][::near_first] + ["pb", "p"]))
+    t = contract_pair(t, a.dagger().relabel(["b", "pb", "bn"][::near_first]))
+    t = t.relabel(["kn", "wn", "bn"], ["k", "w", "b"]).permute(["b", "w", "k"])
+    return t.contiguous_()
+
+
+def svd_truncate_split(psi, j, keepdim, side):
+    """Sites ``j`` and ``j + 1`` (vl, p, vr) and the discarded weight of a
+    U(1) pair (vl, p1, p2, vr) split as ``dmrg._split`` first did it:
+    ``svd_truncate``, then the singular-value tensor contracted into the
+    factor that is not an isometry."""
+    s, u, vd, err = svd_truncate(psi, keepdim=keepdim, return_err=2)
+    a1, a2 = (u, contract_pair(s, vd)) if side == "left" \
+        else (contract_pair(u, s), vd)
+    err = err._flat()
+    return (a1.relabel(["vl", "p", "vr"]).set_name(f"A{j}"),
+            a2.relabel(["vl", "p", "vr"]).set_name(f"A{j+1}"),
+            float(err @ err))
 
 
 # -- symmetric-tensor helpers ---------------------------------------------------

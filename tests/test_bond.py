@@ -130,6 +130,30 @@ def test_redirect(u1):
     assert b2.btype == IN
 
 
+def test_redirect_twin_of_a_twin_is_the_original(u1):
+    """A twin copies its bond's checked fields: redirected twice it equals
+    the original and hashes alike, and it is as immutable."""
+    zn = Symmetry.zn(2)
+    for b in (Bond(btype=IN, sectors=[(2, 3), (4, 5)], syms=[u1]),
+              Bond(btype=OUT, sectors=[((1, 0), 2), ((-1, 1), 1)],
+                   syms=[u1, zn]),
+              Bond(3, OUT)):
+        twin = b.redirect()
+        back = twin.redirect()
+        assert twin != b and twin.btype != b.btype
+        assert (twin.dim, twin.sectors, twin.syms) == (b.dim, b.sectors,
+                                                      b.syms)
+        assert back == b and hash(back) == hash(b) and back is not b
+        assert twin.sector_offsets() == b.sector_offsets()
+        assert pickle.loads(pickle.dumps(twin)) == twin
+        for name in ("btype", "dim", "sectors", "syms", "_offsets"):
+            with pytest.raises(AttributeError):
+                setattr(twin, name, None)
+            with pytest.raises(AttributeError):
+                delattr(twin, name)
+        assert twin.redirect() == b
+
+
 def test_bond_is_immutable(u1):
     b = Bond(btype=IN, sectors=[(2, 3), (4, 5)], syms=[u1])
     h = hash(b)

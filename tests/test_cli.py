@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -358,3 +362,48 @@ def test_long_order_error_quotes_a_window(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err) < 200
     assert f"at {len(head)}: expected ','" in err
+
+
+# Run in a fresh interpreter: after each step, the scipy modules loaded.
+_SCIPY_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+loaded = {}
+import tnkit
+from tnkit.cli import main
+loaded["import tnkit"] = scipy_modules()
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_import_and_non_dmrg_commands_load_no_scipy(tmp_path):
+    """scipy is imported only where it is used, by ``expm``'s fallback
+    and the first Lanczos step: ``import tnkit`` and a ``qsim``,
+    ``contract`` and ``netopt`` run load no scipy module."""
+    for name, shape in (("a", [2, 3]), ("b", [3, 4])):
+        save_unitensor(UniTensor.ones(shape, labels=["x", "y"]),
+                       tmp_path / f"{name}.utn")
+    net = tmp_path / "mm.net"
+    net.write_text("M1: i, j\nM2: j, k\nTOUT: i, k\n")
+    runs = [["qsim", "--n", "6", "--steps", "4",
+             "--csv", str(tmp_path / "sz.csv")],
+            ["contract", str(net), "--tensor", f"M1={tmp_path}/a.utn",
+             "--tensor", f"M2={tmp_path}/b.utn", "--optimal",
+             "--out", str(tmp_path / "out.utn")],
+            ["netopt", str(net), "--dims", "i=2,j=3,k=4"]]
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+                          json.dumps(runs)], check=True, capture_output=True,
+                         text=True, cwd=tmp_path, env=env)
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert loaded == {"import tnkit": [], "qsim": [], "contract": [],
+                      "netopt": []}

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import math
 import sys
 import tracemalloc
@@ -16,9 +17,10 @@ from tnkit.dmrg import (DmrgConfig, MPO_BOND_DIM, MPO_LABELS, MPS_LABELS,
                         PHYS_DIM, build_xx_mpo, dmrg_ground_state)
 from tnkit.dmrg import PSI_LABELS, _EffectiveHamiltonian, _boundary_env, \
     _fuse_pair, _grow, _merge_pair, _neel_symmetric_mps, _random_dense_mps, \
-    _right_canonicalize, _split_dense, _unpack
+    _right_canonicalize, _split, _split_dense, _unpack
 from tests.conftest import (blueprint_heff_apply, free_fermion_ground_energy,
-                            to_dense, xx_dense_hamiltonian)
+                            pair_contract_grow, svd_truncate_split, to_dense,
+                            xx_dense_hamiltonian)
 
 
 def _mpo_chain_to_matrix(mpo):
@@ -570,8 +572,9 @@ def test_dense_run_splits_without_svd_or_pair_contractions(monkeypatch):
 
 
 def test_symmetric_run_is_unchanged():
-    """The U(1) path splits with ``svd_truncate`` as before: its energies
-    and matvec counts are bit for bit those it has always given."""
+    """The U(1) path merges, grows and splits its pairs on block buffers
+    through the memoized pair plans: its energies and matvec counts are
+    bit for bit those it has always given."""
     res = dmrg_ground_state(DmrgConfig(n_sites=32, bond_dim=48, sweeps=2,
                                        symmetric=True))
     assert res.sweep_energies == [-9.932292461193, -10.007064500539226]
@@ -592,3 +595,136 @@ def test_dense_and_symmetric_runs_discard_the_same_weight():
     assert abs(dense - sym) <= 1e-6 * dense
     exact = dmrg_ground_state(DmrgConfig(n_sites=4, bond_dim=16, sweeps=2))
     assert exact.sweep_truncation == [0.0, 0.0]
+
+
+# -- U(1) pair steps on block buffers -----------------------------------------
+
+_U1 = Symmetry.u1()
+_PHYS = Bond(btype=IN, sectors=[(1, 1), (-1, 1)], syms=[_U1])
+
+
+def _u1_bond_of(btype, charges, degs):
+    return Bond(btype=btype, sectors=list(zip(charges, degs)), syms=[_U1])
+
+
+@st.composite
+def _u1_legs(draw, steps):
+    """An IN bond of 1-3 charges and an OUT bond of 1-3 charges, each a
+    charge of the first plus one of ``steps``, so that a tensor over
+    (first, physical legs, second) has zero-flux blocks; and a seed."""
+    left = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3,
+                         unique=True))
+    reach = sorted({q + s for q in left for s in steps})
+    right = draw(st.lists(st.sampled_from(reach), min_size=1, max_size=3,
+                          unique=True))
+    degs = draw(st.lists(st.integers(1, 3), min_size=len(left) + len(right),
+                         max_size=len(left) + len(right)))
+    return (_u1_bond_of(IN, left, degs[:len(left)]),
+            _u1_bond_of(OUT, right, degs[len(left):]),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+def _filled(bonds, labels, dtype, rng, rowrank=1):
+    """A contiguous U(1) tensor over ``bonds`` with normal entries."""
+    t = UniTensor(bonds, labels=labels, rowrank=rowrank, dtype=dtype)
+    buf = t._flat()
+    buf[...] = rng.standard_normal(buf.size)
+    if dtype == np.complex128:
+        buf += 1j * rng.standard_normal(buf.size)
+    return t
+
+
+def _assert_same_tensor(got, ref):
+    assert got.labels == ref.labels and got.bonds == ref.bonds
+    assert got.name == ref.name and got.dtype == ref.dtype
+    assert got.is_contiguous and got._struct.qns == ref._struct.qns
+    assert np.array_equal(got._flat(), ref._flat())
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@given(_u1_legs((1, -1)))
+@settings(max_examples=40, deadline=None)
+def test_u1_grow_equals_labeled_contractions(dtype, side, legs):
+    """Growing an environment through three chained pair plans on
+    buffers gives the bits, bonds and labels of the three
+    ``contract_pair`` calls it replaces."""
+    vl, vr, seed = legs
+    rng = np.random.default_rng(seed)
+    w = build_xx_mpo(3, symmetric=True)[1]
+    a = _filled([vl, _PHYS, vr], list(MPS_LABELS), dtype, rng)
+    ket, chan = (vl, w.bonds[0]) if side == "left" else (vr, w.bonds[1])
+    env = _filled([ket, chan.redirect(), ket.redirect()], ["b", "w", "k"],
+                  dtype, rng)
+    _assert_same_tensor(_grow(env, a, w, side),
+                        pair_contract_grow(env, a, w, side))
+
+
+def _sector_total(psi):
+    """How many singular values the pair's sector matrices have."""
+    return sum(min(idx.shape)
+               for _, _, idx in psi._struct.sectors((0, 1), (2, 3)))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("cut", ["below", "at", "above"])
+@given(legs=_u1_legs((2, 0, -2)), tied=st.booleans(), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_u1_split_equals_svd_truncate(dtype, side, cut, legs, tied, data):
+    """Splitting a pair from its sector SVDs, ranked by ``svd_truncate``'s
+    global cut and with the singular values multiplied into the other
+    side, gives the bits, bonds, labels, names and discarded weight of
+    ``svd_truncate`` followed by a contraction with its S tensor.  Tied
+    pairs have every sector matrix c·I, so equal values meet across
+    sectors; ``keepdim`` lies below, at or above the number of values."""
+    vl, vr, seed = legs
+    rng = np.random.default_rng(seed)
+    psi = _filled([vl, _PHYS, _PHYS, vr], list(PSI_LABELS), dtype, rng,
+                  rowrank=2)
+    if tied:
+        buf = psi._flat()
+        for _, _, idx in psi._struct.sectors((0, 1), (2, 3)):
+            buf[idx] = rng.choice([0.5, 1.0]) * np.eye(*idx.shape)
+    total = _sector_total(psi)
+    keepdim = {"below": data.draw(st.integers(1, max(total - 1, 1))),
+               "at": total,
+               "above": total + data.draw(st.integers(1, 3))}[cut]
+    a1, a2, weight = _split(psi, 4, keepdim, side)
+    r1, r2, ref_weight = svd_truncate_split(psi, 4, keepdim, side)
+    _assert_same_tensor(a1, r1)
+    _assert_same_tensor(a2, r2)
+    assert weight == ref_weight
+    if cut != "below":
+        assert weight == 0.0
+
+
+def test_symmetric_run_splits_and_grows_on_buffers(monkeypatch):
+    """A U(1) run makes no ``svd_truncate`` call, and its only labeled
+    contractions are the 31 that fuse the MPO pairs; every binding of
+    both functions in the package is watched."""
+    truncations, callers = [], []
+    contract_module = importlib.import_module("tnkit.contract")
+    real_pair, real_truncate = contract_module.contract_pair, \
+        linalg.svd_truncate
+
+    def recording_pair(a, b):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_pair(a, b)
+
+    def recording_truncate(*args, **kwargs):
+        truncations.append(1)
+        return real_truncate(*args, **kwargs)
+
+    spies = (("contract_pair", real_pair, recording_pair),
+             ("svd_truncate", real_truncate, recording_truncate))
+    for name, mod in list(sys.modules.items()):
+        if name == "tnkit" or name.startswith("tnkit."):
+            for attr, real, spy in spies:
+                if getattr(mod, attr, None) is real:
+                    monkeypatch.setattr(mod, attr, spy)
+    res = dmrg_ground_state(DmrgConfig(n_sites=32, bond_dim=48, sweeps=2,
+                                       symmetric=True))
+    assert truncations == []
+    assert callers == ["_fuse_pair"] * 31
+    assert res.sweep_energies[-1] == -10.007064500539226

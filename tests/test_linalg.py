@@ -424,6 +424,30 @@ def test_expm_of_antihermitian_is_unitary():
     assert np.linalg.norm(um.conj().T @ um - np.eye(4)) <= 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_expm_of_antihermitian_goes_through_eigh(monkeypatch, dtype):
+    """An anti-Hermitian argument x is exponentiated from the eigenpairs
+    of i·x, not by scaling and squaring: it matches scipy's ``expm`` to
+    rounding, keeps a real x's result real, and calls no scipy."""
+    rng = np.random.default_rng(5)
+    arr = rng.standard_normal((5, 5)).astype(dtype)
+    if dtype == np.complex128:
+        arr = arr + 1j * rng.standard_normal((5, 5))
+    x = arr - arr.conj().T
+    ref = scipy.linalg.expm(0.7 * x)
+
+    def refuse(*args):
+        raise AssertionError("scaling and squaring was called")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    e = linalg.expm(UniTensor(storage.from_numpy(x), labels=["a", "b"],
+                              rowrank=1), a=0.7)
+    got = e.get_block_().numpy()
+    assert got.dtype == dtype
+    assert np.max(np.abs(got - ref)) <= 1e-13
+    assert np.max(np.abs(got.conj().T @ got - np.eye(5))) <= 1e-13
+
+
 def test_expm_requires_square():
     m = UniTensor.ones([2, 3], labels=["a", "b"]).set_rowrank_(1)
     with pytest.raises(ValueError):
@@ -724,6 +748,39 @@ def test_lanczos_rejects_complex_output_from_a_real_operator():
     with pytest.raises(TypeError, match="complex128 values but declares "
                                         "dtype float64"):
         lanczos(op, k=1)
+
+
+@pytest.mark.parametrize("out", [np.ones(5), np.ones((6, 1)), [1.0] * 5])
+def test_lanczos_checks_the_operator_output_shape(out):
+    """Lanczos reads the operator's output through ``LinOp``'s shape
+    check: a vector of the wrong length, a column or a short list raise
+    ``ValueError``, and a list of the right length is taken as an array."""
+    op = LinOp(6, matvec=lambda v: out)
+    with pytest.raises(ValueError, match="operator returned shape"):
+        lanczos(op, k=1, v0=np.ones(6))
+    with pytest.raises(ValueError, match="operator returned shape"):
+        op(np.ones(6))
+    listed = LinOp(6, matvec=lambda v: list(2.0 * v))
+    vals, _ = lanczos(listed, k=1, v0=np.ones(6))
+    assert abs(vals[0] - 2.0) <= 1e-12
+
+
+def test_lanczos_from_a_warm_start_makes_no_generator(monkeypatch):
+    """A solve from a nonzero ``v0`` needs no random start, so it makes no
+    generator; one from no ``v0`` makes one."""
+    made = []
+    real = np.random.default_rng
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    op = LinOp(6, matvec=lambda v: np.arange(6.0) * v)
+    vals, _ = lanczos(op, k=1, v0=np.ones(6))
+    assert made == [] and abs(vals[0]) <= 1e-12
+    lanczos(op, k=1)
+    assert made == [(20240527,)]
 
 
 def test_lanczos_requires_hermitian_declaration():
