@@ -311,9 +311,9 @@ class _EffectiveHamiltonian:
     labels substituted; nothing is permuted or relabeled per solve.
 
     Dense tensors keep three raw arrays: ``l2``, L's array read as a (b·w,
-    vl) matrix; ``w12m``, W12 as the contiguous (q1·q2·w3, w·p1·p2) matrix
-    that :func:`_fuse_pair` builds once per run; and ``r2t``, the
-    transposed view of R's (b2, w3·vr) array.  A matvec is
+    vl) matrix; ``w12m``, the array of W12, which :func:`_fuse_pair`
+    lays out once per run, read as a (q1·q2·w3, w·p1·p2) matrix; and
+    ``r2t``, the transposed view of R's (b2, w3·vr) array.  A matvec is
 
         t1 = l2 @ v.reshape(vl, -1)              # (b, w, p1, p2, vr)
         t2 = w12m @ t1.reshape(b, w·p1·p2, vr)   # (b, q1, q2, w3, vr)
@@ -361,10 +361,10 @@ class _EffectiveHamiltonian:
         (b, w, vl), vr = left.shape, right.shape[2]
         self.work = Workspace() if work is None else work
         self.l2 = left._data.view().reshape(b * w, vl)
-        self.w12m = w12
+        self.w12m = w12._data.view().reshape(math.prod(w12.shape[:3]), -1)
         self.r2t = right._data.view().reshape(right.shape[0], -1).T
         # t1 is (b·w, p1·p2·vr), t2 is (b, q1·q2·w3, vr)
-        self.t_shapes = ((b * w, self.dim // vl), (b, w12.shape[0], vr))
+        self.t_shapes = ((b * w, self.dim // vl), (b, self.w12m.shape[0], vr))
 
     def _apply_dense(self, vec):
         dt = np.result_type(vec.dtype, self.dtype)
@@ -402,15 +402,14 @@ def _legs(t):
 def _fuse_pair(w1, w2):
     """W12 = W1·W2, the MPO tensors of sites j and j+1 contracted over
     their shared channel: legs (w, q1, p1, w3, q2, p2).  A dense W12 is
-    returned as the matrix the dense matvec reads, the contiguous
-    (q1·q2·w3, w·p1·p2) array."""
+    stored contiguous with its legs in the order (q1, q2, w3, w, p1, p2),
+    so the dense matvec reads its array as a (q1·q2·w3, w·p1·p2) matrix
+    without a copy."""
     w12 = contract_pair(w1.relabel(["w", "w2", "q1", "p1"]),
                         w2.relabel(["w2", "w3", "q2", "p2"]))
     if w12.is_sym:
         return w12
-    w12 = w12.permute(["q1", "q2", "w3", "w", "p1", "p2"])
-    return np.ascontiguousarray(w12.get_block_().view())\
-        .reshape(math.prod(w12.shape[:3]), -1)
+    return w12.permute(["q1", "q2", "w3", "w", "p1", "p2"]).contiguous_()
 
 
 def _merge_pair(a1, a2):

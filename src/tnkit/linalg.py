@@ -625,18 +625,15 @@ def lanczos(op, k=1, v0=None, tol=1e-12, max_iter=None, seed=None,
         mdim = it + 1
         if mdim >= k:
             theta, y = _tridiag_lowest(alphas, betas, k)
-            if k == 1:      # on scalars: numpy's reductions cost more here
-                resid = beta * abs(float(y[-1, 0]))
-                done = resid <= tol * max(1.0, abs(float(theta[0])))
-            else:
-                resid = beta * np.abs(y[-1, :])
-                done = np.all(resid <= tol * np.maximum(1.0, np.abs(theta)))
+            resid = [beta * abs(c) for c in y[-1].tolist()]
+            done = all(e <= tol * max(1.0, abs(t))
+                       for e, t in zip(resid, theta.tolist()))
             if done or mdim == n or (best_effort and mdim >= cap):
                 return theta, V[:mdim].T @ y
             if mdim >= cap:
                 raise ConvergenceError(
                     f"lanczos did not converge within {max_iter} iterations "
-                    f"(best residual {float(np.max(resid)):.3e})",
+                    f"(best residual {max(resid):.3e})",
                     eigenvalues=theta, eigenvectors=V[:mdim].T @ y)
         if mdim == len(V):
             V = work.take("lanczos.basis", (min(2 * mdim, cap), n),
