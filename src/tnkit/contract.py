@@ -244,10 +244,9 @@ def contract_pair(a, b):
         out_bonds = [a.bonds[i] for i in a_free] + [b.bonds[i] for i in b_free]
         return UniTensor._assemble(out_bonds, out_labels, len(a_free), "",
                                    block, None)
-    plan, _ = pair_plan((a.labels, a.bonds, a._struct),
-                        (b.labels, b.bonds, b._struct))
-    flat = plan.apply(plan.gather_a(a._flat()), plan.gather_b(b._flat()),
-                      np.result_type(a.dtype, b.dtype))
+    plan = pair_plan((a.labels, a.bonds, a._struct),
+                     (b.labels, b.bonds, b._struct))
+    flat = plan.run(a._flat(), b._flat())
     if plan.out is None:
         return UniTensor.scalar(flat[0].item())
     return UniTensor._assemble(plan.out_bonds, out_labels, len(a_free), "",
@@ -256,15 +255,12 @@ def contract_pair(a, b):
 
 def _planned(out_labels):
     """The next layout request of the tree being run, as :func:`storage.
-    contract_axes` takes it, or None outside a tree (or if the request is
-    for other labels)."""
+    contract_axes` takes it, or None outside a tree."""
     plan = _TREE_PLAN.get()
     if not plan:
         return None
     labels, batch = plan.popleft()
     at = {l: i for i, l in enumerate(out_labels)}
-    if sorted(labels) != sorted(out_labels):
-        return None
     return [at[l] for l in labels], batch
 
 
@@ -283,24 +279,23 @@ def _pair_axes(a_labels, b_labels):
 
 
 def pair_plan(a, b):
-    """The block plan of two block-sparse operands, and the output labels.
+    """The block plan of two block-sparse operands.
 
     Each operand is a ``(labels, bonds, structure)`` triple, so that a
-    plan's output, ``(out_labels, plan.out_bonds, plan.out)``, can be the
-    operand of the next plan with no tensor built in between; the U(1)
-    DMRG matvec chains its three plans this way.  Bonds are not checked.
+    plan's output, ``(plan.out_labels, plan.out_bonds, plan.out)``, can
+    be the operand of the next plan with no tensor built in between; the
+    U(1) DMRG steps chain their plans this way.  The plan is memoized on
+    both structures and both label tuples, so a repeated call derives
+    nothing.  Bonds are not checked.
     """
     (a_labels, a_bonds, sa), (b_labels, b_bonds, sb) = a, b
-    a_pos, b_pos, a_free, b_free, out_labels = _pair_axes(a_labels, b_labels)
-    out_bonds = [a_bonds[i] for i in a_free] + [b_bonds[i] for i in b_free]
-    plan = sa.memo(("pair", sb, tuple(a_pos), tuple(b_pos)), _PairPlan,
-                   sa, sb, a_pos, b_pos, a_free, b_free, out_bonds)
-    return plan, out_labels
+    return sa.memo(("pair", sb, tuple(a_labels), tuple(b_labels)), _PairPlan,
+                   sa, sb, a_labels, b_labels, a_bonds, b_bonds)
 
 
 class _PairPlan:
-    """How to contract the blocks of two structures over given axes, as
-    one matrix product per charge sector.
+    """How to contract the blocks of two structures over their shared
+    labels, as one matrix product per charge sector.
 
     Operands and output are flat buffers in the layout of a contiguous
     tensor (``UniTensor._flat``), each read as a block-diagonal matrix
@@ -317,16 +312,21 @@ class _PairPlan:
 
     ``groups`` holds per product three index arrays into the flat buffers:
     a's, b's and the output's sector matrices, shared with the structures'
-    memos.  The plan depends only on the two structures and the axes, so
-    it is computed once and reused by every contraction of that shape.
-    ``out`` is the output structure and ``out_bonds`` its bonds (None and
-    [] for a scalar result), and ``size`` the output's element count.
+    memos.  The plan depends only on the two structures and their labels,
+    so it is computed once (see :func:`pair_plan`) and reused by every
+    contraction of that shape.  ``out_labels`` are the output's labels,
+    ``out`` its structure and ``out_bonds`` its bonds (None and [] for a
+    scalar result), and ``size`` its element count.
     """
 
-    __slots__ = ("out", "out_bonds", "size", "groups")
+    __slots__ = ("out_labels", "out", "out_bonds", "size", "groups")
 
-    def __init__(self, sa, sb, a_pos, b_pos, a_free, b_free, out_bonds):
-        self.out_bonds = out_bonds
+    def __init__(self, sa, sb, a_labels, b_labels, a_bonds, b_bonds):
+        a_pos, b_pos, a_free, b_free, out_labels = _pair_axes(a_labels,
+                                                              b_labels)
+        self.out_labels = tuple(out_labels)
+        self.out_bonds = out_bonds = ([a_bonds[i] for i in a_free]
+                                      + [b_bonds[i] for i in b_free])
         self.out = block_structure(out_bonds) if out_bonds else None
         if self.out is None:
             self.size = 1
@@ -358,6 +358,12 @@ class _PairPlan:
         for (_, _, out_idx), am, bm in zip(self.groups, a_mats, b_mats):
             out[out_idx] = am @ bm
         return out
+
+    def run(self, a_flat, b_flat):
+        """The flat output buffer, from both operands' flat buffers, in
+        their result dtype."""
+        return self.apply(self.gather_a(a_flat), self.gather_b(b_flat),
+                          np.result_type(a_flat.dtype, b_flat.dtype))
 
 
 # -- multi-tensor contraction ---------------------------------------------------

@@ -25,9 +25,9 @@ Every pair step works on raw storage, not on labeled tensors.  Dense
 steps are matrix products of numpy arrays; block-sparse ones (merge,
 environment growth, the matvec and the split) read and write flat block
 buffers through the charge-sector index matrices and the pair plans
-memoized on the block structures (:func:`contract.pair_plan`), so from
-the second sweep on a step computes no block bookkeeping and builds no
-tensor between its products.
+memoized on the block structures and labels (:func:`contract.pair_plan`),
+so from the second sweep on a step computes no block bookkeeping and
+builds no tensor between its products.
 
 Total magnetization is conserved; with ``symmetric=True`` all tensors
 carry U(1) charges (twice the local Sz, so +1/-1 per site) and the run is
@@ -268,13 +268,13 @@ def _grow(env, a, w, side):
     mpo = (["w", "wn"][::near_first] + ["pb", "p"], w.bonds, w._struct)
     bra = (["b", "pb", "bn"][::near_first], [b.redirect() for b in a.bonds],
            a._struct.transposed())
-    p1, labels = pair_plan(_legs(env), ket)
-    p2, labels = pair_plan((labels, p1.out_bonds, p1.out), mpo)
-    p3, _ = pair_plan((labels, p2.out_bonds, p2.out), bra)
+    p1 = pair_plan(_legs(env), ket)
+    p2 = pair_plan((p1.out_labels, p1.out_bonds, p1.out), mpo)
+    p3 = pair_plan((p2.out_labels, p2.out_bonds, p2.out), bra)
     a_flat = a._flat()
-    t = _apply(p1, env._flat(), a_flat)                 # (b, w, p, kn)
-    t = _apply(p2, t, w._flat())                        # (b, kn, wn, pb)
-    t = _apply(p3, t, np.conj(a_flat))                  # (kn, wn, bn)
+    t = p1.run(env._flat(), a_flat)                     # (b, w, p, kn)
+    t = p2.run(t, w._flat())                            # (b, kn, wn, pb)
+    t = p3.run(t, np.conj(a_flat))                      # (kn, wn, bn)
     # read as (bn, wn, kn), and stored so
     struct = p3.out.permuted((2, 1, 0))
     t = t[struct.positions((2, 1, 0))]
@@ -348,11 +348,11 @@ class _EffectiveHamiltonian:
         self.matvecs = 0
         self.dtype = np.result_type(left.dtype, w12.dtype, right.dtype)
         if template.is_sym:
-            p1, labels = pair_plan((["b", "w", "vl"], left.bonds,
-                                    left._struct), _legs(template))
-            p2, labels = pair_plan((labels, p1.out_bonds, p1.out), _legs(w12))
-            p3, _ = pair_plan((labels, p2.out_bonds, p2.out),
-                              (["b2", "w3", "vr"], right.bonds, right._struct))
+            p1 = pair_plan((["b", "w", "vl"], left.bonds, left._struct),
+                           _legs(template))
+            p2 = pair_plan((p1.out_labels, p1.out_bonds, p1.out), _legs(w12))
+            p3 = pair_plan((p2.out_labels, p2.out_bonds, p2.out),
+                           (["b2", "w3", "vr"], right.bonds, right._struct))
             self.plans = (p1, p2, p3)
             self.l_mats = p1.gather_a(left._flat())
             self.w_mats = p2.gather_b(w12._flat())
@@ -421,19 +421,11 @@ def _merge_pair(a1, a2):
             @ a2._data.view().reshape(mid, p2 * vr)
         return UniTensor(DenseTensor(m.reshape(vl, p1, p2, vr)),
                          labels=list(PSI_LABELS), rowrank=2)
-    plan, _ = pair_plan((["vl", "p1", "mid"], a1.bonds, a1._struct),
-                        (["mid", "p2", "vr"], a2.bonds, a2._struct))
+    plan = pair_plan((["vl", "p1", "mid"], a1.bonds, a1._struct),
+                     (["mid", "p2", "vr"], a2.bonds, a2._struct))
+    flat = plan.run(a1._flat(), a2._flat())
     return UniTensor._assemble(plan.out_bonds, PSI_LABELS, 2, "",
-                               DenseTensor._wrap(_apply(plan, a1._flat(),
-                                                        a2._flat())),
-                               plan.out)
-
-
-def _apply(plan, a_flat, b_flat):
-    """The flat output buffer of the block plan ``plan`` (see
-    :func:`contract.pair_plan`) on its two operands' flat buffers."""
-    return plan.apply(plan.gather_a(a_flat), plan.gather_b(b_flat),
-                      np.result_type(a_flat.dtype, b_flat.dtype))
+                               DenseTensor._wrap(flat), plan.out)
 
 
 def _split_dense(m, keepdim, side):

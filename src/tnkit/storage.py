@@ -29,6 +29,8 @@ Int64 = np.dtype(np.int64)
 Bool = np.dtype(np.bool_)
 
 SUPPORTED_DTYPES = (Float64, Complex128, Int64, Bool)
+# the supported dtype that from_numpy stores each numpy kind as
+_BY_KIND = {"u": Int64, **{dt.kind: dt for dt in SUPPORTED_DTYPES}}
 
 DEVICE = "CPU"
 
@@ -476,18 +478,17 @@ def eye(d, dtype=Float64):
     return DenseTensor(np.eye(int(d), dtype=check_dtype(dtype)))
 
 def from_numpy(array):
-    """Wrap a numpy array (coercing the dtype to the nearest supported one)."""
+    """Wrap a numpy array, stored as the supported dtype of its kind:
+    floats as float64, integers as int64, complex values as complex128.
+    No value changes: an unsigned integer above the int64 range raises
+    ``ValueError``, and any other kind :func:`check_dtype`'s ``TypeError``.
+    """
     arr = np.asarray(array)
-    if arr.dtype not in SUPPORTED_DTYPES:
-        if np.issubdtype(arr.dtype, np.complexfloating):
-            arr = arr.astype(Complex128)
-        elif np.issubdtype(arr.dtype, np.integer):
-            arr = arr.astype(Int64)
-        elif arr.dtype == np.bool_:
-            arr = arr.astype(Bool)
-        else:
-            arr = arr.astype(Float64)
-    return DenseTensor(arr)
+    if arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(Int64).max:
+        raise ValueError(f"{arr.dtype} value {arr.max()} does not fit in "
+                         f"int64")
+    to = _BY_KIND.get(arr.dtype.kind, arr.dtype)
+    return DenseTensor(arr.astype(to, copy=False))
 
 
 def sample_into(views, law, a, b, seed=None):

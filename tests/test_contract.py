@@ -1084,8 +1084,8 @@ def test_block_sparse_pair_loop_cases(case):
                        for blk in t.get_blocks_()
                        if sum(d > 1 for d in blk.shape) >= 2)
     if case == "row group without a column group":
-        plan, _ = contract_module.pair_plan((a.labels, a.bonds, a._struct),
-                                            (b.labels, b.bonds, b._struct))
+        plan = contract_module.pair_plan((a.labels, a.bonds, a._struct),
+                                         (b.labels, b.bonds, b._struct))
         row_charges = {a.block_qn_indices(i)[1] for i in range(a.nblocks)}
         assert len(row_charges) == 2 and len(plan.groups) == 1
     _assert_matches_pair_loop(a, b)
@@ -1100,8 +1100,8 @@ def test_plan_groups_are_the_memoized_sectors(pair):
     a_pos, b_pos, a_free, b_free, _ = contract_module._pair_axes(a.labels,
                                                                  b.labels)
     try:
-        plan, _ = contract_module.pair_plan((a.labels, a.bonds, a._struct),
-                                            (b.labels, b.bonds, b._struct))
+        plan = contract_module.pair_plan((a.labels, a.bonds, a._struct),
+                                         (b.labels, b.bonds, b._struct))
     except ValueError as e:
         assert "no valid blocks" in str(e)
         return
@@ -1126,6 +1126,37 @@ def test_plan_groups_are_the_memoized_sectors(pair):
     assert len(want) == len(plan.groups)
     for got, ref in zip(plan.groups, want):
         assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+def test_pair_plan_is_memoized_per_label_pair(monkeypatch):
+    """A plan is derived once per pair of structures and label tuples:
+    the same structures under other labels get their own plan, also
+    derived once, and neither call changes the other's plan."""
+    a, b = _named_pair("complex x real")
+    built = []
+    real_init = contract_module._PairPlan.__init__
+
+    def counting_init(self, *args):
+        built.append(1)
+        real_init(self, *args)
+
+    monkeypatch.setattr(contract_module._PairPlan, "__init__", counting_init)
+
+    def plan(a_labels, b_labels):
+        return contract_module.pair_plan((a_labels, a.bonds, a._struct),
+                                         (b_labels, b.bonds, b._struct))
+
+    first = plan(["i", "x", "j"], ["x", "m"])
+    other = plan(["p", "q", "r"], ("q", "s"))
+    assert other is not first and len(built) == 2
+    assert first.out_labels == ("i", "j", "m")
+    assert other.out_labels == ("p", "r", "s")
+    assert plan(("p", "q", "r"), ["q", "s"]) is other
+    assert plan(["i", "x", "j"], ["x", "m"]) is first
+    assert len(built) == 2
+    # both read the structures' memoized sector arrays
+    assert all(x is y for g, h in zip(other.groups, first.groups)
+               for x, y in zip(g, h))
 
 
 def test_duplicate_free_labels_rejected():

@@ -730,3 +730,30 @@ def test_symmetric_run_splits_and_grows_on_buffers(monkeypatch):
     assert truncations == []
     assert callers == ["_fuse_pair"] * 31
     assert res.sweep_energies[-1] == -10.007064500539226
+
+
+def test_warm_symmetric_run_derives_no_pair_plan(monkeypatch):
+    """Every pair plan of a U(1) run is memoized on its structures and
+    labels, so a second run builds none and derives no axes: the only
+    ``_pair_axes`` calls left are ``contract_pair``'s own, one per fused
+    MPO pair."""
+    contract_module = importlib.import_module("tnkit.contract")
+    cfg = DmrgConfig(n_sites=32, bond_dim=48, sweeps=2, symmetric=True)
+    dmrg_ground_state(cfg)
+    calls = {"axes": 0, "plans": 0}
+    real_axes, real_init = (contract_module._pair_axes,
+                            contract_module._PairPlan.__init__)
+
+    def counting_axes(*args):
+        calls["axes"] += 1
+        return real_axes(*args)
+
+    def counting_init(self, *args):
+        calls["plans"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(contract_module, "_pair_axes", counting_axes)
+    monkeypatch.setattr(contract_module._PairPlan, "__init__", counting_init)
+    res = dmrg_ground_state(cfg)
+    assert calls == {"axes": 31, "plans": 0}
+    assert res.sweep_energies[-1] == -10.007064500539226

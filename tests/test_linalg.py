@@ -534,6 +534,20 @@ def test_lanczos_rejects_non_finite_start_before_any_matvec():
                np.r_[-np.inf, np.ones(9)]):
         with pytest.raises(ValueError, match="non-finite"):
             lanczos(op, k=1, v0=v0)
+    for v0 in (np.ones(9), np.ones((10, 1)), np.ones((2, 5))):
+        with pytest.raises(ValueError, match=r"v0 has shape .*, expected "
+                                             r"\(10,\)"):
+            lanczos(op, k=1, v0=v0)
+
+
+def test_lanczos_from_a_zero_start_takes_the_seeded_random_one():
+    d = np.linspace(-1.0, 1.0, 30)
+    op = LinOp(30, matvec=lambda v: d * v)
+    for seed in (None, 3):
+        vals, vecs = lanczos(op, k=1, v0=np.zeros(30), seed=seed)
+        ref_vals, ref_vecs = lanczos(op, k=1, seed=seed)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(vecs, ref_vecs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -554,6 +568,17 @@ def test_lanczos_stops_on_a_non_finite_coefficient(bad):
         with pytest.raises(FloatingPointError, match="iteration 3"):
             lanczos(LinOp(40, matvec=matvec), k=1)
     assert len(calls) == 3
+
+
+def test_lanczos_stops_on_an_overflowing_beta():
+    """Every entry 1e200 keeps alpha finite, but beta's sum of squares
+    overflows: the first iteration raises."""
+    op = LinOp(12, matvec=lambda v: np.full(12, 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # the overflow
+        with pytest.raises(FloatingPointError, match="iteration 1: beta is "
+                                                     "inf"):
+            lanczos(op, k=1)
 
 
 def test_tridiagonal_helper_matches_eigh_tridiagonal():
@@ -784,8 +809,11 @@ def test_lanczos_from_a_warm_start_makes_no_generator(monkeypatch):
 
 
 def test_lanczos_requires_hermitian_declaration():
-    op = LinOp(4, matvec=lambda v: v, hermitian=False)
-    with pytest.raises(ValueError):
+    def never(v):
+        raise AssertionError("no matvec may run on a non-Hermitian operator")
+
+    op = LinOp(4, matvec=never, hermitian=False)
+    with pytest.raises(ValueError, match="declared Hermitian"):
         lanczos(op, k=1)
 
 

@@ -90,6 +90,14 @@ def test_parse_errors():
         Network(["M1: i, j", "TOUT: i, j", "ORDER: ((M1)"])  # malformed tree
     with pytest.raises(ValueError):
         Network(["TOUT: "])  # no tensors
+    with pytest.raises(ValueError, match="duplicate labels within one slot"):
+        Network(["M1: i, i", "TOUT:"])
+    with pytest.raises(ValueError, match="duplicate labels in TOUT"):
+        Network(["M1: i, j", "TOUT: i; i"])
+    with pytest.raises(ValueError, match="at most one ';'"):
+        Network(["M1: i, j, k", "TOUT: i; j; k"])
+    with pytest.raises(ValueError, match="either optimal=True or an explicit"):
+        Network(MATMUL_NET).set_order(optimal=True, contract_order="(M1,M2)")
 
 
 @given(st.text(alphabet="Ab0_*'+-.\u00e9 ()#,;:\t", min_size=1, max_size=4))

@@ -122,6 +122,41 @@ def test_sampler_takes_only_its_two_laws(law):
     assert not view.any()
 
 
+_UNSUPPORTED = (TypeError, "supported: float64, complex128, int64, bool")
+
+
+@pytest.mark.parametrize("array, want", [
+    (np.array([0.1, -2.5e3], np.float16), Float64),
+    (np.array([0.1, -2.5e30], np.float32), Float64),
+    (np.array([-128, 127], np.int8), Int64),
+    (np.array([-2**15, 2**15 - 1], np.int16), Int64),
+    (np.array([-2**31, 2**31 - 1], np.int32), Int64),
+    (np.array([0, 255], np.uint8), Int64),
+    (np.array([0, 2**16 - 1], np.uint16), Int64),
+    (np.array([0, 2**32 - 1], np.uint32), Int64),
+    (np.array([0, 2**63 - 1], np.uint64), Int64),
+    (np.array([1.5 - 2j, 3e30j], np.complex64), Complex128),
+    (np.array([True, False]), Bool),
+    (np.array([1, 2**63 + 5], np.uint64),
+     (ValueError, "uint64 value 9223372036854775813 does not fit")),
+    (np.array([None]), _UNSUPPORTED),
+    (np.array(["1.5"]), _UNSUPPORTED),
+    (np.array([b"1"]), _UNSUPPORTED),
+    (np.array(["2024-01-01"], "datetime64[D]"), _UNSUPPORTED),
+])
+def test_from_numpy_keeps_values_or_refuses(array, want):
+    """Each numeric or bool kind is stored as its supported dtype with
+    every value kept; a value that would change, or a kind with no
+    supported dtype, is refused."""
+    if isinstance(want, tuple):
+        error, match = want
+        with pytest.raises(error, match=match):
+            from_numpy(array)
+        return
+    t = from_numpy(array)
+    assert t.dtype == want
+    assert t.view().tolist() == array.tolist()
+
 def test_reshape():
     t = arange(24).reshape(2, 3, 4)
     assert t.shape == (2, 3, 4)
