@@ -13,30 +13,33 @@ so the edge gates absorb their full field.  After every step the
 z-magnetization of the central site, site ceil(n/2) counting from one, is
 recorded.
 
-The state is held as a rank-n tensor with one labeled index per qubit and
-gates are applied by label-driven contraction, in passes over the state
-that each apply one fused gate, the product of several two-site gates, to
-a window of at most ``FUSE_WIDTH`` neighbouring qubits.  The run follows
-a causal schedule (:func:`_schedule`), planned whole, and every distinct
-fused gate built, before the first pass.  Sweeps over the chain alternate
-between two tilings into windows, offset by 2 and both anchored so that
-one window holds both bonds of the central qubit.  A window applies every
-gate on its bonds whose brickwork predecessors are done, from both layers
-and across step boundaries, so gates away from the centre run ahead of
-it; only the central qubit's bonds are held at the next step to be read.
-When they reach step s, the gates run are closed under predecessors, and
-since gates off the central qubit do not change its reduced state, sz
-and the norm read then equal those after s whole brickwork steps.
+The state is one flat buffer of 2^n amplitudes, beside a second buffer of
+the same size, and the run makes passes over it that each apply one fused
+gate, the product of several two-site gates, to a window of at most
+``FUSE_WIDTH`` neighbouring qubits.  The run follows a causal schedule
+(:func:`_schedule`), planned whole, and every distinct fused gate built,
+before the first pass.  Sweeps over the chain alternate between two
+tilings into windows, offset by 2 and both anchored so that one window
+holds both bonds of the central qubit.  A window applies every gate on its
+bonds whose brickwork predecessors are done, from both layers and across
+step boundaries, so gates away from the centre run ahead of it; only the
+central qubit's bonds are held at the next step to be read.  When they
+reach step s, the gates run are closed under predecessors, and since
+gates off the central qubit do not change its reduced state, sz and the
+norm read then equal those after s whole brickwork steps.
 
-Dense contraction reads an operand whose contracted axes lead its memory
-order without copying it, and each product writes the untouched qubits
-first and the window last, so the buffer's memory order is always the
-chain read around from some qubit, and the next window is at its front.
-The last window of a sweep and the first of the next share one pass when
-they fit in one window together (the chain's ends are not coupled).  So
-each pass reads the state in place; on 18 qubits a step takes 4 passes,
-one in eight of them over a one-qubit window that applies no gate.  The
-central-site readout reads the buffer in memory order.
+The buffer's memory order is always the chain read around from some
+qubit, and the next window is at its front.  A pass is one matrix product
+that reads the window's qubits in place and writes the other qubits first
+and the window last into the second buffer; then the two swap.  The last
+window of a sweep and the first of the next share one pass when they fit
+in one window together (the chain's ends are not coupled).  A pass that
+applies no gate is skipped when the next window sits right behind it:
+that product is batched over the skipped qubits, which it writes, still
+in chain order, between the untouched qubits and its window.  On 18
+qubits a step takes 4 passes, and the one in eight of them that applies
+no gate, a one-qubit window at the chain's end, makes no product.  The
+central-site readout is one reduction over the buffer in memory order.
 """
 
 import collections
@@ -46,11 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import storage
-from .bond import Bond
-from .contract import contract_pair
 from .linalg import expm
 from .physics import pauli
-from .storage import Complex128, DenseTensor
 from .unitensor import UniTensor
 
 MAX_SITES = 24  # full statevector memory guard
@@ -62,7 +62,6 @@ MAX_SITES = 24  # full statevector memory guard
 FUSE_WIDTH = 5
 
 GATE_LABELS = ["in_up", "in_bottom", "out_up", "out_bottom"]
-_QUBIT = Bond(2)    # every leg of a fused gate; bonds are immutable
 
 
 @dataclass
@@ -171,15 +170,12 @@ def _bond_gates(cfg):
     return [built[w] for w in weights]
 
 
-def _initial_state(cfg, first=0):
-    """The product state of ``cfg.pattern``, its qubits stored in chain
-    order from qubit ``first`` around to qubit ``first - 1``."""
-    order = [(first + i) % cfg.n_sites for i in range(cfg.n_sites)]
-    arr = np.zeros([2] * cfg.n_sites, dtype=np.complex128)
-    arr[tuple(0 if cfg.pattern[q] == "u" else 1 for q in order)] = 1.0
-    return UniTensor._assemble([_QUBIT] * cfg.n_sites,
-                               [f"q{q}" for q in order], 0, "",
-                               DenseTensor(arr), None)
+def _initial_state(cfg, order):
+    """The product state of ``cfg.pattern`` as a flat buffer, its qubits
+    stored in ``order``, the first one most significant."""
+    psi = np.zeros(2 ** cfg.n_sites, dtype=np.complex128)
+    psi[int("".join("01"[cfg.pattern[q] == "d"] for q in order), 2)] = 1.0
+    return psi
 
 
 def _tilings(n):
@@ -268,16 +264,14 @@ def _schedule(n, steps):
 
 
 def _fused_gates(cfg, plan):
-    """The fused gate of each pass of ``plan``: the product of its bond
-    gates, in order, on its qubits (bond b couples b and b+1), with its
-    input labels in the order of its qubits leading, then ``_n_`` output
-    labels.  The bulk bonds share one gate, so passes whose gates sit
-    alike in their windows share one matrix, and on the same qubits one
-    tensor."""
+    """The fused gate of each pass of ``plan`` as a (2^w, 2^w) (in, out)
+    matrix over its w qubits, in their order: the product of its bond
+    gates, in order (bond b couples b and b+1).  The bulk bonds share one
+    gate, so passes whose gates sit alike in their windows share one
+    matrix; a pass without a gate gets the identity."""
     n = cfg.n_sites
     gates = _bond_gates(cfg)
-    names = [f"q{q}" for q in range(n)] + [f"_n_q{q}" for q in range(n)]
-    mats, fused, ops = {}, {}, []
+    mats, ops = {}, []
     for qubits, bonds in plan.passes:
         width = len(qubits)
         shape = width, tuple((qubits.index(b), b == 0, b == n - 2)
@@ -290,35 +284,21 @@ def _fused_gates(cfg, plan):
                 g = gates[qubits[i]].get_block_().view().reshape(4, 4)
                 mat = np.einsum("aipj,pq->aiqj",
                                 mat.reshape(2 ** width, 2 ** i, 4, -1), g)
-            mats[shape] = DenseTensor(mat.reshape([2] * (2 * width)))
-        if (qubits, shape) not in fused:
-            fused[qubits, shape] = UniTensor._assemble(
-                [_QUBIT] * (2 * width),
-                [names[q] for q in qubits] + [names[n + q] for q in qubits],
-                width, "", mats[shape], None)
-        ops.append(fused[qubits, shape])
+            mats[shape] = mat.reshape(2 ** width, 2 ** width)
+        ops.append(mats[shape])
     return ops
 
 
-def _apply_gate(state, gate):
-    """Contract a fused gate into the state; its outputs take over its
-    input labels."""
-    width = gate.rank // 2
-    out = contract_pair(state, gate)
-    return out.relabel(gate.labels[width:], gate.labels[:width])
-
-
-def _central_sz(state, n):
-    """(<sz> of the central site, <psi|psi>), read in storage order: sums
-    of squares over a float64 view of the up and down slabs, with no
-    temporary array."""
-    axis = state.labels.index(f"q{(n + 1) // 2 - 1}")  # site ceil(n/2)
-    block = state.get_block_()
-    flat = block.storage()
-    if np.iscomplexobj(flat):
-        flat = flat.view(np.float64)
-    v = flat.reshape(-1, 2, block.view().strides[axis] // flat.itemsize)
-    up, down = (np.einsum("ij,ij->", s, s) for s in (v[:, 0], v[:, 1]))
+def _central_sz(state, p):
+    """(<sz> of the central site, <psi|psi>) of a flat state that holds the
+    central qubit at memory position ``p``, in one reduction: the sums of
+    squares down the columns of a float64 view.  Its rows run over at most
+    the p qubits in front, so each column lies on one side of the central
+    qubit, up or down; at most 2^(n-9) rows keep each running sum short."""
+    rows = min(2 ** p, state.size >> 9 or 1)
+    cols = state.view(np.float64).reshape(rows, -1)
+    sums = np.einsum("ij,ij->j", cols, cols).reshape(2 ** p // rows, 2, -1)
+    up, down = sums[:, 0].sum(), sums[:, 1].sum()
     return float(up - down), float(up + down)
 
 
@@ -333,14 +313,29 @@ def simulate_circuit(cfg):
         raise ValueError(f"n_sites={cfg.n_sites} exceeds the statevector "
                          f"guard ({MAX_SITES} sites)")
     n = cfg.n_sites
+    c = (n + 1) // 2 - 1                     # site ceil(n/2)
     plan = _schedule(n, cfg.steps)
     ops = _fused_gates(cfg, plan)
-    state = _initial_state(cfg, plan.passes[0][0][0] if plan.passes else 0)
-    series = [_central_sz(state, n)]
+    first = plan.passes[0][0][0] if plan.passes else 0
+    order = [(first + i) % n for i in range(n)]     # qubits in memory order
+    src = _initial_state(cfg, order)
+    dst = np.empty_like(src)
+    series = [_central_sz(src, order.index(c))]
+    front = 0        # qubits before the next window, left by skipped passes
     for start, stop in zip(plan.reads, plan.reads[1:]):
-        for gate in ops[start:stop]:
-            state = _apply_gate(state, gate)
-        series.append(_central_sz(state, n))
+        for j in range(start, stop):
+            width = len(plan.passes[j][0])
+            if (not plan.passes[j][1] and j + 1 < len(plan.passes)
+                    and front + width + len(plan.passes[j + 1][0]) <= n):
+                front += width
+                continue
+            a, d = 2 ** front, len(ops[j])
+            np.matmul(src.reshape(a, d, -1).transpose(0, 2, 1), ops[j],
+                      out=dst.reshape(-1, a, d).transpose(1, 0, 2))
+            src, dst = dst, src
+            order = order[front + width:] + order[:front + width]
+            front = 0
+        series.append(_central_sz(src, order.index(c)))
     sz, norm = (np.array(column) for column in zip(*series))
     times = cfg.dt * np.arange(cfg.steps + 1)
     return CircuitResult(times=times, sz=sz, norm=norm)

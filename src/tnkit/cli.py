@@ -13,6 +13,7 @@ Exit codes: 0 ok, 1 usage error, 2 numeric failure.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -87,7 +88,23 @@ def _build_parser():
     return p
 
 
+def _check_writable(path):
+    """Raise ``OSError`` before any work when ``path`` cannot be written:
+    open it for appending, which changes no byte of a file that is there,
+    and remove the empty file again if the check made it."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_contract(args):
+    out = args.out
+    if out is None:
+        stem = args.netfile[:-4] if args.netfile.endswith(".net") else args.netfile
+        out = stem + "_out.utn"
+    _check_writable(out)
     net = Network(args.netfile)
     for spec in args.tensor:
         if "=" not in spec:
@@ -107,10 +124,6 @@ def _cmd_contract(args):
         print(f"order: {net.get_order()}")
         print(f"cost : {net.get_cost()}")
         print(f"peak : {net.get_peak()}")
-    out = args.out
-    if out is None:
-        stem = args.netfile[:-4] if args.netfile.endswith(".net") else args.netfile
-        out = stem + "_out.utn"
     if result.rank == 0:
         print(f"scalar result: {result.item()}")
     else:
@@ -124,6 +137,8 @@ def _cmd_contract(args):
 def _cmd_dmrg(args):
     cfg = DmrgConfig(n_sites=args.n, bond_dim=args.chi, sweeps=args.sweeps,
                      symmetric=args.symmetric)
+    if args.json:
+        _check_writable(args.json)
     t0 = time.time()
     res = dmrg_ground_state(cfg)
     if args.bench:
@@ -142,6 +157,8 @@ def _cmd_dmrg(args):
 def _cmd_qsim(args):
     cfg = CircuitConfig(n_sites=args.n, j=args.j, hx=args.hx, hz=args.hz,
                         dt=args.dt, steps=args.steps, pattern=args.pattern)
+    if args.csv:
+        _check_writable(args.csv)
     res = simulate_circuit(cfg)
     lines = ["t,sz"] + [f"{t:.10g},{v:.12g}" for t, v in zip(res.times, res.sz)]
     text = "\n".join(lines) + "\n"

@@ -5,16 +5,18 @@ Hamiltonians come from explicit Kronecker sums, contraction references
 from naive index loops, circuit references from sparse full-space gate
 matrices, and ground-state references from free-fermion single-particle
 spectra or exact diagonalization, and order-search references from an
-exhaustive search over every binary tree.  Nine oracles keep a
+exhaustive search over every binary tree.  Ten oracles keep a
 superseded path of the library as the reference for its replacement:
 the cost-capped order search, the order search as a Python loop over
 every split, the per-step labels of a tree folded on their own, the
 effective Hamiltonian contracted through a ``Network`` blueprint, the
 block-sparse matrix layout assembled line by line with ``np.block``,
 the seeded random fill written block by block, the singular-value
-ranking of ``svd_truncate`` as Python tuple sorts, and the U(1) DMRG
+ranking of ``svd_truncate`` as Python tuple sorts, the U(1) DMRG
 environment growth and pair split as labeled-tensor code
-(``contract_pair`` and ``svd_truncate``).
+(``contract_pair`` and ``svd_truncate``), and the Trotter circuit with
+every pass, gate-less ones included, run as a product on a fresh
+buffer.
 """
 
 import itertools
@@ -606,6 +608,35 @@ def circuit_reference(cfg):
             v = gates[b] @ v
         out.append(measure(v))
     return np.array(out)
+
+
+def circuit_replay(cfg):
+    """The states a Trotter run reads, with every pass of its schedule,
+    gate-less ones included, run as the circuit's labeled contraction
+    first ran it: one product of the state, read as a transposed
+    (window, rest) matrix, and the pass's fused gate into a fresh buffer,
+    which holds the untouched qubits first and the window last.  Returns
+    per reading (flat state, qubits in memory order)."""
+    from tnkit import circuit
+
+    n = cfg.n_sites
+    plan = circuit._schedule(n, cfg.steps)
+    gates = circuit._fused_gates(cfg, plan)
+    first = plan.passes[0][0][0] if plan.passes else 0
+    order = [(first + i) % n for i in range(n)]
+    psi = np.zeros(2 ** n, dtype=complex)
+    psi[sum(1 << (n - 1 - k) for k, q in enumerate(order)
+            if cfg.pattern[q] == "d")] = 1.0
+    reads = [(psi, order)]
+    for start, stop in zip(plan.reads, plan.reads[1:]):
+        for (qubits, _), gate in zip(plan.passes[start:stop],
+                                     gates[start:stop]):
+            w = len(qubits)
+            assert order[:w] == list(qubits)
+            psi = (psi.reshape(2 ** w, -1).T @ gate).reshape(-1)
+            order = order[w:] + order[:w]
+        reads.append((psi, order))
+    return reads
 
 
 # -- fixtures ---------------------------------------------------------------------

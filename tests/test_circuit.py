@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tnkit import UniTensor, circuit, storage
-from tnkit.contract import contract_pair
+from tnkit import circuit
 from tnkit.circuit import (CircuitConfig, GATE_LABELS, build_trotter_gate,
                            simulate_circuit)
 from tnkit.physics import pauli, spin_half
-from tests.conftest import circuit_reference
+from tests.conftest import circuit_reference, circuit_replay
 
 
 def _gate_matrix(gate):
@@ -93,17 +92,14 @@ def test_series_matches_reference_small_chain():
 
 def test_norm_is_preserved():
     """Replaying the schedule pass by pass keeps the norm at every
-    reading."""
+    reading, and the run reads that norm."""
     cfg = CircuitConfig(n_sites=5, steps=10, pattern="uuddd")
-    from tnkit.circuit import (_apply_gate, _fused_gates, _initial_state,
-                               _schedule)
-    plan = _schedule(5, cfg.steps)
-    ops = _fused_gates(cfg, plan)
-    state = _initial_state(cfg, plan.passes[0][0][0])
-    for start, stop in zip(plan.reads, plan.reads[1:]):
-        for gate in ops[start:stop]:
-            state = _apply_gate(state, gate)
-        assert abs(state.norm() - 1.0) <= 1e-10
+    replay = circuit_replay(cfg)
+    assert len(replay) == cfg.steps + 1
+    for psi, _ in replay:
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
+    norms = [np.vdot(psi, psi).real for psi, _ in replay]
+    assert np.max(np.abs(simulate_circuit(cfg).norm - norms)) <= 1e-14
 
 
 @pytest.mark.parametrize("n, pattern", [
@@ -133,63 +129,131 @@ def test_norm_series_on_acceptance_circuit():
     assert np.max(np.abs(res.norm - 1.0)) <= 1e-12
 
 
-def _memory_position(block, axis):
-    """Where logical ``axis`` of a state block sits in memory order: the
-    number of its axes with a larger stride (every qubit axis is 2 long)."""
-    strides = block.view().strides
-    return sum(s > strides[axis] for s in strides)
+class _Numpy:
+    """numpy as the circuit module sees it, with each ``matmul`` call
+    handed to ``record(x, gate, out)`` before it runs."""
+
+    def __init__(self, record):
+        self._record = record
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, x, gate, out):
+        self._record(x, gate, out)
+        return np.matmul(x, gate, out=out)
+
+
+def _recording_reads(monkeypatch):
+    """Record, at each reading of a run, a copy of the flat state and the
+    central qubit's memory position."""
+    reads, read = [], circuit._central_sz
+
+    def recording(state, p):
+        reads.append((state.copy(), p))
+        return read(state, p)
+
+    monkeypatch.setattr(circuit, "_central_sz", recording)
+    return reads
+
+
+def _products(n, plan):
+    """(qubits before the window, window width) of each product a run of
+    ``plan`` makes: a pass without a gate whose next window fits behind it
+    makes none, and the next product is batched over its qubits."""
+    out, front = [], 0
+    for j, (qubits, bonds) in enumerate(plan.passes):
+        if (not bonds and j + 1 < len(plan.passes)
+                and front + len(qubits) + len(plan.passes[j + 1][0]) <= n):
+            front += len(qubits)
+        else:
+            out.append((front, len(qubits)))
+            front = 0
+    return out
 
 
 def test_reading_the_norm_leaves_sz_bit_identical(monkeypatch):
-    """sz comes from the same two half-sums as the norm, unchanged by it."""
+    """sz and the norm come from the same two half-sums of one reduction,
+    bit for bit, and agree with sums of |amplitude|^2."""
     cfg = CircuitConfig(n_sites=7, steps=12, pattern="uududdu")
-    states = []
     read = circuit._central_sz
-
-    def recording(state, n):
-        states.append(state.clone())
-        return read(state, n)
-
-    monkeypatch.setattr(circuit, "_central_sz", recording)
+    reads = _recording_reads(monkeypatch)
     res = simulate_circuit(cfg)
-    site = (cfg.n_sites + 1) // 2 - 1
-    sz_only, sz_abs = [], []
-    for state in states:
-        block = state.get_block_()
-        axis = _memory_position(block, state.labels.index(f"q{site}"))
-        v = block.storage().view(np.float64).reshape(2 ** axis, 2, -1)
-        sz_only.append(float(np.einsum("ij,ij->", v[:, 0], v[:, 0])
-                             - np.einsum("ij,ij->", v[:, 1], v[:, 1])))
-        v = block.storage().reshape(2 ** axis, 2, -1)
-        sz_abs.append(float(np.sum(np.abs(v[:, 0, :]) ** 2)
-                            - np.sum(np.abs(v[:, 1, :]) ** 2)))
-    assert res.sz.tolist() == sz_only
-    # the sums of squares agree with sums of |amplitude|^2
+    assert len(reads) == cfg.steps + 1
+    sz_only, norm_only, sz_abs, norm_abs = [], [], [], []
+    for psi, p in reads:
+        cols = psi.view(np.float64).reshape(2 ** p, 2, -1)
+        up, down = (np.einsum("ij,ij->", h, h) for h in (cols[:, 0],
+                                                           cols[:, 1]))
+        up, down = float(up), float(down)
+        sz_only.append(up - down)
+        norm_only.append(up + down)
+        v = psi.reshape(2 ** p, 2, -1)
+        up, down = (np.sum(np.abs(v[:, k]) ** 2) for k in (0, 1))
+        sz_abs.append(up - down)
+        norm_abs.append(up + down)
+    # each result is one rounding of the two half-sums it is made from
+    assert np.max(np.abs(res.sz - sz_only)) <= 1e-15
+    assert np.max(np.abs(res.norm - norm_only)) <= 1e-15
     assert np.max(np.abs(res.sz - sz_abs)) <= 1e-14
-    # the storage-order read agrees with a read in logical qubit order
-    labels = [f"q{i}" for i in range(cfg.n_sites)]
-    logical = [read(s.permute(labels).contiguous_(), cfg.n_sites)[0]
-               for s in states]
+    assert np.max(np.abs(res.norm - norm_abs)) <= 1e-14
+    # reading the norm changes no bit of sz: both come from one call
+    again = [read(psi, p) for psi, p in reads]
+    assert res.sz.tolist() == [sz for sz, _ in again]
+    assert res.norm.tolist() == [norm for _, norm in again]
+    # the memory-order read agrees with a read in logical qubit order; the
+    # memory order is the chain read around, so p fixes it
+    n, c = cfg.n_sites, (cfg.n_sites + 1) // 2 - 1
+    logical = []
+    for psi, p in reads:
+        order = [(c - p + i) % n for i in range(n)]
+        flat = psi.reshape([2] * n).transpose(np.argsort(order)).reshape(-1)
+        logical.append(read(flat, c)[0])
     assert np.max(np.abs(res.sz - logical)) <= 1e-15
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 7, 11, 18])
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 7, 11, 13, 18])
 def test_every_gate_finds_its_qubits_at_the_front_of_memory(monkeypatch, n):
-    """Each pass's fused gate reads its k qubits at memory positions
-    0..k-1, so every product reads the state in place."""
-    fronts = []
+    """Each product reads its fused gate's w qubits in place, at memory
+    positions f..f+w-1, f the qubits of the gate-less passes skipped right
+    before it (0 after a product), and it writes into the other buffer."""
+    seen = []
 
-    def spying(state, gate):
-        block = state.get_block_()
-        width = gate.rank // 2
-        fronts.append(sorted(_memory_position(block, state.labels.index(l))
-                             for l in gate.labels[:width]))
-        return contract_pair(state, gate)
+    def record(x, gate, out):
+        d = gate.shape[0]
+        a, rest = x.shape[0], x.shape[1]
+        item = x.itemsize
+        assert x.shape == (a, rest, d) and a * rest * d == 2 ** n
+        # batch over positions 0..f-1, the window next, the rest last
+        assert x.strides == (d * rest * item, item, rest * item)
+        assert out.shape == x.shape
+        assert not np.shares_memory(x, out)
+        seen.append((a.bit_length() - 1, d.bit_length() - 1))
 
-    monkeypatch.setattr(circuit, "contract_pair", spying)
+    monkeypatch.setattr(circuit, "np", _Numpy(record))
     simulate_circuit(CircuitConfig(n_sites=n, steps=3))
-    widths = [len(qubits) for qubits, _ in circuit._schedule(n, 3).passes]
-    assert fronts == [list(range(k)) for k in widths]
+    assert seen == _products(n, circuit._schedule(n, 3))
+
+
+@pytest.mark.parametrize("n", range(2, 19))
+def test_skipped_passes_change_no_bit_of_the_state(monkeypatch, n):
+    """At every reading the buffer the run reads equals, bit for bit and in
+    the same memory order, the state of a replay that runs every pass,
+    gate-less ones included, as a product on a fresh buffer."""
+    pattern = "".join("ud"[(5 * i + n) % 3 == 0] for i in range(n))
+    cfg = CircuitConfig(n_sites=n, j=0.9, hx=0.7, hz=1.1, dt=0.13,
+                        steps=12, pattern=pattern)
+    reads = _recording_reads(monkeypatch)
+    simulate_circuit(cfg)
+    replay = circuit_replay(cfg)
+    assert len(reads) == len(replay) == cfg.steps + 1
+    c = (n + 1) // 2 - 1
+    for (psi, p), (want, order) in zip(reads, replay):
+        assert p == order.index(c)
+        assert psi.tobytes() == want.tobytes()
+    plan = circuit._schedule(n, cfg.steps)
+    skipped = len(plan.passes) - len(_products(n, plan))
+    assert skipped == (0 if n < 8 else sum(not b for _, b in plan.passes))
 
 
 @pytest.mark.parametrize("n", range(2, 25))
@@ -219,25 +283,22 @@ def test_layers_never_copy_the_state(monkeypatch):
     256 KB."""
     cfg = CircuitConfig(n_sites=14, steps=3)
     state_bytes = 2 ** 14 * 16
-    chained, last, gates = [], [], {}
+    chained, last, buffers, gates = [], [], set(), {}
     fuse = circuit._fused_gates
 
-    def spying(state, gate):
-        view = state.get_block_().view()
+    def record(x, gate, out):
         if last:
-            chained.append(np.may_share_memory(view, last[0]))
-        out = contract_pair(state, gate)
-        last[:] = [out.get_block_().view()]
-        return out
+            chained.append(x.base is last[0])
+        last[:] = [out.base]
+        buffers.add(id(out.base))
 
     def recording(cfg, plan):
         ops = fuse(cfg, plan)
         for op in ops:
-            matrix = op.get_block_().storage()
-            gates[matrix.ctypes.data] = matrix.nbytes   # shared ones once
+            gates[op.ctypes.data] = op.nbytes   # shared ones once
         return ops
 
-    monkeypatch.setattr(circuit, "contract_pair", spying)
+    monkeypatch.setattr(circuit, "np", _Numpy(record))
     monkeypatch.setattr(circuit, "_fused_gates", recording)
     tracemalloc.start()
     try:
@@ -247,8 +308,9 @@ def test_layers_never_copy_the_state(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    passes = len(circuit._schedule(14, 3).passes)
-    assert len(chained) == passes - 1 and all(chained)
+    products = len(_products(14, circuit._schedule(14, 3)))
+    assert len(chained) == products - 1 and all(chained)
+    assert len(buffers) == 2 and last[0].nbytes == state_bytes
     gate_bytes = sum(gates.values())
     assert gate_bytes <= state_bytes // 2
     assert peak - gate_bytes <= 2 * state_bytes + 128 * 1024
@@ -302,12 +364,18 @@ def test_schedule_makes_one_sweep_per_step(n):
     assert sum(not bonds for _, bonds in plan.passes) <= 150
 
 
-def test_eighteen_qubits_take_four_passes_a_step():
+def test_eighteen_qubits_take_four_passes_a_step(monkeypatch):
     # the benchmark's circuit: 150 steps in 602 passes and 151 sweeps; the
-    # 75 passes without a gate are the one-qubit window at the chain's end
+    # 75 passes without a gate are the one-qubit window at the chain's end,
+    # and each is skipped, so the run makes 527 products
     plan = circuit._schedule(18, 150)
     assert len(plan.passes) == 602 and plan.sweeps == 151
     assert [q for q, bonds in plan.passes if not bonds] == [(17,)] * 75
+    products = []
+    monkeypatch.setattr(circuit, "np", _Numpy(
+        lambda x, gate, out: products.append(gate.shape[0])))
+    res = simulate_circuit(CircuitConfig(n_sites=18, steps=150))
+    assert len(products) == 527 and res.sz.shape == (151,)
 
 
 @pytest.mark.parametrize("n", range(2, 15))
@@ -323,23 +391,21 @@ def test_series_equals_reference_at_short_runs(n):
 
 
 def test_central_sz_reads_any_storage_order():
-    n = 5
+    """The readout takes the central qubit at any memory position, with
+    the other qubits in any order, on states of fewer and of more than
+    2^9 rows."""
     rng = np.random.default_rng(11)
-    psi = rng.standard_normal([2] * n) + 1j * rng.standard_normal([2] * n)
-    psi /= np.linalg.norm(psi)
-    labels = [f"q{i}" for i in range(n)]
-    half = np.abs(psi[:, :, 0]) ** 2, np.abs(psi[:, :, 1]) ** 2  # site 3
-    want_sz = float(np.sum(half[0]) - np.sum(half[1]))
-    for seed in range(6):
-        order = list(np.random.default_rng(seed).permutation(labels))
-        state = UniTensor(storage.from_numpy(psi), labels=labels,
-                          rowrank=0).permute(order)
-        stored = UniTensor(storage.from_numpy(
-            np.ascontiguousarray(psi.transpose([labels.index(l)
-                                                for l in order]))),
-            labels=order, rowrank=0).permute(labels)
-        for t in (state, stored):
-            sz, norm = circuit._central_sz(t, n)
+    for n in (5, 12):
+        psi = rng.standard_normal([2] * n) + 1j * rng.standard_normal([2] * n)
+        psi /= np.linalg.norm(psi)
+        c = (n + 1) // 2 - 1
+        moved = np.moveaxis(psi, c, 0).reshape(2, -1)
+        want_sz = float(np.sum(np.abs(moved[0]) ** 2)
+                        - np.sum(np.abs(moved[1]) ** 2))
+        for seed in range(8):
+            order = list(np.random.default_rng(seed).permutation(n))
+            stored = np.ascontiguousarray(psi.transpose(order)).reshape(-1)
+            sz, norm = circuit._central_sz(stored, order.index(c))
             assert abs(sz - want_sz) <= 1e-14 and abs(norm - 1.0) <= 1e-14
 
 

@@ -271,6 +271,94 @@ def test_qsim_overflowing_gate_is_clean_error(capsys, args, dt):
     assert "Trotter gate on bond 0 that is not unitary" in lines[0]
 
 
+def _never_called(monkeypatch, owner, name):
+    """Make ``owner.name`` fail the test if anything calls it."""
+    def fail(*args, **kwargs):
+        pytest.fail(f"{name} ran although the output path is unusable")
+    monkeypatch.setattr(owner, name, fail)
+
+
+def _dot_blueprint(tmp_path):
+    """A two-vector dot product blueprint and its --tensor bindings."""
+    save_unitensor(UniTensor.ones([2], labels=["x"], name="A"),
+                   tmp_path / "a.utn")
+    net = tmp_path / "dot.net"
+    net.write_text("M1: i\nM2: i\nTOUT:\n")
+    return net, ["--tensor", f"M1={tmp_path}/a.utn",
+                 "--tensor", f"M2={tmp_path}/a.utn"]
+
+
+@pytest.mark.parametrize("command", ["qsim", "dmrg", "contract"])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unusable_output_path_fails_before_any_work(tmp_path, capsys,
+                                                    monkeypatch, command,
+                                                    where):
+    from tnkit import cli
+
+    out = tmp_path / "missing" / "x.out" if where == "missing directory" \
+        else tmp_path
+    if command == "qsim":
+        _never_called(monkeypatch, cli, "simulate_circuit")
+        argv = ["qsim", "--n", "20", "--steps", "100", "--csv", str(out)]
+    elif command == "dmrg":
+        _never_called(monkeypatch, cli, "dmrg_ground_state")
+        argv = ["dmrg", "--n", "8", "--chi", "4", "--json", str(out)]
+    else:
+        _never_called(monkeypatch, Network, "launch")
+        net, bindings = _dot_blueprint(tmp_path)
+        argv = ["contract", str(net)] + bindings + ["--out", str(out)]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and str(out) in captured.err
+    assert "Traceback" not in captured.err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_unusable_default_contract_output_fails_before_the_launch(
+        tmp_path, capsys, monkeypatch):
+    net, bindings = _dot_blueprint(tmp_path)
+    (tmp_path / "dot_out.utn").mkdir()      # <stem>_out.utn is a directory
+    _never_called(monkeypatch, Network, "launch")
+    assert main(["contract", str(net)] + bindings) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "dot_out.utn" in captured.err
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_failed_run_leaves_the_output_path_as_it_was(tmp_path, capsys,
+                                                     monkeypatch, existing):
+    """The early check makes no file and changes none: a run that fails
+    after it leaves no empty output behind, and an old output unchanged."""
+    from tnkit import cli
+
+    out = tmp_path / "sz.csv"
+    if existing:
+        out.write_text("t,sz\n0,1\n")
+    # the gate check fails inside simulate_circuit, after the path check
+    assert main(["qsim", "--n", "4", "--steps", "2", "--j", "1e300",
+                 "--dt", "10", "--csv", str(out)]) == 1
+    assert "not unitary" in capsys.readouterr().err
+    assert out.exists() == existing
+    if existing:
+        assert out.read_text() == "t,sz\n0,1\n"
+    for command, solver in (("qsim", "simulate_circuit"),
+                            ("dmrg", "dmrg_ground_state")):
+        def failing(cfg):
+            raise FloatingPointError(f"{command} failed")
+        monkeypatch.setattr(cli, solver, failing)
+        flag = "--csv" if command == "qsim" else "--json"
+        res = tmp_path / f"{command}.out"
+        argv = [command, "--n", "4", flag, str(res)]
+        if command == "dmrg":
+            argv += ["--chi", "2"]
+        assert main(argv) == 2
+        assert f"{command} failed" in capsys.readouterr().err
+        assert not res.exists()
+
+
 def test_bad_tensor_spec_is_usage_error(tmp_path, capsys):
     net = tmp_path / "m.net"
     net.write_text("M1: i\nTOUT: i\n")
